@@ -272,7 +272,9 @@ def scenario_run(network, spec_path, horizon, seed, units, out):
 @click.option("--seed", type=int, default=None, help="Seed override.")
 @click.option("--threshold", type=float, default=DEFAULT_THRESHOLD,
               help="Service threshold for state-based metrics.")
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1,
+              help="Accepted for compatibility (must be >= 1); replicates "
+                   "always run serially, so it does not change the output.")
 @click.option("--exhaustive", is_flag=True,
               help="Enumerate failure sets in order instead of sampling.")
 @click.option("--units", type=click.Choice(["lps", "m3s"]), default=None)

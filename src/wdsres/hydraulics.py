@@ -7,6 +7,12 @@ fabricates heads afterwards (``h = h*`` where water arrives, ``h = 0``
 where it does not).  That is sufficient to drive every metric in this
 package on synthetic failure scenarios; studies that care about real heads
 should load measured or simulated series instead.
+
+Each network's flow graph is compiled once, on its first solve, into flat
+arc arrays (node index, arc heads, per-node ``(arc, head)`` adjacency, base
+capacities and each pipe's arc) kept on the :class:`Network`.  A solve
+then only copies the base capacities, zeroes the arcs of failed pipes,
+writes the source and demand capacities and runs Edmonds-Karp on the copy.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -279,39 +284,107 @@ class FlowAllocation:
         return sum(self.demands.values())
 
 
-def _edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[int]], s: int, t: int):
-    """Max flow on an arc list where ``arcs[i ^ 1]`` is the residual of ``arcs[i]``.
+@dataclass(frozen=True)
+class _FlowModel:
+    """One network's flow graph as flat arrays, compiled on its first solve.
 
-    BFS scans arcs in insertion order, which the callers keep sorted, so the
-    augmenting-path choice (and therefore the full allocation) is
-    deterministic.
+    Nodes are the sources, then the junctions, each sorted by id, then the
+    super-source and the super-sink.  Arcs come in residual pairs ``2k``
+    and ``2k + 1``: one pair per source, then one per pipe, then one per
+    junction demand, each group sorted by id.  Every node's adjacency lists
+    its ``(arc, head)`` pairs in that insertion order, so a junction's
+    demand arc comes last.  ``capacities`` holds the pipe capacities (both
+    ways) and zeros on the source and demand arcs, which each solve writes.
+    """
+
+    index: dict[str, int]
+    heads: list[int]
+    adjacency: list[list[tuple[int, int]]]
+    capacities: list[float]
+    pipe_arcs: dict[str, int]
+    first_demand_arc: int
+    sources: tuple
+    junctions: tuple
+
+    @classmethod
+    def compile(cls, net: Network) -> "_FlowModel":
+        sources = tuple(sorted(net.sources, key=lambda s: s.id))
+        junctions = tuple(sorted(net.junctions, key=lambda j: j.id))
+        index = {node.id: i for i, node in enumerate((*sources, *junctions))}
+        s_idx = len(index)
+        t_idx = s_idx + 1
+        heads: list[int] = []
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(t_idx + 1)]
+        capacities: list[float] = []
+
+        def add_pair(u: int, v: int, cap: float):
+            adjacency[u].append((len(heads), v))
+            heads.append(v)
+            adjacency[v].append((len(heads), u))
+            heads.append(u)
+            capacities.extend((cap, cap))
+
+        for src in sources:
+            add_pair(s_idx, index[src.id], 0.0)
+        # undirected pipe: a mutual arc pair with the full capacity each way
+        pipe_arcs = {}
+        for pipe in sorted(net.pipes, key=lambda p: p.id):
+            pipe_arcs[pipe.id] = len(heads)
+            add_pair(index[pipe.endpoints[0]], index[pipe.endpoints[1]], pipe.capacity)
+        first_demand_arc = len(heads)
+        for j in junctions:
+            add_pair(index[j.id], t_idx, 0.0)
+        return cls(index, heads, adjacency, capacities, pipe_arcs, first_demand_arc,
+                   sources, junctions)
+
+
+def _flow_model(net: Network) -> _FlowModel:
+    model = net._flow_model
+    if model is None:
+        model = _FlowModel.compile(net)
+        object.__setattr__(net, "_flow_model", model)
+    return model
+
+
+def _edmonds_karp(caps: list[float], heads: list[int],
+                  adjacency: list[list[tuple[int, int]]], s: int, t: int):
+    """Max flow in place on ``caps``, where arc ``i ^ 1`` is the residual of arc ``i``.
+
+    BFS scans each adjacency in insertion order, which the model keeps
+    sorted, so the augmenting-path choice (and therefore the full
+    allocation) is deterministic.  Arcs at capacity 0, such as a failed
+    pipe's, are skipped exactly as if they were absent.
     """
     eps = 1e-12
+    n_nodes = len(adjacency)
     while True:
         parent = [-1] * n_nodes
         parent[s] = -2
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            for ai in adjacency[u]:
-                _, to, cap = arcs[ai]
-                if cap > eps and parent[to] == -1:
+        queue = [s]
+        # a FIFO queue: the loop reads the list while the scan appends to it
+        for u in queue:
+            for ai, to in adjacency[u]:
+                if parent[to] == -1 and caps[ai] > eps:
                     parent[to] = ai
                     queue.append(to)
+            # a junction's demand arc comes last in its adjacency, so this
+            # stops the search on the scan that reaches the sink
+            if parent[t] != -1:
+                break
         if parent[t] == -1:
             return
         push = float("inf")
         v = t
         while v != s:
             ai = parent[v]
-            push = min(push, arcs[ai][2])
-            v = arcs[ai][0]
+            push = min(push, caps[ai])
+            v = heads[ai ^ 1]
         v = t
         while v != s:
             ai = parent[v]
-            arcs[ai][2] -= push
-            arcs[ai ^ 1][2] += push
-            v = arcs[ai][0]
+            caps[ai] -= push
+            caps[ai ^ 1] += push
+            v = heads[ai ^ 1]
 
 
 def allocate_flows(
@@ -340,58 +413,38 @@ def allocate_flows(
     for key in supply_factors:
         net.source(key)
 
-    junctions = sorted(net.junctions, key=lambda j: j.id)
-    sources = sorted(net.sources, key=lambda s: s.id)
-    pipes = sorted((p for p in net.pipes if p.id not in failed_pipes), key=lambda p: p.id)
-
-    index = {}
-    for node in (*sources, *junctions):
-        index[node.id] = len(index)
-    s_idx = len(index)
-    t_idx = s_idx + 1
-    n = t_idx + 1
-
-    arcs: list[list] = []
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(u: int, v: int, cap_uv: float, cap_vu: float):
-        adjacency[u].append(len(arcs))
-        arcs.append([u, v, cap_uv])
-        adjacency[v].append(len(arcs))
-        arcs.append([v, u, cap_vu])
-
-    source_arc = {}
-    source_caps = {}
-    for src in sources:
-        source_arc[src.id] = len(arcs)
-        source_caps[src.id] = src.outflow * supply_factors.get(src.id, 1.0)
-        add_arc(s_idx, index[src.id], source_caps[src.id], 0.0)
-    # undirected pipe: a mutual arc pair with the full capacity each way
-    pipe_arc = {}
-    for pipe in pipes:
-        a, b = pipe.endpoints
-        pipe_arc[pipe.id] = len(arcs)
-        add_arc(index[a], index[b], pipe.capacity, pipe.capacity)
+    model = _flow_model(net)
+    caps = model.capacities.copy()
+    for pipe_id in failed_pipes:
+        ai = model.pipe_arcs[pipe_id]
+        caps[ai] = caps[ai ^ 1] = 0.0
+    source_caps = {
+        src.id: src.outflow * supply_factors.get(src.id, 1.0) for src in model.sources
+    }
     demands = {
         j.id: j.design_demand * demand_scale * demand_factors.get(j.id, 1.0)
-        for j in junctions
+        for j in model.junctions
     }
-    demand_arc = {}
-    for j in junctions:
-        demand_arc[j.id] = len(arcs)
-        add_arc(index[j.id], t_idx, demands[j.id], 0.0)
+    first_demand_arc = model.first_demand_arc
+    for k, cap in enumerate(source_caps.values()):
+        caps[2 * k] = cap
+    for k, demand in enumerate(demands.values()):
+        caps[first_demand_arc + 2 * k] = demand
 
-    _edmonds_karp(n, arcs, adjacency, s_idx, t_idx)
+    s_idx = len(model.index)
+    _edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
 
     delivered = {
-        j.id: demands[j.id] - arcs[demand_arc[j.id]][2] for j in junctions
+        j_id: demand - caps[first_demand_arc + 2 * k]
+        for k, (j_id, demand) in enumerate(demands.items())
     }
-    pipe_flows = {}
-    for pipe in pipes:
-        ai = pipe_arc[pipe.id]
-        pipe_flows[pipe.id] = (arcs[ai ^ 1][2] - arcs[ai][2]) / 2.0
+    pipe_flows = {
+        pipe_id: (caps[ai ^ 1] - caps[ai]) / 2.0
+        for pipe_id, ai in model.pipe_arcs.items()
+        if pipe_id not in failed_pipes
+    }
     source_out = {
-        src.id: source_caps[src.id] - arcs[source_arc[src.id]][2] for src in sources
+        src_id: cap - caps[2 * k] for k, (src_id, cap) in enumerate(source_caps.items())
     }
     return FlowAllocation(delivered, demands, pipe_flows, source_out)
 

@@ -117,6 +117,8 @@ class Network:
     _pump_map: dict = field(init=False, repr=False, compare=False, default=None)
     _pipe_map: dict = field(init=False, repr=False, compare=False, default=None)
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
+    # flow graph arrays, compiled by wdsres.hydraulics on the first flow solve
+    _flow_model: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "junctions", tuple(self.junctions))

@@ -3,19 +3,19 @@
 A scenario is a list of timed events over a horizon of timesteps.  An
 event is active on steps ``onset <= t < repair``; repair is instant
 restoration.  Randomised events (currently: failing a drawn number of
-pipes) are resolved per replicate from ``seed ^ replicate_index``, so
-replicates are order-independent and can run on any worker count without
-changing a single byte of the result.
+pipes) are resolved per replicate from ``seed ^ replicate_index``, so each
+replicate depends only on its own index.  Replicates run serially, in
+order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
+from math import comb, isfinite
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -29,6 +29,11 @@ from .performance import hashimoto_recovery, zhuang_availability
 EVENT_KINDS = ("pipe_failure", "pump_failure", "demand_scale", "supply_scale")
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def _is_number(value, kind: type) -> bool:
+    # bool is an int subclass, but True is no count or factor
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -48,9 +53,17 @@ class Event:
         if self.repair <= self.onset:
             raise ValidationError("event repair must come after onset")
         object.__setattr__(self, "ids", tuple(self.ids))
+        if self.count is not None and not _is_number(self.count, numbers.Integral):
+            raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
         if self.kind in ("demand_scale", "supply_scale"):
-            if self.factor is None or self.factor <= 0:
-                raise ValidationError(f"{self.kind} needs a factor > 0")
+            if not (
+                _is_number(self.factor, numbers.Real)
+                and isfinite(self.factor)
+                and self.factor > 0
+            ):
+                raise ValidationError(
+                    f"{self.kind} needs a finite factor > 0, got {self.factor!r}"
+                )
             if self.count is not None:
                 raise ValidationError(f"{self.kind} does not take a count")
         else:
@@ -310,6 +323,8 @@ def monte_carlo(
     exhaustive mode the scenario must contain exactly one random event; the
     r-th replicate then takes the r-th pipe combination in sorted order
     instead of sampling, which turns the run into an exact enumeration.
+    Replicates run serially in order; ``workers`` is validated and accepted
+    for compatibility but does not start threads or processes.
     """
     if n < 1:
         raise ValidationError("replicate count must be >= 1")
@@ -332,7 +347,7 @@ def monte_carlo(
             raise ValidationError(
                 f"exhaustive mode: only {comb(len(pool), count)} failure sets exist"
             )
-        combos = list(combinations(pool, count))[:n]
+        combos = list(islice(combinations(pool, count), n))
 
     def replicate(r: int) -> float:
         if combos is not None:
@@ -346,9 +361,5 @@ def monte_carlo(
         series = apply_scenario(net, rep_spec, horizon=horizon)
         return metric_fn(net, series, **metric_kwargs)
 
-    if workers == 1:
-        values = [replicate(r) for r in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_:
-            values = list(pool_.map(replicate, range(n)))
-    return MonteCarloResult(metric, tuple(values), spec.seed)
+    values = tuple(replicate(r) for r in range(n))
+    return MonteCarloResult(metric, values, spec.seed)

@@ -103,10 +103,6 @@ def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
     return labels
 
 
-def heights(merges: list[Merge]) -> list[float]:
-    return [m.height for m in merges]
-
-
 def partition_agreement(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
     """Best-bijection agreement between two flat labelings, in [0, 1].
 

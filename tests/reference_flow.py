@@ -1,0 +1,120 @@
+"""Reference allocator: the arc-list max-flow that the compiled model replaced.
+
+Kept verbatim (apart from this docstring and the function names) as an
+exact-equality oracle.  It rebuilds every arc on each call and drops failed
+pipes from the graph instead of zeroing their capacities, so agreement with
+``wdsres.hydraulics.allocate_flows`` checks the compiled model, the flat
+kernel and the capacity writes together.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Iterable, Mapping
+
+from wdsres.errors import ValidationError
+from wdsres.hydraulics import FlowAllocation
+from wdsres.network import Network
+
+
+def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[int]],
+                           s: int, t: int):
+    eps = 1e-12
+    while True:
+        parent = [-1] * n_nodes
+        parent[s] = -2
+        queue = deque([s])
+        while queue and parent[t] == -1:
+            u = queue.popleft()
+            for ai in adjacency[u]:
+                _, to, cap = arcs[ai]
+                if cap > eps and parent[to] == -1:
+                    parent[to] = ai
+                    queue.append(to)
+        if parent[t] == -1:
+            return
+        push = float("inf")
+        v = t
+        while v != s:
+            ai = parent[v]
+            push = min(push, arcs[ai][2])
+            v = arcs[ai][0]
+        v = t
+        while v != s:
+            ai = parent[v]
+            arcs[ai][2] -= push
+            arcs[ai ^ 1][2] += push
+            v = arcs[ai][0]
+
+
+def reference_allocate_flows(
+    net: Network,
+    demand_scale: float = 1.0,
+    failed_pipes: Iterable[str] = (),
+    failed_pumps: Iterable[str] = (),
+    demand_factors: Mapping[str, float] | None = None,
+    supply_factors: Mapping[str, float] | None = None,
+) -> FlowAllocation:
+    if demand_scale <= 0:
+        raise ValidationError("demand_scale must be > 0")
+    failed_pipes, failed_pumps = net.validate_failed_sets(failed_pipes, failed_pumps)
+    demand_factors = dict(demand_factors or {})
+    supply_factors = dict(supply_factors or {})
+    for key in demand_factors:
+        net.junction(key)
+    for key in supply_factors:
+        net.source(key)
+
+    junctions = sorted(net.junctions, key=lambda j: j.id)
+    sources = sorted(net.sources, key=lambda s: s.id)
+    pipes = sorted((p for p in net.pipes if p.id not in failed_pipes), key=lambda p: p.id)
+
+    index = {}
+    for node in (*sources, *junctions):
+        index[node.id] = len(index)
+    s_idx = len(index)
+    t_idx = s_idx + 1
+    n = t_idx + 1
+
+    arcs: list[list] = []
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+
+    def add_arc(u: int, v: int, cap_uv: float, cap_vu: float):
+        adjacency[u].append(len(arcs))
+        arcs.append([u, v, cap_uv])
+        adjacency[v].append(len(arcs))
+        arcs.append([v, u, cap_vu])
+
+    source_arc = {}
+    source_caps = {}
+    for src in sources:
+        source_arc[src.id] = len(arcs)
+        source_caps[src.id] = src.outflow * supply_factors.get(src.id, 1.0)
+        add_arc(s_idx, index[src.id], source_caps[src.id], 0.0)
+    pipe_arc = {}
+    for pipe in pipes:
+        a, b = pipe.endpoints
+        pipe_arc[pipe.id] = len(arcs)
+        add_arc(index[a], index[b], pipe.capacity, pipe.capacity)
+    demands = {
+        j.id: j.design_demand * demand_scale * demand_factors.get(j.id, 1.0)
+        for j in junctions
+    }
+    demand_arc = {}
+    for j in junctions:
+        demand_arc[j.id] = len(arcs)
+        add_arc(index[j.id], t_idx, demands[j.id], 0.0)
+
+    reference_edmonds_karp(n, arcs, adjacency, s_idx, t_idx)
+
+    delivered = {
+        j.id: demands[j.id] - arcs[demand_arc[j.id]][2] for j in junctions
+    }
+    pipe_flows = {}
+    for pipe in pipes:
+        ai = pipe_arc[pipe.id]
+        pipe_flows[pipe.id] = (arcs[ai ^ 1][2] - arcs[ai][2]) / 2.0
+    source_out = {
+        src.id: source_caps[src.id] - arcs[source_arc[src.id]][2] for src in sources
+    }
+    return FlowAllocation(delivered, demands, pipe_flows, source_out)

@@ -234,6 +234,25 @@ class TestScenarioCommands:
         assert report["values"] == pytest.approx(expected)
         assert report["summary"]["mean"] == pytest.approx(sum(expected) / 4)
 
+    @pytest.mark.parametrize("event", [
+        {"kind": "demand_scale", "onset": 0, "repair": 2, "factor": float("nan")},
+        {"kind": "supply_scale", "onset": 0, "repair": 2, "factor": float("inf")},
+        {"kind": "pipe_failure", "onset": 0, "repair": 2, "count": "1"},
+        {"kind": "pipe_failure", "onset": 0, "repair": 2, "count": 1.0},
+    ])
+    def test_run_rejects_malformed_event_without_traceback(
+        self, runner, net_path, tmp_path, event
+    ):
+        spec = self.spec_file(tmp_path, events=[event])  # json writes NaN and Infinity
+        result = runner.invoke(
+            main, ["scenario", "run", "--network", str(net_path), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+        assert "ratio=" not in result.output  # no series was printed
+
     def test_mc_same_seed_byte_identical(self, runner, net_path, tmp_path):
         spec = self.spec_file(
             tmp_path,

@@ -16,7 +16,9 @@ from wdsres.hydraulics import (
     save_series,
     surrogate_allocation,
 )
-from .conftest import make_series
+from wdsres.network import Junction, Source, load_network, save_network
+from .conftest import make_network, make_pipe, make_series
+from .reference_flow import reference_allocate_flows
 
 
 def exhaustive_min_cut(net, demand_scale=1.0, failed_pipes=frozenset()):
@@ -214,6 +216,76 @@ class TestAllocation:
     def test_demand_scale_must_be_positive(self, ring_network):
         with pytest.raises(ValidationError, match="demand_scale"):
             allocate_flows(ring_network, demand_scale=0.0)
+
+
+_flows = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=0.05, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def flow_problems(draw):
+    """A small network plus one allocation call's arguments.
+
+    Endpoints are drawn freely, so parallel pipes, isolated nodes,
+    zero-capacity pipes and zero-demand junctions all occur.
+    """
+    n_sources = draw(st.integers(1, 2))
+    n_junctions = draw(st.integers(1, 5))
+    sources = [Source(f"S{i}", 100.0, draw(_flows)) for i in range(n_sources)]
+    junctions = [Junction(f"J{i}", 0.0, draw(_flows), 30.0) for i in range(n_junctions)]
+    node_ids = [node.id for node in (*sources, *junctions)]
+    pipes = []
+    for k in range(draw(st.integers(0, 9))):
+        a, b = draw(st.lists(st.sampled_from(node_ids), min_size=2, max_size=2, unique=True))
+        pipes.append(make_pipe(f"p{k}", a, b, capacity=draw(_flows)))
+    net = make_network(junctions, sources, pipes)
+    factors = st.floats(min_value=0.1, max_value=3.0)
+    kwargs = {
+        "demand_scale": draw(factors),
+        "failed_pipes": draw(st.sets(st.sampled_from([p.id for p in pipes]))
+                             if pipes else st.just(set())),
+        "demand_factors": draw(st.dictionaries(st.sampled_from([j.id for j in junctions]),
+                                               factors)),
+        "supply_factors": draw(st.dictionaries(st.sampled_from([s.id for s in sources]),
+                                               factors)),
+    }
+    return net, kwargs
+
+
+class TestCompiledModel:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=flow_problems(), repeat=st.integers(1, 3))
+    def test_matches_arc_list_reference_exactly(self, problem, repeat):
+        net, kwargs = problem
+        want = reference_allocate_flows(net, **kwargs)
+        for _ in range(repeat):  # later solves reuse the compiled model
+            got = allocate_flows(net, **kwargs)
+            for name in ("delivered", "demands", "pipe_flows", "source_outflows"):
+                assert getattr(got, name) == getattr(want, name), name
+                assert list(getattr(got, name)) == list(getattr(want, name)), name
+
+    def test_reference_agrees_across_failure_sets_on_fixtures(self, mesh_network, tight_ring):
+        for net in (mesh_network, tight_ring):
+            for r in range(3):
+                for failed in itertools.combinations(sorted(net.pipe_ids), r):
+                    got = allocate_flows(net, failed_pipes=set(failed))
+                    want = reference_allocate_flows(net, failed_pipes=set(failed))
+                    assert got == want, failed
+
+    def test_compiled_lazily_once_per_network(self, mesh_network, tmp_path):
+        path = tmp_path / "mesh.json"
+        save_network(mesh_network, path)
+        net = load_network(path)
+        assert net._flow_model is None
+        allocate_flows(net)
+        model = net._flow_model
+        assert model is not None
+        allocate_flows(net, failed_pipes={"p3"}, demand_scale=2.0)
+        assert net._flow_model is model
+        # the model is private state: equality with a fresh load is unchanged
+        assert net == load_network(path)
 
 
 class TestSurrogateSeries:

@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from wdsres.errors import ValidationError
+from wdsres.network import Junction, Source
 from wdsres.performance import zhuang_availability
 from wdsres.scenario import (
     Event,
@@ -16,6 +19,7 @@ from wdsres.scenario import (
     monte_carlo,
     scenario_from_dict,
 )
+from .conftest import make_network, make_pipe
 
 
 class TestEventValidation:
@@ -30,6 +34,17 @@ class TestEventValidation:
     def test_scaling_needs_positive_factor(self):
         with pytest.raises(ValidationError, match="factor"):
             Event("demand_scale", onset=0, repair=1, factor=0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), float("-inf"), "2", True])
+    @pytest.mark.parametrize("kind", ["demand_scale", "supply_scale"])
+    def test_scaling_rejects_non_finite_or_non_numeric_factor(self, kind, factor):
+        with pytest.raises(ValidationError, match="finite factor"):
+            Event(kind, onset=0, repair=1, factor=factor)
+
+    @pytest.mark.parametrize("count", ["1", 1.0, True])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            Event("pipe_failure", onset=0, repair=1, count=count)
 
     def test_pipe_failure_needs_ids_or_count(self):
         with pytest.raises(ValidationError, match="ids or a random count"):
@@ -171,6 +186,46 @@ class TestMonteCarlo:
             expected.append(zhuang_availability(series).value)
         assert list(result.values) == pytest.approx(expected)
         assert result.summary["mean"] == pytest.approx(sum(expected) / n)
+
+    @pytest.mark.parametrize(
+        "fixture", ["tree_network", "ring_network", "tight_ring", "mesh_network"]
+    )
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_exhaustive_takes_the_first_n_combinations(self, fixture, count, request):
+        net = request.getfixturevalue(fixture)
+        pool = sorted(net.pipe_ids)
+        n = max(1, comb(len(pool), count) - 1)
+        spec = ScenarioSpec((Event("pipe_failure", 0, 2, count=count),), seed=5, horizon=2)
+        result = monte_carlo(net, spec, n, "zhuang", exhaustive=True)
+        expected = [
+            zhuang_availability(apply_scenario(
+                net, ScenarioSpec((Event("pipe_failure", 0, 2, ids=ids),), seed=5), horizon=2,
+            )).value
+            for ids in list(itertools.combinations(pool, count))[:n]
+        ]
+        assert list(result.values) == expected
+
+    def test_exhaustive_does_not_materialise_every_combination(self):
+        # a 183-pipe ring has about 1M three-pipe failure sets
+        size = 183
+        ring = make_network(
+            junctions=[Junction(f"J{i:03d}", 0.0, 0.001, 30.0) for i in range(1, size)],
+            sources=[Source("R", 100.0, 1.0)],
+            pipes=[
+                make_pipe(f"p{i:03d}", "R" if i == 0 else f"J{i:03d}",
+                          "R" if i == size - 1 else f"J{i + 1:03d}")
+                for i in range(size)
+            ],
+        )
+        assert comb(size, 3) > 1_000_000
+        spec = ScenarioSpec((Event("pipe_failure", 0, 1, count=3),), seed=5, horizon=1)
+        tracemalloc.start()
+        try:
+            monte_carlo(ring, spec, 2, "zhuang", exhaustive=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_exhaustive_needs_single_random_event(self, ring_network):
         spec = ScenarioSpec((Event("pipe_failure", 0, 2, ids=("p1",)),), seed=5, horizon=2)
