@@ -13,6 +13,15 @@ arc arrays (node index, arc heads, per-node ``(arc, head)`` adjacency, base
 capacities and each pipe's arc) kept on the :class:`Network`.  A solve
 then only copies the base capacities, zeroes the arcs of failed pipes,
 writes the source and demand capacities and runs Edmonds-Karp on the copy.
+
+The model also remembers its most recent solve: the capacities the kernel
+was given and the residual capacities it left.  A solve whose capacities
+equal the remembered ones reads the residuals instead of running the
+kernel again.  The kernel is deterministic and the capacities are its
+whole input, so the result is the one a fresh solve would give.  Scenario
+events are piecewise constant, so most timesteps of a scenario repeat the
+state of the step before them and hit this one-entry memo; a memo of more
+entries would keep one per failure set during a buffering search.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -187,6 +197,8 @@ def load_series(path: str | Path, dt: float = 3600.0) -> HydraulicSeries:
                 values = tuple(float(c) for c in row[2:])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not all(isfinite(v) for v in values):
+                raise ValidationError(f"{path}:{lineno}: values must be finite numbers")
             node = row[1].strip()
             per_t = cells.setdefault(t, {})
             if node in per_t:
@@ -284,7 +296,7 @@ class FlowAllocation:
         return sum(self.demands.values())
 
 
-@dataclass(frozen=True)
+@dataclass
 class _FlowModel:
     """One network's flow graph as flat arrays, compiled on its first solve.
 
@@ -295,6 +307,8 @@ class _FlowModel:
     its ``(arc, head)`` pairs in that insertion order, so a junction's
     demand arc comes last.  ``capacities`` holds the pipe capacities (both
     ways) and zeros on the source and demand arcs, which each solve writes.
+    ``last_solve`` pairs the capacities of the most recent solve with the
+    residual capacities it left, both as tuples.
     """
 
     index: dict[str, int]
@@ -305,6 +319,7 @@ class _FlowModel:
     first_demand_arc: int
     sources: tuple
     junctions: tuple
+    last_solve: tuple[tuple, tuple] | None = None
 
     @classmethod
     def compile(cls, net: Network) -> "_FlowModel":
@@ -400,11 +415,18 @@ def allocate_flows(
     The routing maximises total delivered flow subject to pipe capacities,
     source outflow limits and per-junction demands; deliveries never exceed
     demand.  ``demand_factors`` / ``supply_factors`` apply per-id multipliers
-    on top of the global ``demand_scale``.  Failed pumps are validated but do
-    not constrain the routing: the surrogate has no pressure model for them.
+    on top of the global ``demand_scale``; every factor must be a finite
+    number > 0.  Failed pumps are validated but do not constrain the routing:
+    the surrogate has no pressure model for them.
+
+    A call whose capacities (pipes after failures, sources and demands
+    after scaling) equal those of the network's previous solve reuses that
+    solve's residual capacities instead of running the max-flow kernel; the
+    returned maps are built fresh either way and are identical to those of
+    a new solve.
     """
-    if demand_scale <= 0:
-        raise ValidationError("demand_scale must be > 0")
+    if not 0 < demand_scale < inf:
+        raise ValidationError(f"demand_scale must be finite and > 0, got {demand_scale!r}")
     failed_pipes, failed_pumps = net.validate_failed_sets(failed_pipes, failed_pumps)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
@@ -412,6 +434,10 @@ def allocate_flows(
         net.junction(key)
     for key in supply_factors:
         net.source(key)
+    # a factor > 0 keeps the sign of a zero demand or outflow, so two calls
+    # with equal capacities also agree on their signed zeros
+    if not all(0 < f < inf for f in (*demand_factors.values(), *supply_factors.values())):
+        raise ValidationError("demand and supply factors must be finite and > 0")
 
     model = _flow_model(net)
     caps = model.capacities.copy()
@@ -431,20 +457,27 @@ def allocate_flows(
     for k, demand in enumerate(demands.values()):
         caps[first_demand_arc + 2 * k] = demand
 
-    s_idx = len(model.index)
-    _edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
+    key = tuple(caps)
+    last = model.last_solve
+    if last is not None and last[0] == key:
+        residual = last[1]
+    else:
+        s_idx = len(model.index)
+        _edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
+        residual = tuple(caps)
+        model.last_solve = (key, residual)
 
     delivered = {
-        j_id: demand - caps[first_demand_arc + 2 * k]
+        j_id: demand - residual[first_demand_arc + 2 * k]
         for k, (j_id, demand) in enumerate(demands.items())
     }
     pipe_flows = {
-        pipe_id: (caps[ai ^ 1] - caps[ai]) / 2.0
+        pipe_id: (residual[ai ^ 1] - residual[ai]) / 2.0
         for pipe_id, ai in model.pipe_arcs.items()
         if pipe_id not in failed_pipes
     }
     source_out = {
-        src_id: cap - caps[2 * k] for k, (src_id, cap) in enumerate(source_caps.items())
+        src_id: cap - residual[2 * k] for k, (src_id, cap) in enumerate(source_caps.items())
     }
     return FlowAllocation(delivered, demands, pipe_flows, source_out)
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -254,10 +256,11 @@ class Network:
     ) -> tuple[frozenset[str], frozenset[str]]:
         failed_pipes = frozenset(failed_pipes)
         failed_pumps = frozenset(failed_pumps)
-        unknown = failed_pipes - set(self._pipe_map)
+        # difference() with a dict looks each failed id up instead of copying the keys
+        unknown = failed_pipes.difference(self._pipe_map)
         if unknown:
             raise ValidationError(f"unknown pipe ids in failure set: {sorted(unknown)}")
-        unknown = failed_pumps - set(self._pump_map)
+        unknown = failed_pumps.difference(self._pump_map)
         if unknown:
             raise ValidationError(f"unknown pump ids in failure set: {sorted(unknown)}")
         return failed_pipes, failed_pumps
@@ -332,11 +335,33 @@ def _require(obj: Mapping, key: str, context: str):
     return obj[key]
 
 
+def is_finite_number(value) -> bool:
+    """True for a real number, but not a bool, that a float holds finitely."""
+    # float and int first: they are what JSON gives, and the ABC check is slow
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _num(obj: Mapping, key: str, context: str) -> float:
     value = _require(obj, key, context)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{context}: field {key!r} must be a number")
+    if not is_finite_number(value):
+        raise ValidationError(f"{context}: field {key!r} must be a finite number")
     return float(value)
+
+
+def json_rows(data: Mapping, key: str) -> list[Mapping]:
+    """The array of objects under ``key`` in a JSON document; empty if absent."""
+    rows = data.get(key, [])
+    if not isinstance(rows, (list, tuple)):
+        raise ValidationError(f"{key!r} must be a list of objects")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (dict, Mapping)):  # dict first: the ABC check is slow
+            raise ValidationError(f"{key}[{i}] must be an object, got {row!r}")
+    return rows
 
 
 def network_from_dict(data: Mapping, units: str | None = None) -> Network:
@@ -353,7 +378,7 @@ def network_from_dict(data: Mapping, units: str | None = None) -> Network:
     scale = M3S_PER_LPS if units == "lps" else 1.0
 
     junctions = []
-    for row in data.get("junctions", []):
+    for row in json_rows(data, "junctions"):
         context = f"junction {row.get('id', '?')!r}"
         junctions.append(
             Junction(
@@ -364,7 +389,7 @@ def network_from_dict(data: Mapping, units: str | None = None) -> Network:
             )
         )
     sources = []
-    for row in data.get("sources", []):
+    for row in json_rows(data, "sources"):
         context = f"source {row.get('id', '?')!r}"
         sources.append(
             Source(
@@ -374,11 +399,11 @@ def network_from_dict(data: Mapping, units: str | None = None) -> Network:
             )
         )
     pumps = []
-    for row in data.get("pumps", []):
+    for row in json_rows(data, "pumps"):
         context = f"pump {row.get('id', '?')!r}"
         pumps.append(Pump(id=str(_require(row, "id", context)), power=_num(row, "power", context)))
     pipes = []
-    for row in data.get("pipes", []):
+    for row in json_rows(data, "pipes"):
         context = f"pipe {row.get('id', '?')!r}"
         endpoints = _require(row, "endpoints", context)
         if not isinstance(endpoints, (list, tuple)) or len(endpoints) != 2:

@@ -15,7 +15,7 @@ import numbers
 import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from math import comb, isfinite
+from math import comb
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, classify_states, surrogate_allocation
-from .network import Network
+from .network import Network, is_finite_number, json_rows
 from .performance import hashimoto_recovery, zhuang_availability
 
 EVENT_KINDS = ("pipe_failure", "pump_failure", "demand_scale", "supply_scale")
@@ -48,19 +48,23 @@ class Event:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValidationError(f"unknown event kind {self.kind!r}")
+        for name in ("onset", "repair"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise ValidationError(f"event {name} must be an integer, got {value!r}")
         if self.onset < 0:
             raise ValidationError("event onset must be >= 0")
         if self.repair <= self.onset:
             raise ValidationError("event repair must come after onset")
+        # a bare string is iterable too, but "P1" is one id, not "P" and "1"
+        if not (isinstance(self.ids, (list, tuple))
+                and all(isinstance(i, str) for i in self.ids)):
+            raise ValidationError(f"event ids must be a list of id strings, got {self.ids!r}")
         object.__setattr__(self, "ids", tuple(self.ids))
         if self.count is not None and not _is_number(self.count, numbers.Integral):
             raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
         if self.kind in ("demand_scale", "supply_scale"):
-            if not (
-                _is_number(self.factor, numbers.Real)
-                and isfinite(self.factor)
-                and self.factor > 0
-            ):
+            if not (is_finite_number(self.factor) and self.factor > 0):
                 raise ValidationError(
                     f"{self.kind} needs a finite factor > 0, got {self.factor!r}"
                 )
@@ -106,8 +110,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if self.horizon is not None and self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
+        if not _is_number(self.seed, numbers.Integral):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if self.horizon is not None:
+            if not _is_number(self.horizon, numbers.Integral):
+                raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
+            if self.horizon < 1:
+                raise ValidationError("horizon must be >= 1")
 
     @property
     def has_random_events(self) -> bool:
@@ -123,24 +132,18 @@ class ScenarioSpec:
 def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise ValidationError("scenario document must be a JSON object")
-    events = []
-    for row in data.get("events", []):
-        events.append(
-            Event(
-                kind=row.get("kind", ""),
-                onset=int(row.get("onset", 0)),
-                repair=int(row.get("repair", 0)),
-                ids=tuple(row.get("ids", ())),
-                count=row.get("count"),
-                factor=row.get("factor"),
-            )
+    events = tuple(
+        Event(
+            kind=row.get("kind", ""),
+            onset=row.get("onset", 0),
+            repair=row.get("repair", 0),
+            ids=row.get("ids", ()),
+            count=row.get("count"),
+            factor=row.get("factor"),
         )
-    horizon = data.get("horizon")
-    return ScenarioSpec(
-        tuple(events),
-        seed=int(data.get("seed", 0)),
-        horizon=None if horizon is None else int(horizon),
+        for row in json_rows(data, "events")
     )
+    return ScenarioSpec(events, seed=data.get("seed", 0), horizon=data.get("horizon"))
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

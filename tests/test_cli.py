@@ -115,6 +115,18 @@ class TestMetricCommand:
         assert report["states"] == "SSFSSFFSSS"
         assert report["value"] == pytest.approx(20 / 27)
 
+    def test_hashimoto_rejects_nan_series_cell(self, runner, tmp_path, hashimoto_series):
+        path = tmp_path / "series.csv"
+        save_series(hashimoto_series, path)
+        lines = path.read_text().splitlines()
+        t, node, _, *rest = lines[3].split(",")
+        lines[3] = ",".join([t, node, "nan", *rest])
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["metric", "hashimoto", "--series", str(path)])
+        assert result.exit_code == 1
+        assert "series.csv:4: values must be finite" in result.output
+        assert '"value"' not in result.output
+
     def test_herrera_writes_node_table(self, runner, net_path, tmp_path):
         nodes_csv = tmp_path / "nodes.csv"
         result = runner.invoke(
@@ -239,6 +251,10 @@ class TestScenarioCommands:
         {"kind": "supply_scale", "onset": 0, "repair": 2, "factor": float("inf")},
         {"kind": "pipe_failure", "onset": 0, "repair": 2, "count": "1"},
         {"kind": "pipe_failure", "onset": 0, "repair": 2, "count": 1.0},
+        {"kind": "pipe_failure", "onset": "x", "repair": 2, "ids": ["p1"]},
+        {"kind": "pipe_failure", "onset": 0.5, "repair": 2, "ids": ["p1"]},
+        {"kind": "pipe_failure", "onset": 0, "repair": 2, "ids": "p1"},
+        5,
     ])
     def test_run_rejects_malformed_event_without_traceback(
         self, runner, net_path, tmp_path, event
@@ -252,6 +268,40 @@ class TestScenarioCommands:
         assert "error:" in result.output
         assert "Traceback" not in result.output
         assert "ratio=" not in result.output  # no series was printed
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", "x"), ("horizon", True), ("seed", "x"), ("events", 5),
+    ])
+    def test_run_rejects_malformed_spec_without_traceback(
+        self, runner, net_path, tmp_path, field, value
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"events": [], "seed": 3, "horizon": 4, field: value}))
+        result = runner.invoke(
+            main, ["scenario", "run", "--network", str(net_path), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("section, field", [
+        ("junctions", "design_demand"), ("pipes", "capacity"),
+    ])
+    def test_run_rejects_non_finite_network_number(
+        self, runner, ring_network, tmp_path, section, field
+    ):
+        doc = ring_network.to_dict()
+        doc[section][0][field] = float("inf")
+        net_file = tmp_path / "inf.json"
+        net_file.write_text(json.dumps(doc))  # json writes Infinity
+        spec = self.spec_file(tmp_path)
+        result = runner.invoke(
+            main, ["scenario", "run", "--network", str(net_file), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert "must be a finite number" in result.output
+        assert "nan" not in result.output
 
     def test_mc_same_seed_byte_identical(self, runner, net_path, tmp_path):
         spec = self.spec_file(

@@ -1,12 +1,14 @@
 """Series handling, state classification and the surrogate allocator."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdsres import hydraulics
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import (
     BinaryStateSeries,
@@ -17,6 +19,8 @@ from wdsres.hydraulics import (
     surrogate_allocation,
 )
 from wdsres.network import Junction, Source, load_network, save_network
+from wdsres.performance import buffering_capacity, supply_feasibility
+from wdsres.scenario import Event, ScenarioSpec, apply_scenario, monte_carlo
 from .conftest import make_network, make_pipe, make_series
 from .reference_flow import reference_allocate_flows
 
@@ -80,6 +84,16 @@ class TestLoadSeries:
             "1,n2,1,1,40,30\n"
         )
         with pytest.raises(ValidationError, match="node set"):
+            load_series(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "t,node_id,delivered_m3s,demand_m3s,head_m,required_head_m\n"
+            f"0,n1,{cell},1.0,40,30\n"
+        )
+        with pytest.raises(ValidationError, match=":2: values must be finite"):
             load_series(path)
 
     def test_two_by_two_shape(self, tmp_path):
@@ -217,6 +231,18 @@ class TestAllocation:
         with pytest.raises(ValidationError, match="demand_scale"):
             allocate_flows(ring_network, demand_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_demand_scale_must_be_finite(self, ring_network, scale):
+        with pytest.raises(ValidationError, match="demand_scale must be finite"):
+            allocate_flows(ring_network, demand_scale=scale)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, -0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("argument", ["demand_factors", "supply_factors"])
+    def test_factors_must_be_finite_and_positive(self, ring_network, argument, factor):
+        target = "J1" if argument == "demand_factors" else "R1"
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            allocate_flows(ring_network, **{argument: {target: factor}})
+
 
 _flows = st.one_of(
     st.just(0.0),
@@ -224,12 +250,25 @@ _flows = st.one_of(
 )
 
 
+def allocation_arguments(net):
+    """One allocation call's keyword arguments on ``net``."""
+    factors = st.floats(min_value=0.1, max_value=3.0)
+    return st.fixed_dictionaries({
+        "demand_scale": factors,
+        "failed_pipes": st.sets(st.sampled_from(net.pipe_ids)) if net.pipes else st.just(set()),
+        "demand_factors": st.dictionaries(st.sampled_from(net.junction_ids), factors),
+        "supply_factors": st.dictionaries(st.sampled_from(net.source_ids), factors),
+    })
+
+
 @st.composite
 def flow_problems(draw):
-    """A small network plus one allocation call's arguments.
+    """A small network plus a sequence of allocation calls' arguments.
 
     Endpoints are drawn freely, so parallel pipes, isolated nodes,
-    zero-capacity pipes and zero-demand junctions all occur.
+    zero-capacity pipes and zero-demand junctions all occur.  The calls
+    draw from at most three states, so a state often repeats the one
+    before it or comes back after another.
     """
     n_sources = draw(st.integers(1, 2))
     n_junctions = draw(st.integers(1, 5))
@@ -241,30 +280,24 @@ def flow_problems(draw):
         a, b = draw(st.lists(st.sampled_from(node_ids), min_size=2, max_size=2, unique=True))
         pipes.append(make_pipe(f"p{k}", a, b, capacity=draw(_flows)))
     net = make_network(junctions, sources, pipes)
-    factors = st.floats(min_value=0.1, max_value=3.0)
-    kwargs = {
-        "demand_scale": draw(factors),
-        "failed_pipes": draw(st.sets(st.sampled_from([p.id for p in pipes]))
-                             if pipes else st.just(set())),
-        "demand_factors": draw(st.dictionaries(st.sampled_from([j.id for j in junctions]),
-                                               factors)),
-        "supply_factors": draw(st.dictionaries(st.sampled_from([s.id for s in sources]),
-                                               factors)),
-    }
-    return net, kwargs
+    states = draw(st.lists(allocation_arguments(net), min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=8))
+    return net, [states[i] for i in order]
 
 
 class TestCompiledModel:
     @settings(max_examples=300, deadline=None)
-    @given(problem=flow_problems(), repeat=st.integers(1, 3))
-    def test_matches_arc_list_reference_exactly(self, problem, repeat):
-        net, kwargs = problem
-        want = reference_allocate_flows(net, **kwargs)
-        for _ in range(repeat):  # later solves reuse the compiled model
+    @given(problem=flow_problems())
+    def test_matches_arc_list_reference_exactly(self, problem):
+        net, calls = problem
+        for kwargs in calls:  # later solves reuse the compiled model and the last solve
+            want = reference_allocate_flows(net, **kwargs)
             got = allocate_flows(net, **kwargs)
             for name in ("delivered", "demands", "pipe_flows", "source_outflows"):
                 assert getattr(got, name) == getattr(want, name), name
                 assert list(getattr(got, name)) == list(getattr(want, name)), name
+                # the caller owns the maps: changing them must not reach the next call
+                getattr(got, name)["J0"] = -1.0
 
     def test_reference_agrees_across_failure_sets_on_fixtures(self, mesh_network, tight_ring):
         for net in (mesh_network, tight_ring):
@@ -286,6 +319,56 @@ class TestCompiledModel:
         assert net._flow_model is model
         # the model is private state: equality with a fresh load is unchanged
         assert net == load_network(path)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """A list that grows by one on each run of the max-flow kernel."""
+    runs = []
+    kernel = hydraulics._edmonds_karp
+
+    def counted(*args):
+        runs.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
+    return runs
+
+
+class TestLastSolveMemo:
+    def test_failure_window_runs_the_kernel_once_per_change_of_state(
+        self, mesh_network, kernel_runs
+    ):
+        spec = ScenarioSpec((Event("pipe_failure", 6, 14, ids=("p3",)),))
+        series = apply_scenario(mesh_network, spec, horizon=24)
+        assert len(kernel_runs) == 3  # intact, failed, intact again
+        np.testing.assert_array_equal(series.delivered[:6], series.delivered[14:20])
+
+    def test_monte_carlo_sweep_runs_the_kernel_nine_times(self, mesh_network, kernel_runs):
+        spec = ScenarioSpec(
+            (
+                Event("pipe_failure", 6, 14, count=3),
+                Event("demand_scale", 10, 18, factor=2.5),
+            ),
+            seed=7,
+        )
+        monte_carlo(mesh_network, spec, n=2, metric="zhuang", horizon=24)
+        # five states per replicate; the second starts intact, as the first ended
+        assert len(kernel_runs) == 5 + 4
+
+    def test_supply_buffering_runs_the_kernel_once_per_failure_set(
+        self, mesh_network, kernel_runs
+    ):
+        feasible = supply_feasibility(mesh_network, 0.2)
+        checked = []
+
+        def counted(failed):
+            checked.append(failed)
+            return feasible(failed)
+
+        assert buffering_capacity(mesh_network, counted, max_k=2) == 2
+        assert len(checked) == 1 + 8 + comb(8, 2)
+        assert len(kernel_runs) == len(checked)
 
 
 class TestSurrogateSeries:

@@ -94,6 +94,33 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="missing field 'capacity'"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize("section", ["junctions", "sources", "pumps", "pipes"])
+    @pytest.mark.parametrize("row", [5, "p1", None, ["id", "x"]])
+    def test_non_object_row(self, section, row):
+        doc = minimal_doc()
+        doc[section].append(row)
+        with pytest.raises(ValidationError, match=rf"{section}\[\d\] must be an object"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["junctions", "pipes"])
+    def test_section_must_be_a_list(self, section):
+        doc = minimal_doc()
+        doc[section] = {"id": "x"}
+        with pytest.raises(ValidationError, match=f"'{section}' must be a list"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("section, field", [
+        ("pipes", "capacity"),
+        ("junctions", "design_demand"),
+        ("sources", "outflow"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_number(self, section, field, value):
+        doc = minimal_doc()
+        doc[section][0][field] = value
+        with pytest.raises(ValidationError, match=f"'{field}' must be a finite number"):
+            network_from_dict(doc)
+
     def test_lps_units_convert_flows(self):
         doc = minimal_doc()
         doc["units"] = "lps"

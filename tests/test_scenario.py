@@ -46,6 +46,28 @@ class TestEventValidation:
         with pytest.raises(ValidationError, match="count must be an integer"):
             Event("pipe_failure", onset=0, repair=1, count=count)
 
+    @pytest.mark.parametrize("field", ["onset", "repair"])
+    @pytest.mark.parametrize("value", ["x", "1", 0.5, 2.0, True, None])
+    def test_onset_and_repair_must_be_integers(self, field, value):
+        times = {"onset": 0, "repair": 3, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            Event("pipe_failure", ids=("p1",), **times)
+
+    @pytest.mark.parametrize("ids", ["p1", ("p1", 2), 5, {"p1": 1}])
+    def test_ids_must_be_a_list_of_strings(self, ids):
+        with pytest.raises(ValidationError, match="ids must be a list of id strings"):
+            Event("pipe_failure", onset=0, repair=1, ids=ids)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            ScenarioSpec((), seed=seed)
+
+    @pytest.mark.parametrize("horizon", ["x", 2.5, True])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValidationError, match="horizon must be an integer"):
+            ScenarioSpec((), horizon=horizon)
+
     def test_pipe_failure_needs_ids_or_count(self):
         with pytest.raises(ValidationError, match="ids or a random count"):
             Event("pipe_failure", onset=0, repair=1)
@@ -297,3 +319,22 @@ class TestScenarioParsing:
         assert spec.events[1].factor == 0.5
         assert spec.seed == 17
         assert spec.horizon == 5
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"events": 5}, "'events' must be a list"),
+        ({"events": {"kind": "pipe_failure"}}, "'events' must be a list"),
+        ({"events": [5]}, r"events\[0\] must be an object"),
+        ({"events": [["pipe_failure", 0, 1]]}, r"events\[0\] must be an object"),
+        ({"events": [{"kind": "pipe_failure", "onset": "x", "repair": 2, "ids": ["p1"]}]},
+         "onset must be an integer"),
+        ({"events": [{"kind": "pipe_failure", "onset": 0.5, "repair": 2, "ids": ["p1"]}]},
+         "onset must be an integer"),
+        ({"events": [{"kind": "pipe_failure", "onset": 0, "repair": 2, "ids": "p1"}]},
+         "ids must be a list of id strings"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"horizon": "x"}, "horizon must be an integer"),
+        ({"horizon": True}, "horizon must be an integer"),
+    ])
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            scenario_from_dict(doc)
