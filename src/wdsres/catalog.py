@@ -13,17 +13,16 @@ partition from those flags.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .inputs import bundled, read_csv, read_json
 from .wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 logger = logging.getLogger(__name__)
@@ -79,46 +78,28 @@ class MetricRecord:
         return sum(self.flag(c) for c in PROPERTY_FLAGS)
 
 
-def default_catalog_path() -> Path:
-    return Path(str(resources.files("wdsres.data").joinpath("catalog.csv")))
-
-
 def load_catalog(path: str | Path | None = None) -> list[MetricRecord]:
     """Read a categorisation CSV; defaults to the bundled dataset.
 
     Rows without any function flag or without any quantification flag are
     kept as-is and logged as warnings, matching the source data.
     """
-    path = Path(path) if path is not None else default_catalog_path()
-    if not path.exists():
-        raise ValidationError(f"catalog file not found: {path}")
+    path = bundled("catalog.csv") if path is None else path
     records: list[MetricRecord] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    for lineno, row in read_csv(path, _HEADER, "catalog"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty catalog") from None
-        if tuple(h.strip() for h in header) != _HEADER:
-            raise ValidationError(f"{path}: header must be {','.join(_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(_HEADER):
-                raise ValidationError(f"{path}:{lineno}: expected {len(_HEADER)} columns")
-            try:
-                flags = tuple(int(c) for c in row[2:-1])
-                cluster = int(row[-1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            record = MetricRecord(row[0].strip(), row[1].strip(), flags, cluster)
-            if record.function_count() == 0:
-                logger.warning("catalog row %r carries no function flag", record.name)
-            if sum(record.flag(c) for c in TIME_FLAGS) > 1:
-                logger.warning("catalog row %r is both TI and TD", record.name)
-            if sum(record.flag(c) for c in QUANTIFICATION_FLAGS) == 0:
-                logger.warning("catalog row %r carries no quantification flag", record.name)
-            records.append(record)
+            flags = tuple(int(c) for c in row[2:-1])
+            cluster = int(row[-1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        record = MetricRecord(row[0].strip(), row[1].strip(), flags, cluster)
+        if record.function_count() == 0:
+            logger.warning("catalog row %r carries no function flag", record.name)
+        if sum(record.flag(c) for c in TIME_FLAGS) > 1:
+            logger.warning("catalog row %r is both TI and TD", record.name)
+        if sum(record.flag(c) for c in QUANTIFICATION_FLAGS) == 0:
+            logger.warning("catalog row %r carries no quantification flag", record.name)
+        records.append(record)
     if not records:
         raise ValidationError(f"{path}: catalog holds no records")
     return records
@@ -302,13 +283,9 @@ def dendrogram_export(result: ClusteringResult, path: str | Path, text: bool = F
 
 
 def dendrogram_import(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"dendrogram file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from exc
+    data = read_json(path, "dendrogram")
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: dendrogram must be a JSON object")
     for key in ("leaves", "merges", "labels"):
         if key not in data:
             raise ValidationError(f"{path}: missing key {key!r}")

@@ -37,6 +37,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .inputs import read_csv
 from .network import Network
 
 SATISFACTORY = "S"
@@ -173,37 +174,20 @@ def load_series(path: str | Path, dt: float = 3600.0) -> HydraulicSeries:
     must be the contiguous integers 0..T-1 and every timestep must carry
     the same node set.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"series file not found: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    cells: dict[int, dict[str, tuple[float, float, float, float]]] = {}
+    for lineno, row in read_csv(path, _SERIES_COLUMNS, "series"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty series file") from None
-        if tuple(h.strip() for h in header) != _SERIES_COLUMNS:
-            raise ValidationError(
-                f"{path}: header must be {','.join(_SERIES_COLUMNS)}"
-            )
-        cells: dict[int, dict[str, tuple[float, float, float, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(_SERIES_COLUMNS):
-                raise ValidationError(f"{path}:{lineno}: expected {len(_SERIES_COLUMNS)} columns")
-            try:
-                t = int(row[0])
-                values = tuple(float(c) for c in row[2:])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not all(isfinite(v) for v in values):
-                raise ValidationError(f"{path}:{lineno}: values must be finite numbers")
-            node = row[1].strip()
-            per_t = cells.setdefault(t, {})
-            if node in per_t:
-                raise ValidationError(f"{path}:{lineno}: duplicate (t={t}, node={node!r}) row")
-            per_t[node] = values
+            t = int(row[0])
+            values = tuple(float(c) for c in row[2:])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not all(isfinite(v) for v in values):
+            raise ValidationError(f"{path}:{lineno}: values must be finite numbers")
+        node = row[1].strip()
+        per_t = cells.setdefault(t, {})
+        if node in per_t:
+            raise ValidationError(f"{path}:{lineno}: duplicate (t={t}, node={node!r}) row")
+        per_t[node] = values
 
     if not cells:
         raise ValidationError(f"{path}: no data rows")

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
+from .inputs import is_finite_number, json_rows, read_json
 
 M3S_PER_LPS = 1e-3
 
@@ -335,33 +334,11 @@ def _require(obj: Mapping, key: str, context: str):
     return obj[key]
 
 
-def is_finite_number(value) -> bool:
-    """True for a real number, but not a bool, that a float holds finitely."""
-    # float and int first: they are what JSON gives, and the ABC check is slow
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        return False
-    try:
-        return isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _num(obj: Mapping, key: str, context: str) -> float:
     value = _require(obj, key, context)
     if not is_finite_number(value):
         raise ValidationError(f"{context}: field {key!r} must be a finite number")
     return float(value)
-
-
-def json_rows(data: Mapping, key: str) -> list[Mapping]:
-    """The array of objects under ``key`` in a JSON document; empty if absent."""
-    rows = data.get(key, [])
-    if not isinstance(rows, (list, tuple)):
-        raise ValidationError(f"{key!r} must be a list of objects")
-    for i, row in enumerate(rows):
-        if not isinstance(row, (dict, Mapping)):  # dict first: the ABC check is slow
-            raise ValidationError(f"{key}[{i}] must be an object, got {row!r}")
-    return rows
 
 
 def network_from_dict(data: Mapping, units: str | None = None) -> Network:
@@ -424,14 +401,7 @@ def network_from_dict(data: Mapping, units: str | None = None) -> Network:
 
 def load_network(path: str | Path, units: str | None = None) -> Network:
     """Load and validate a network JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"network file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from exc
-    return network_from_dict(data, units=units)
+    return network_from_dict(read_json(path, "network"), units=units)
 
 
 def save_network(net: Network, path: str | Path) -> None:

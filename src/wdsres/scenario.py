@@ -10,7 +10,6 @@ order, in the calling thread.
 
 from __future__ import annotations
 
-import json
 import numbers
 import random
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, classify_states, surrogate_allocation
-from .network import Network, is_finite_number, json_rows
+from .inputs import is_finite_number, json_rows, read_json
+from .network import Network
 from .performance import hashimoto_recovery, zhuang_availability
 
 EVENT_KINDS = ("pipe_failure", "pump_failure", "demand_scale", "supply_scale")
@@ -147,14 +147,7 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"scenario file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 def _validate_event_ids(net: Network, event: Event) -> None:

@@ -3,14 +3,13 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from importlib import resources
+from math import inf
 from pathlib import Path
 from typing import Mapping
 
 from .errors import ValidationError
+from .inputs import bundled, is_finite_number, json_rows, read_csv, read_json
 
 WPR_CATEGORIES = (
     "supply",
@@ -41,6 +40,9 @@ class Indicator:
     weight: float = 1.0
 
     def __post_init__(self):
+        for attr in ("raw", "max_observed", "weight"):
+            if not is_finite_number(getattr(self, attr)):
+                raise ValidationError(f"indicator {self.name!r}: {attr} must be a finite number")
         if self.max_observed <= 0:
             raise ValidationError(f"indicator {self.name!r}: max_observed must be > 0")
         if self.weight < 0:
@@ -61,34 +63,19 @@ def balaei_aggregate(indicators: list[Indicator]) -> float:
     if not indicators:
         raise ValidationError("indicator list must not be empty")
     total_weight = sum(i.weight for i in indicators)
-    if total_weight <= 0:
-        raise ValidationError("indicator weights sum to zero")
+    if not 0 < total_weight < inf:
+        raise ValidationError(f"indicator weights sum to zero or overflow: {total_weight!r}")
     return sum(i.weight * i.scaled**2 for i in indicators) / total_weight
 
 
 def load_indicators(path: str | Path) -> list[Indicator]:
     """Read an indicator set CSV: ``name, raw, max_observed, weight``."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"indicator file not found: {path}")
-    expected = ("name", "raw", "max_observed", "weight")
     indicators = []
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-            raise ValidationError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                indicators.append(
-                    Indicator(
-                        name=row["name"],
-                        raw=float(row["raw"]),
-                        max_observed=float(row["max_observed"]),
-                        weight=float(row["weight"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, row in read_csv(path, ("name", "raw", "max_observed", "weight"), "indicator"):
+        try:
+            indicators.append(Indicator(row[0], *(float(c) for c in row[1:])))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return indicators
 
 
@@ -152,6 +139,8 @@ def wpr_score(checklist: WprChecklist, answers: Mapping[str, bool]) -> int:
 
 
 def checklist_from_dict(data: Mapping) -> WprChecklist:
+    if not isinstance(data, Mapping):
+        raise ValidationError("checklist document must be a JSON object")
     categories = data.get("categories")
     if not isinstance(categories, Mapping):
         raise ValidationError("checklist document needs a 'categories' object")
@@ -160,38 +149,25 @@ def checklist_from_dict(data: Mapping) -> WprChecklist:
         raise ValidationError(f"unknown checklist categories: {sorted(unknown)}")
     criteria = []
     for cat in WPR_CATEGORIES:
-        for row in categories.get(cat, []):
-            if "name" not in row:
-                raise ValidationError(f"criterion in {cat!r} is missing a name")
-            criteria.append(Criterion(row["name"], cat, tuple(row.get("tags", ()))))
+        for i, row in enumerate(json_rows(categories, cat)):
+            name, tags = row.get("name"), row.get("tags", [])
+            if not isinstance(name, str):
+                raise ValidationError(f"criterion {cat}[{i}] needs a string name")
+            if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+                raise ValidationError(f"criterion {name!r}: tags must be a list of strings")
+            criteria.append(Criterion(name, cat, tuple(tags)))
     return WprChecklist(tuple(criteria))
 
 
 def load_checklist(path: str | Path | None = None) -> WprChecklist:
     """Load a checklist JSON; defaults to the bundled 36-criterion file."""
-    if path is None:
-        text = resources.files("wdsres.data").joinpath("wpr_checklist.json").read_text()
-    else:
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"checklist file not found: {path}")
-        text = path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse checklist: {exc}") from exc
-    return checklist_from_dict(data)
+    path = bundled("wpr_checklist.json") if path is None else path
+    return checklist_from_dict(read_json(path, "checklist"))
 
 
 def load_answers(path: str | Path) -> dict[str, bool]:
     """Read a criterion -> boolean map from JSON."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"answers file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse answers: {exc}") from exc
+    data = read_json(path, "answers")
     if not isinstance(data, dict) or not all(isinstance(v, bool) for v in data.values()):
         raise ValidationError("answers must be a JSON object of booleans")
     return data

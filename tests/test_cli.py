@@ -161,6 +161,31 @@ class TestMetricCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == pytest.approx(0.625)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_balaei_rejects_non_finite_weight(self, runner, tmp_path, weight):
+        indicators = tmp_path / "ind.csv"
+        indicators.write_text(f"name,raw,max_observed,weight\na,0.5,1.0,1\nb,1.0,1.0,{weight}\n")
+        result = runner.invoke(main, ["metric", "balaei", "--indicators", str(indicators)])
+        assert result.exit_code == 1
+        assert "error:" in result.output
+        assert "NaN" not in result.output
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"categories": {"supply": [5]}},
+        {"categories": {"supply": [{"name": {}, "tags": ["react"]}]}},
+    ])
+    def test_wpr_rejects_malformed_checklist(self, runner, tmp_path, doc):
+        checklist = tmp_path / "cl.json"
+        checklist.write_text(json.dumps(doc))
+        answers = tmp_path / "answers.json"
+        answers.write_text("{}")
+        result = runner.invoke(main, ["metric", "wpr", "--checklist", str(checklist),
+                                      "--answers", str(answers)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
+
     def test_lps_units_accepted(self, runner, ring_network, net_path, tmp_path, state_path):
         doc = ring_network.to_dict()
         doc["units"] = "lps"

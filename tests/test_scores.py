@@ -33,6 +33,18 @@ class TestIndicator:
         with pytest.raises(ValidationError, match="weight"):
             Indicator("x", 1.0, 2.0, weight=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["raw", "max_observed", "weight"])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = {"raw": 1.0, "max_observed": 2.0, "weight": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+            Indicator("x", **fields)
+
+    def test_weight_sum_overflow_rejected(self):
+        big = [Indicator("a", 1.0, 1.0, 1e308), Indicator("b", 1.0, 1.0, 1e308)]
+        with pytest.raises(ValidationError, match="overflow"):
+            balaei_aggregate(big)
+
 
 class TestBalaeiAggregate:
     def test_single_full_indicator(self):
@@ -102,6 +114,21 @@ class TestChecklist:
         path = tmp_path / "cl.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="unique"):
+            load_checklist(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "must be a JSON object"),
+        ({"categories": {"supply": 5}}, "'supply' must be a list of objects"),
+        ({"categories": {"supply": [5]}}, r"supply\[0\] must be an object"),
+        ({"categories": {"supply": [{"tags": ["react"]}]}}, "needs a string name"),
+        ({"categories": {"supply": [{"name": ["x"], "tags": ["react"]}]}}, "string name"),
+        ({"categories": {"supply": [{"name": "x", "tags": "react"}]}}, "list of strings"),
+        ({"categories": {"supply": [{"name": "x", "tags": [["react"]]}]}}, "list of strings"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "cl.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
             load_checklist(path)
 
     def test_unknown_category_rejected(self, tmp_path):
