@@ -60,6 +60,7 @@ from .performance import (
     GAMMA_W,
     MetricValue,
     buffering_capacity,
+    connectivity_buffering,
     connectivity_feasibility,
     flow_based_resilience,
     hashimoto_recovery,

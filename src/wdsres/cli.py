@@ -126,10 +126,10 @@ def _metric_buffering(opts) -> dict:
     if opts["threshold_given"]:
         oracle = performance.supply_feasibility(net, opts["threshold"])
         criterion = f"supply ratio >= {opts['threshold']}"
+        k = performance.buffering_capacity(net, oracle, max_k=opts["max_k"])
     else:
-        oracle = performance.connectivity_feasibility(net)
         criterion = "all junctions connected to a source"
-    k = performance.buffering_capacity(net, oracle, max_k=opts["max_k"])
+        k = performance.connectivity_buffering(net, max_k=opts["max_k"])
     return {
         "name": "buffering_capacity",
         "value": k,

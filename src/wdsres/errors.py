@@ -31,4 +31,9 @@ class BaselineInfeasibleError(ComputationError):
 
 
 class InfiniteResilienceError(ComputationError):
-    """A path-based node index was requested for a source node."""
+    """A path-based node index is unbounded or not finite.
+
+    Raised for the index of a source node (its own resistance is zero) and
+    for an index, demand-weighted index or trimmed mean that overflows, for
+    example through the inverse of a subnormal path resistance.
+    """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
@@ -93,10 +94,10 @@ def _dijkstra(
         if node == goal:
             return cost, pipes, nodes
         done.add(node)
+        # every node of the popped path was popped, and so put in done,
+        # before the path was extended past it: done also keeps it simple
         for pid, other in net.neighbors(node):
             if pid in banned_pipes or other in done or other in banned_nodes:
-                continue
-            if other in nodes:
                 continue
             heapq.heappush(
                 heap, (cost + weights[pid], pipes + (pid,), other, nodes + (other,))
@@ -158,6 +159,13 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     return [WeightedPath(pipes, cost) for cost, pipes, _ in accepted]
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or InfiniteResilienceError when it overflowed."""
+    if not isfinite(value):
+        raise InfiniteResilienceError(f"{what} is {value!r}, not a finite number")
+    return value
+
+
 def node_resilience_index(
     net: Network,
     node_id: str,
@@ -170,7 +178,8 @@ def node_resilience_index(
     the sum is divided by k regardless of how many paths were found (set
     ``average_available`` to divide by the found count instead).  Sources
     the node cannot reach contribute nothing.  Requesting the index of a
-    source node is an error: its own resistance is zero.
+    source node is an error: its own resistance is zero.  So is an index
+    that overflows, as the inverse of a subnormal path resistance does.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -187,7 +196,7 @@ def node_resilience_index(
             continue
         inv = sum(1.0 / p.resistance for p in paths)
         total += inv / (len(paths) if average_available else k)
-    return total
+    return _finite(total, f"index of {node_id!r}")
 
 
 def demand_weighted_index(
@@ -204,7 +213,8 @@ def demand_weighted_index(
     if junction.design_demand == 0:
         return 0.0
     index = node_resilience_index(net, node_id, k, average_available)
-    return index * junction.design_demand / total_demand
+    return _finite(index * junction.design_demand / total_demand,
+                   f"demand-weighted index of {node_id!r}")
 
 
 def trimmed_mean_index(values: Iterable[float], trim_fraction: float = DEFAULT_TRIM) -> float:
@@ -216,7 +226,7 @@ def trimmed_mean_index(values: Iterable[float], trim_fraction: float = DEFAULT_T
         raise ValidationError("cannot aggregate an empty index list")
     cut = int(trim_fraction * len(values))
     kept = values[cut : len(values) - cut]
-    return sum(kept) / len(kept)
+    return _finite(sum(kept) / len(kept), "trimmed mean index")
 
 
 def node_index_table(

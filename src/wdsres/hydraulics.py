@@ -400,8 +400,9 @@ def allocate_flows(
     source outflow limits and per-junction demands; deliveries never exceed
     demand.  ``demand_factors`` / ``supply_factors`` apply per-id multipliers
     on top of the global ``demand_scale``; every factor must be a finite
-    number > 0.  Failed pumps are validated but do not constrain the routing:
-    the surrogate has no pressure model for them.
+    number > 0, and the scaled demands, their sum and the scaled source
+    outflows must stay finite.  Failed pumps are validated but do not
+    constrain the routing: the surrogate has no pressure model for them.
 
     A call whose capacities (pipes after failures, sources and demands
     after scaling) equal those of the network's previous solve reuses that
@@ -435,6 +436,10 @@ def allocate_flows(
         j.id: j.design_demand * demand_scale * demand_factors.get(j.id, 1.0)
         for j in model.junctions
     }
+    # finite inputs can overflow when scaled; an inf demand, outflow or
+    # demand total would give nan allocations and ratios
+    if not (isfinite(sum(demands.values())) and all(map(isfinite, source_caps.values()))):
+        raise ValidationError("scaled demands and source outflows must stay finite")
     first_demand_arc = model.first_demand_arc
     for k, cap in enumerate(source_caps.values()):
         caps[2 * k] = cap

@@ -158,8 +158,8 @@ class Network:
             a, b = pipe.endpoints
             adjacency[a].append((pipe.id, b))
             adjacency[b].append((pipe.id, a))
-        for nid in adjacency:
-            adjacency[nid].sort()
+        # immutable, so neighbors() can hand them out without a copy
+        adjacency = {nid: tuple(sorted(pairs)) for nid, pairs in adjacency.items()}
 
         object.__setattr__(self, "_junction_map", {j.id: j for j in self.junctions})
         object.__setattr__(self, "_source_map", {s.id: s for s in self.sources})
@@ -241,7 +241,7 @@ class Network:
         """(pipe_id, other_node) pairs for a node, sorted by pipe id."""
         if node_id not in self._adjacency:
             raise ValidationError(f"unknown node {node_id!r}")
-        return tuple(self._adjacency[node_id])
+        return self._adjacency[node_id]
 
     # -- structural queries ----------------------------------------------
     def node_degree(self, node_id: str) -> int:

@@ -4,6 +4,14 @@ Each metric follows its published closed form.  Values that leave the
 metric's nominal range are reported raw with a warning attached; nothing
 is clamped, because estimator artifacts (for example a recovery rate above
 one on a short state sequence) are information, not noise.
+
+Buffering capacity (k-resilience) comes two ways.  Under the connectivity
+criterion :func:`connectivity_buffering` computes it exactly in polynomial
+time from edge-disjoint paths (Menger's theorem).  For any other
+criterion, such as the supply criterion, :func:`buffering_capacity`
+enumerates every failure set against a feasibility oracle; with
+:func:`connectivity_feasibility` it is also the test oracle for the
+Menger path.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import hydraulics
 from .errors import (
     BaselineInfeasibleError,
     InfeasibleDesignError,
@@ -218,9 +227,12 @@ def buffering_capacity(
     """Largest k such that every failure set of at most k components passes.
 
     ``feasibility`` receives a frozenset of failed component ids (pipes and
-    pumps by default) and must be a pure predicate.  All subsets are
+    pumps by default) and must be a pure predicate, so any criterion can be
+    plugged in; the supply criterion uses this path.  All subsets are
     enumerated exactly, which is exponential in ``max_k``; keep ``max_k``
-    small on anything beyond desk-scale networks.
+    small on anything beyond desk-scale networks.  For the connectivity
+    criterion use :func:`connectivity_buffering`, which gives the same
+    value in polynomial time.
     """
     pool = tuple(sorted(components)) if components is not None else tuple(
         sorted((*net.pipe_ids, *net.pump_ids))
@@ -238,6 +250,56 @@ def buffering_capacity(
             if not feasibility(frozenset(failed)):
                 return k - 1
     return max_k
+
+
+def connectivity_buffering(net: Network, max_k: int = 2) -> int:
+    """Buffering capacity under the connectivity criterion, by Menger's theorem.
+
+    Returns ``buffering_capacity(net, connectivity_feasibility(net), max_k)``,
+    with the same errors, without enumerating failure sets.  With every
+    source merged into one super-source, the fewest pipe failures that cut
+    junction ``j`` off equal the number of edge-disjoint super-source-to-``j``
+    paths, ``lambda_j`` (Menger 1927).  Parallel pipes count separately,
+    pipes between two sources cross no such cut, and pumps carry no
+    connectivity.  Every set of at most k failures leaves all junctions
+    connected iff k < lambda = min_j lambda_j, so the answer is
+    ``min(max_k, lambda - 1)``.
+
+    Each ``lambda_j`` is a max flow on the network's compiled flow model
+    with unit pipe capacities, in which only ``j``'s demand arc is open.
+    That arc's capacity is the smallest ``lambda_j`` found so far, at most
+    ``max_k + 1``, so a junction costs at most that many augmenting paths.
+    """
+    n_components = len(net.pipes) + len(net.pumps)
+    if max_k < 0:
+        raise ValidationError("max_k must be >= 0")
+    if max_k > n_components:
+        raise ValidationError(f"max_k={max_k} exceeds the {n_components} failable components")
+    reachable = net.reachable_from_sources()
+    if not all(j.id in reachable for j in net.junctions):
+        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
+
+    # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
+    lam = max_k + 1
+    if lam == 1:
+        return 0
+    model = hydraulics._flow_model(net)
+    base = [0.0] * len(model.heads)
+    for k in range(len(model.sources)):
+        base[2 * k] = float(lam)
+    for ai in model.pipe_arcs.values():
+        base[ai] = base[ai ^ 1] = 1.0
+    s_idx = len(model.index)
+    for k in range(len(model.junctions)):
+        caps = base.copy()
+        demand_arc = model.first_demand_arc + 2 * k
+        caps[demand_arc] = float(lam)
+        hydraulics._edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
+        # unit capacities keep every residual an exact integer
+        lam -= int(caps[demand_arc])
+        if lam == 1:
+            break
+    return min(max_k, lam - 1)
 
 
 def connectivity_feasibility(net: Network) -> Callable[[frozenset[str]], bool]:

@@ -31,6 +31,7 @@ from wdsres.hydraulics import allocate_flows, classify_states
 from wdsres.network import Junction, Network, Pipe, Pump, Source
 from wdsres.performance import (
     buffering_capacity,
+    connectivity_buffering,
     connectivity_feasibility,
     flow_based_resilience,
     hashimoto_recovery,
@@ -184,7 +185,7 @@ def test_criterion_5_oracle_equivalence(ring_network, tree_network, minimal_netw
                             (pytest.approx(c), pipes) for c, pipes in oracle[:k]
                         ]
 
-        # buffering capacity vs independent subset scan
+        # buffering capacity, enumerated and by Menger's theorem, vs independent subset scan
         for net in (ring_network, tree_network, mesh_network):
             oracle = connectivity_feasibility(net)
             components = sorted((*net.pipe_ids, *net.pump_ids))
@@ -198,6 +199,7 @@ def test_criterion_5_oracle_equivalence(ring_network, tree_network, minimal_netw
                 else:
                     break
             assert buffering_capacity(net, oracle, max_k=2) == expected
+            assert connectivity_buffering(net, max_k=2) == expected
 
         # allocator totals vs min-cut enumeration (strong duality)
         for net in suite:

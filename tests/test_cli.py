@@ -139,10 +139,69 @@ class TestMetricCommand:
         assert lines[0] == "node_id,I,weighted_I"
         assert len(lines) == 4
 
+    def test_herrera_subnormal_resistance_exits_two_without_report(
+        self, runner, ring_network, tmp_path
+    ):
+        doc = ring_network.to_dict()
+        doc["pipes"][0]["length"] = 1e-320  # resistance subnormal, its inverse inf
+        net_file = tmp_path / "tiny.json"
+        net_file.write_text(json.dumps(doc))
+        out, nodes_csv = tmp_path / "report.json", tmp_path / "nodes.csv"
+        result = runner.invoke(
+            main,
+            ["metric", "herrera", "--network", str(net_file), "--out", str(out),
+             "--nodes-out", str(nodes_csv)],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "not a finite number" in result.output
+        assert "Infinity" not in result.output
+        assert not out.exists() and not nodes_csv.exists()
+
     def test_buffering_on_ring(self, runner, net_path):
         result = runner.invoke(main, ["metric", "buffering", "--network", str(net_path)])
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == 1
+
+    def test_connectivity_buffering_never_enumerates(self, runner, net_path, monkeypatch):
+        from wdsres import performance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the connectivity path enumerated failure sets")
+
+        monkeypatch.setattr(performance, "buffering_capacity", refuse)
+        monkeypatch.setattr(performance, "connectivity_feasibility", refuse)
+        result = runner.invoke(
+            main, ["metric", "buffering", "--network", str(net_path), "--max-k", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["value"] == 1
+        assert report["feasibility"] == "all junctions connected to a source"
+
+    @pytest.mark.parametrize("max_k, code, message", [
+        ("-1", 1, "error: max_k must be >= 0"),
+        ("5", 1, "error: max_k=5 exceeds the 4 failable components"),
+    ])
+    def test_connectivity_buffering_errors(self, runner, net_path, max_k, code, message):
+        result = runner.invoke(
+            main, ["metric", "buffering", "--network", str(net_path), "--max-k", max_k]
+        )
+        assert result.exit_code == code
+        assert result.output.strip() == message
+
+    def test_connectivity_buffering_infeasible_baseline(self, runner, ring_network, tmp_path):
+        doc = ring_network.to_dict()
+        doc["junctions"].append(
+            {"id": "J9", "elevation": 0.0, "design_demand": 0.0, "required_head": 1.0}
+        )
+        net_file = tmp_path / "isolated.json"
+        net_file.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["metric", "buffering", "--network", str(net_file)])
+        assert result.exit_code == 2
+        assert result.output.strip() == (
+            "error: the intact system already fails the feasibility check"
+        )
 
     def test_wpr_roundtrip(self, runner, tmp_path):
         checklist = load_checklist()
@@ -327,6 +386,31 @@ class TestScenarioCommands:
         assert result.exit_code == 1
         assert "must be a finite number" in result.output
         assert "nan" not in result.output
+
+    @pytest.mark.parametrize("demands, events", [
+        # 1.7e308 is finite, 1.5 times it is not
+        ((0.01, 1.7e308, 0.01),
+         [{"kind": "demand_scale", "onset": 0, "repair": 2, "factor": 1.5}]),
+        # every demand is finite, their sum is not
+        ((1e308, 1e308, 1e308), []),
+    ])
+    def test_run_rejects_overflowing_demands_without_traceback(
+        self, runner, ring_network, tmp_path, demands, events
+    ):
+        doc = ring_network.to_dict()
+        for row, demand in zip(doc["junctions"], demands):
+            row["design_demand"] = demand
+        net_file = tmp_path / "huge.json"
+        net_file.write_text(json.dumps(doc))
+        spec = self.spec_file(tmp_path, events=events)
+        result = runner.invoke(
+            main, ["scenario", "run", "--network", str(net_file), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "must stay finite" in result.output
+        assert "Traceback" not in result.output
+        assert "ratio=" not in result.output
 
     def test_mc_same_seed_byte_identical(self, runner, net_path, tmp_path):
         spec = self.spec_file(

@@ -187,6 +187,16 @@ class TestNodeResilienceIndex:
         with pytest.raises(InfiniteResilienceError, match="source"):
             node_resilience_index(two_route_network, "S", 2)
 
+    def test_subnormal_resistance_rejected(self):
+        net = make_network(
+            junctions=[Junction("A", 0.0, 0.01, 30.0)],
+            sources=[Source("S", 100.0, 0.05)],
+            pipes=[make_pipe("p1", "S", "A", length=1e-320)],
+        )
+        # 0.02 * 1e-320 / 0.1 is subnormal but positive; its inverse is inf
+        with pytest.raises(InfiniteResilienceError, match="not a finite number"):
+            node_resilience_index(net, "A", 1)
+
     def test_sums_over_sources(self, mesh_network):
         lone = node_resilience_index(mesh_network, "A", 2)
         # removing the second source can only lower the sum
@@ -227,6 +237,16 @@ class TestDemandWeightedIndex:
             weighted = demand_weighted_index(ring_network, junction, 2)
             assert weighted == pytest.approx(index / 3)
 
+    def test_overflowing_weighted_index_rejected(self):
+        net = make_network(
+            junctions=[Junction("A", 0.0, 1e10, 30.0)],
+            sources=[Source("S", 100.0, 0.05)],
+            pipes=[make_pipe("p1", "S", "A", length=1e-300)],
+        )
+        assert node_resilience_index(net, "A", 1) == pytest.approx(5e300)
+        with pytest.raises(InfiniteResilienceError, match="demand-weighted"):
+            demand_weighted_index(net, "A", 1)
+
     def test_zero_total_demand_rejected(self):
         net = make_network(
             junctions=[Junction("A", 0.0, 0.0, 30.0)],
@@ -250,6 +270,10 @@ class TestTrimmedMean:
     def test_invalid_fraction(self):
         with pytest.raises(ValidationError, match="trim_fraction"):
             trimmed_mean_index([1.0], 0.5)
+
+    def test_overflowing_mean_rejected(self):
+        with pytest.raises(InfiniteResilienceError, match="trimmed mean"):
+            trimmed_mean_index([1e308, 1e308], 0.0)
 
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):

@@ -243,6 +243,28 @@ class TestAllocation:
         with pytest.raises(ValidationError, match="finite and > 0"):
             allocate_flows(ring_network, **{argument: {target: factor}})
 
+    @pytest.mark.parametrize("demands, kwargs", [
+        ((0.01, 1.7e308, 0.01), {"demand_scale": 1.5}),  # one scaled demand overflows
+        ((0.01, 1.7e308, 0.01), {"demand_factors": {"J2": 1.5}}),
+        ((1e308, 1e308, 1e308), {}),  # each demand is finite, their sum is not
+    ])
+    def test_overflowing_demands_rejected(self, demands, kwargs):
+        net = make_network(
+            [Junction(f"J{i}", 0.0, d, 30.0) for i, d in enumerate(demands, 1)],
+            [Source("R1", 100.0, 0.05)],
+            [make_pipe("p1", "R1", "J1"), make_pipe("p2", "J1", "J2"),
+             make_pipe("p3", "J2", "J3")],
+        )
+        with pytest.raises(ValidationError, match="must stay finite"):
+            allocate_flows(net, **kwargs)
+
+    def test_overflowing_source_outflow_rejected(self, ring_network):
+        net = make_network(ring_network.junctions, [Source("R1", 100.0, 1e308)],
+                           ring_network.pipes)
+        assert allocate_flows(net).total_delivered == pytest.approx(0.03)
+        with pytest.raises(ValidationError, match="must stay finite"):
+            allocate_flows(net, supply_factors={"R1": 2.0})
+
 
 _flows = st.one_of(
     st.just(0.0),

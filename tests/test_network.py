@@ -189,6 +189,14 @@ class TestNodeDegree:
     def test_unknown_node(self, ring_network):
         with pytest.raises(ValidationError, match="unknown node"):
             ring_network.node_degree("nope")
+        with pytest.raises(ValidationError, match="unknown node"):
+            ring_network.neighbors("nope")
+
+    def test_neighbors_sorted_by_pipe_id_and_shared(self, mesh_network):
+        pairs = mesh_network.neighbors("A")
+        assert pairs == (("p1", "S1"), ("p2", "S1"), ("p3", "B"), ("p6", "C"))
+        # an immutable tuple, handed out without a copy on each call
+        assert mesh_network.neighbors("A") is pairs
 
     def test_degree_sum_is_twice_pipe_count(self, ring_network, tree_network):
         for net in (ring_network, tree_network):

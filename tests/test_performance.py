@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdsres import hydraulics
 from wdsres.errors import (
     BaselineInfeasibleError,
     InfeasibleDesignError,
+    ResilienceError,
     UndefinedInputError,
     ValidationError,
 )
 from wdsres.hydraulics import BinaryStateSeries, classify_states
-from wdsres.network import Junction, Pump, Source
+from wdsres.network import Junction, Network, Pump, Source
 from wdsres.performance import (
     buffering_capacity,
+    connectivity_buffering,
     connectivity_feasibility,
     flow_based_resilience,
     hashimoto_recovery,
@@ -290,6 +293,146 @@ class TestBufferingCapacity:
                 else:
                     break
             assert buffering_capacity(net, oracle, max_k=2) == expected
+
+
+def _outcome(fn):
+    """The value of ``fn()``, or the type and message of its package error."""
+    try:
+        return fn()
+    except ResilienceError as exc:
+        return type(exc), str(exc)
+
+
+def _enumerated(net, max_k):
+    return _outcome(
+        lambda: buffering_capacity(net, connectivity_feasibility(net), max_k=max_k)
+    )
+
+
+@st.composite
+def connectivity_problems(draw):
+    """A small random multigraph, with pumps, and a search depth in [-1, 4].
+
+    Pipes join any two distinct nodes, so parallel pipes, pipes between two
+    sources and junctions without a pipe all occur.
+    """
+    n_sources = draw(st.integers(1, 3))
+    n_junctions = draw(st.integers(1, 5))
+    nodes = [f"R{i}" for i in range(n_sources)] + [f"J{i}" for i in range(n_junctions)]
+    ends = st.tuples(st.integers(0, len(nodes) - 1), st.integers(1, len(nodes) - 1))
+    pairs = draw(st.lists(ends, max_size=12))
+    pipes = [
+        make_pipe(f"p{i}", nodes[a], nodes[(a + step) % len(nodes)])
+        for i, (a, step) in enumerate(pairs)
+    ]
+    pumps = [Pump(f"b{i}", 1.0) for i in range(draw(st.integers(0, 2)))]
+    net = make_network(
+        [Junction(f"J{i}", 0.0, 0.01, 30.0) for i in range(n_junctions)],
+        [Source(f"R{i}", 100.0, 0.05) for i in range(n_sources)],
+        pipes,
+        pumps,
+    )
+    return net, draw(st.integers(-1, 4))
+
+
+def torus_network(rows, cols):
+    """A rows x cols grid wrapped into a torus, fed by two sources.
+
+    Every junction has four pipes (five where a source attaches), the torus
+    is 4-edge-connected and four pipes leave the sources, so it survives
+    any three pipe failures.
+    """
+    def jid(r, c):
+        return f"J{r % rows}_{c % cols}"
+
+    junctions = [Junction(jid(r, c), 0.0, 0.01, 30.0) for r in range(rows) for c in range(cols)]
+    half_r, half_c = rows // 2, cols // 2
+    pipes = [make_pipe("s1", "R1", jid(0, 0)), make_pipe("s2", "R1", jid(half_r, half_c)),
+             make_pipe("s3", "R2", jid(0, half_c)), make_pipe("s4", "R2", jid(half_r, 0))]
+    for r in range(rows):
+        for c in range(cols):
+            pipes.append(make_pipe(f"h{r}_{c}", jid(r, c), jid(r, c + 1)))
+            pipes.append(make_pipe(f"v{r}_{c}", jid(r, c), jid(r + 1, c)))
+    return make_network(junctions, [Source("R1", 100.0, 1.0), Source("R2", 100.0, 1.0)], pipes)
+
+
+class TestConnectivityBuffering:
+    @given(problem=connectivity_problems())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_equals_the_subset_enumeration(self, problem):
+        net, max_k = problem
+        assert _outcome(lambda: connectivity_buffering(net, max_k)) == _enumerated(net, max_k)
+
+    @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
+    def test_fixtures_match_the_enumeration(self, ring_network, tree_network, mesh_network,
+                                            pump_network, max_k):
+        for net in (ring_network, tree_network, mesh_network, pump_network):
+            assert _outcome(lambda: connectivity_buffering(net, max_k)) == _enumerated(net, max_k)
+
+    def test_hand_values(self, ring_network, tree_network, mesh_network):
+        assert connectivity_buffering(tree_network) == 0
+        assert connectivity_buffering(ring_network, max_k=3) == 1
+        # E hangs off D by the single pipe p8
+        assert connectivity_buffering(mesh_network) == 0
+
+    def test_parallel_pipes_count_and_source_pipes_do_not(self):
+        junction = Junction("J", 0.0, 0.01, 30.0)
+        sources = [Source("R1", 100.0, 0.05), Source("R2", 100.0, 0.05)]
+        pipes = [make_pipe("a", "R1", "J"), make_pipe("b", "R1", "J"),
+                 make_pipe("c", "R2", "J"), make_pipe("d", "R1", "R2"),
+                 make_pipe("e", "R1", "R2")]
+        net = make_network([junction], sources, pipes)
+        assert connectivity_buffering(net, max_k=4) == 2
+        assert _enumerated(net, 4) == 2
+        # five parallel pipes survive any four failures: the depth caps the value
+        net = make_network([junction], sources[:1],
+                           [make_pipe(f"q{i}", "R1", "J") for i in range(5)])
+        assert connectivity_buffering(net, max_k=4) == 4
+        assert _enumerated(net, 4) == 4
+
+    def test_errors_in_the_enumerators_order(self, ring_network, minimal_network):
+        with pytest.raises(ValidationError, match="max_k must be >= 0"):
+            connectivity_buffering(ring_network, max_k=-1)
+        with pytest.raises(ValidationError, match="max_k=5 exceeds the 4 failable"):
+            connectivity_buffering(ring_network, max_k=5)
+        isolated = make_network(
+            [Junction("J1", 0.0, 0.01, 30.0), Junction("J2", 0.0, 0.0, 30.0)],
+            [Source("R1", 100.0, 0.05)],
+            [make_pipe("p1", "R1", "J1")],
+        )
+        with pytest.raises(BaselineInfeasibleError, match="intact system"):
+            connectivity_buffering(isolated, max_k=1)
+        assert connectivity_buffering(minimal_network, max_k=0) == 0
+
+    def test_leaves_the_flow_memo_alone(self, mesh_network):
+        before = hydraulics.allocate_flows(mesh_network)
+        memo = mesh_network._flow_model.last_solve
+        connectivity_buffering(mesh_network, max_k=2)
+        assert mesh_network._flow_model.last_solve is memo
+        assert hydraulics.allocate_flows(mesh_network) == before
+
+    def test_work_is_one_search_and_a_bounded_kernel_count(self, monkeypatch):
+        net = torus_network(20, 20)
+        max_k = 3
+        searches, kernels = [], []
+        reachable = Network.reachable_from_sources
+        kernel = hydraulics._edmonds_karp
+
+        def counted_reachable(self, *args, **kwargs):
+            searches.append(args)
+            return reachable(self, *args, **kwargs)
+
+        def counted_kernel(*args):
+            kernels.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(Network, "reachable_from_sources", counted_reachable)
+        monkeypatch.setattr(hydraulics, "_edmonds_karp", counted_kernel)
+        # enumeration would test about 85M failure sets of at most 3 pipes
+        assert math.comb(len(net.pipes), 3) > 85_000_000
+        assert connectivity_buffering(net, max_k=max_k) == 3
+        assert len(searches) == 1
+        assert 0 < len(kernels) <= net.n_junctions * (max_k + 2)
 
 
 def _random_net_state(rng):
