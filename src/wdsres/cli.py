@@ -23,6 +23,7 @@ from . import graphmetrics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
 from .network import load_network
+from .performance import MetricValue
 from .scenario import MC_METRICS, apply_scenario, load_scenario, monte_carlo
 
 DEFAULT_THRESHOLD = 1.0
@@ -39,6 +40,10 @@ def _guarded(fn):
         except ComputationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except OSError as exc:
+            # inputs.py maps every read error, so this is an output path
+            click.echo(f"error: cannot write {exc.filename}: {exc.strerror}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -109,12 +114,8 @@ def _metric_herrera(opts) -> dict:
     aggregate = graphmetrics.trimmed_mean_index(
         [index for _, index, _ in rows], opts["trim"]
     )
-    return {
-        "name": "herrera_trimmed_index",
-        "value": aggregate,
-        "nominal_range": None,
-        "warnings": [],
-        "inputs_digest": net.digest(),
+    report = MetricValue("herrera_trimmed_index", aggregate, None, inputs_digest=net.digest())
+    return report.to_dict() | {
         "k": opts["k"],
         "trim_fraction": opts["trim"],
         "nodes": {node_id: index for node_id, index, _ in rows},
@@ -130,66 +131,37 @@ def _metric_buffering(opts) -> dict:
     else:
         criterion = "all junctions connected to a source"
         k = performance.connectivity_buffering(net, max_k=opts["max_k"])
-    return {
-        "name": "buffering_capacity",
-        "value": k,
-        "nominal_range": [0, opts["max_k"]],
-        "warnings": [],
-        "inputs_digest": net.digest(),
-        "feasibility": criterion,
-    }
+    report = MetricValue("buffering_capacity", k, (0, opts["max_k"]), inputs_digest=net.digest())
+    return report.to_dict() | {"feasibility": criterion}
 
 
 def _metric_balaei(opts) -> dict:
     indicators = scoremetrics.load_indicators(_need(opts["indicators"], "--indicators"))
-    value = scoremetrics.balaei_aggregate(indicators)
-    return {
-        "name": "balaei_aggregate",
-        "value": value,
-        "nominal_range": [0.0, 1.0],
-        "warnings": [],
-        "inputs_digest": "",
-        "indicators": [i.name for i in indicators],
-    }
+    report = MetricValue("balaei_aggregate", scoremetrics.balaei_aggregate(indicators), (0.0, 1.0))
+    return report.to_dict() | {"indicators": [i.name for i in indicators]}
 
 
 def _metric_wpr(opts) -> dict:
     checklist = scoremetrics.load_checklist(opts["checklist"])
     answers = scoremetrics.load_answers(_need(opts["answers"], "--answers"))
     score = scoremetrics.wpr_score(checklist, answers)
-    return {
-        "name": "wpr_score",
-        "value": score,
-        "nominal_range": [0, checklist.total],
-        "warnings": [],
-        "inputs_digest": "",
-        "total_criteria": checklist.total,
-    }
+    report = MetricValue("wpr_score", score, (0, checklist.total))
+    return report.to_dict() | {"total_criteria": checklist.total}
 
 
-METRIC_RUNNERS = {
-    "todini": _metric_todini,
-    "zhuang": _metric_zhuang,
-    "hashimoto": _metric_hashimoto,
-    "flow_resilience": _metric_flow_resilience,
-    "user_severity": _metric_user_severity,
-    "herrera": _metric_herrera,
-    "buffering": _metric_buffering,
-    "balaei": _metric_balaei,
-    "wpr": _metric_wpr,
-}
-
-# implemented metric -> (catalog record name, citation key)
-METRIC_CATALOG_ROWS = {
-    "todini": ("resilience index", "Todini 2000"),
-    "zhuang": ("integral waterservice availability", "Zhuang 2013"),
-    "hashimoto": ("system's average recovery rate", "Hashimoto 1982"),
-    "flow_resilience": ("Flow-Based Resilience Metric", "Farahmandfar 2018"),
-    "user_severity": ("user severity", "Huizar 2018"),
-    "herrera": ("resilience index", "Herrera 2016"),
-    "buffering": ("buffering capacity", "Altherr 2018"),
-    "balaei": ("water supply system seismic resilience indicator", "Balaei 2018"),
-    "wpr": ("water provision resilience", "Milman 2008"),
+# implemented metric -> (report builder, catalog record name, citation key)
+METRICS = {
+    "todini": (_metric_todini, "resilience index", "Todini 2000"),
+    "zhuang": (_metric_zhuang, "integral waterservice availability", "Zhuang 2013"),
+    "hashimoto": (_metric_hashimoto, "system's average recovery rate", "Hashimoto 1982"),
+    "flow_resilience": (_metric_flow_resilience, "Flow-Based Resilience Metric",
+                        "Farahmandfar 2018"),
+    "user_severity": (_metric_user_severity, "user severity", "Huizar 2018"),
+    "herrera": (_metric_herrera, "resilience index", "Herrera 2016"),
+    "buffering": (_metric_buffering, "buffering capacity", "Altherr 2018"),
+    "balaei": (_metric_balaei, "water supply system seismic resilience indicator",
+               "Balaei 2018"),
+    "wpr": (_metric_wpr, "water provision resilience", "Milman 2008"),
 }
 
 
@@ -216,14 +188,14 @@ METRIC_CATALOG_ROWS = {
 @_guarded
 def metric_cmd(name, **opts):
     """Compute one named metric and emit a JSON report."""
-    if name not in METRIC_RUNNERS:
+    if name not in METRICS:
         raise ValidationError(
-            f"unknown metric {name!r}; valid names: {', '.join(sorted(METRIC_RUNNERS))}"
+            f"unknown metric {name!r}; valid names: {', '.join(sorted(METRICS))}"
         )
     opts["threshold_given"] = opts["threshold"] is not None
     if opts["threshold"] is None:
         opts["threshold"] = DEFAULT_THRESHOLD
-    payload = METRIC_RUNNERS[name](opts)
+    payload = METRICS[name][0](opts)
     _write_json(payload, opts["out"])
     if opts["out"]:
         click.echo(f"{payload['name']} = {payload['value']}")
@@ -394,8 +366,7 @@ def catalog_dendrogram(catalog_path, k, out, text):
 def list_metrics(catalog_path):
     """Implemented metrics with their catalog categorisation."""
     records = cat.load_catalog(catalog_path)
-    for name in sorted(METRIC_RUNNERS):
-        row_name, citation = METRIC_CATALOG_ROWS[name]
+    for name, (_, row_name, citation) in sorted(METRICS.items()):
         record = cat.find_record(records, row_name, citation)
         flags = ",".join(c for c in cat.FLAG_COLUMNS if record.flag(c))
         click.echo(f"{name:<16} {row_name} ({citation}): {flags}; cluster {record.cluster}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
@@ -100,10 +99,6 @@ class HydraulicSeries:
     def n_steps(self) -> int:
         return self.delivered.shape[0]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
     def node_index(self, node_id: str) -> int:
         try:
             return self._index[node_id]
@@ -113,12 +108,6 @@ class HydraulicSeries:
     def window_slice(self) -> slice:
         t0, t1 = self.window
         return slice(t0, t1 + 1)
-
-    def with_window(self, t0: int, t1: int) -> "HydraulicSeries":
-        return HydraulicSeries(
-            self.node_ids, self.delivered, self.demand, self.head,
-            self.required_head, dt=self.dt, window=(t0, t1),
-        )
 
     def system_ratio(self, t: int) -> float:
         """Total delivered over total demanded flow at step ``t``; 1.0 if
@@ -154,10 +143,6 @@ class BinaryStateSeries:
         if bad:
             raise ValidationError(f"states must be 'S' or 'F', got {sorted(bad)}")
 
-    @classmethod
-    def from_string(cls, text: str, threshold: float = 1.0) -> "BinaryStateSeries":
-        return cls(tuple(text), threshold)
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -166,7 +151,7 @@ class BinaryStateSeries:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def load_series(path: str | Path, dt: float = 3600.0) -> HydraulicSeries:
+def load_series(path: str | Path) -> HydraulicSeries:
     """Read the documented series CSV.
 
     Columns: ``t, node_id, delivered_m3s, demand_m3s, head_m,
@@ -203,31 +188,26 @@ def load_series(path: str | Path, dt: float = 3600.0) -> HydraulicSeries:
     for t in steps:
         for i, node in enumerate(node_ids):
             arrays[:, t, i] = cells[t][node]
-    return HydraulicSeries(node_ids, arrays[0], arrays[1], arrays[2], arrays[3], dt=dt)
+    return HydraulicSeries(node_ids, arrays[0], arrays[1], arrays[2], arrays[3])
 
 
 def save_series(series: HydraulicSeries, path: str | Path) -> None:
     """Write a series in the documented CSV layout."""
-    Path(path).write_text(series_to_csv(series))
-
-
-def series_to_csv(series: HydraulicSeries) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SERIES_COLUMNS)
-    for t in range(series.n_steps):
-        for i, node in enumerate(series.node_ids):
-            writer.writerow(
-                [
-                    t,
-                    node,
-                    repr(float(series.delivered[t, i])),
-                    repr(float(series.demand[t, i])),
-                    repr(float(series.head[t, i])),
-                    repr(float(series.required_head[t, i])),
-                ]
-            )
-    return out.getvalue()
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_SERIES_COLUMNS)
+        for t in range(series.n_steps):
+            for i, node in enumerate(series.node_ids):
+                writer.writerow(
+                    [
+                        t,
+                        node,
+                        repr(float(series.delivered[t, i])),
+                        repr(float(series.demand[t, i])),
+                        repr(float(series.head[t, i])),
+                        repr(float(series.required_head[t, i])),
+                    ]
+                )
 
 
 def classify_states(
@@ -293,6 +273,11 @@ class _FlowModel:
     ways) and zeros on the source and demand arcs, which each solve writes.
     ``last_solve`` pairs the capacities of the most recent solve with the
     residual capacities it left, both as tuples.
+
+    A pipe's reverse residual can reach twice its capacity, so
+    ``overflowing_pipes`` lists the pipes whose doubled capacity is not
+    finite; a supply solve refuses such a network, while unit-capacity
+    connectivity flows on the same arrays are unaffected.
     """
 
     index: dict[str, int]
@@ -303,6 +288,7 @@ class _FlowModel:
     first_demand_arc: int
     sources: tuple
     junctions: tuple
+    overflowing_pipes: tuple[str, ...]
     last_solve: tuple[tuple, tuple] | None = None
 
     @classmethod
@@ -333,8 +319,10 @@ class _FlowModel:
         first_demand_arc = len(heads)
         for j in junctions:
             add_pair(index[j.id], t_idx, 0.0)
+        overflowing = tuple(pid for pid, ai in pipe_arcs.items()
+                            if not isfinite(2.0 * capacities[ai]))
         return cls(index, heads, adjacency, capacities, pipe_arcs, first_demand_arc,
-                   sources, junctions)
+                   sources, junctions, overflowing)
 
 
 def _flow_model(net: Network) -> _FlowModel:
@@ -401,8 +389,10 @@ def allocate_flows(
     demand.  ``demand_factors`` / ``supply_factors`` apply per-id multipliers
     on top of the global ``demand_scale``; every factor must be a finite
     number > 0, and the scaled demands, their sum and the scaled source
-    outflows must stay finite.  Failed pumps are validated but do not
-    constrain the routing: the surrogate has no pressure model for them.
+    outflows must stay finite, as must twice each pipe capacity (the most
+    a pipe's residual capacity can reach).  Failed pumps are validated but
+    do not constrain the routing: the surrogate has no pressure model for
+    them.
 
     A call whose capacities (pipes after failures, sources and demands
     after scaling) equal those of the network's previous solve reuses that
@@ -425,6 +415,10 @@ def allocate_flows(
         raise ValidationError("demand and supply factors must be finite and > 0")
 
     model = _flow_model(net)
+    if model.overflowing_pipes:
+        raise ValidationError(
+            f"pipe capacities must stay finite when doubled: {list(model.overflowing_pipes)}"
+        )
     caps = model.capacities.copy()
     for pipe_id in failed_pipes:
         ai = model.pipe_arcs[pipe_id]
@@ -478,7 +472,6 @@ def surrogate_allocation(
     failed_pumps: Iterable[str] = (),
     demand_factors: Mapping[str, float] | None = None,
     supply_factors: Mapping[str, float] | None = None,
-    dt: float = 3600.0,
 ) -> HydraulicSeries:
     """Single-timestep series from a max-flow allocation.
 
@@ -494,4 +487,4 @@ def surrogate_allocation(
     h_star = np.array([[net.junction(nid).required_head for nid in node_ids]])
     supplied = (delivered > 0) | (demand == 0)
     head = np.where(supplied, h_star, 0.0)
-    return HydraulicSeries(node_ids, delivered, demand, head, h_star, dt=dt)
+    return HydraulicSeries(node_ids, delivered, demand, head, h_star)

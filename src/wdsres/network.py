@@ -176,10 +176,6 @@ class Network:
     def n_sources(self) -> int:
         return len(self.sources)
 
-    @property
-    def n_pumps(self) -> int:
-        return len(self.pumps)
-
     # -- lookups --------------------------------------------------------
     def junction(self, node_id: str) -> Junction:
         try:
@@ -277,14 +273,6 @@ class Network:
                 seen.add(other)
                 queue.append(other)
         return frozenset(seen)
-
-    def is_connected_to_source(
-        self, node_id: str, failed_pipes: Iterable[str] = ()
-    ) -> bool:
-        """True iff a path of intact pipes links ``node_id`` to any source."""
-        if node_id not in self._adjacency:
-            raise ValidationError(f"unknown node {node_id!r}")
-        return node_id in self.reachable_from_sources(failed_pipes)
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:

@@ -4,14 +4,17 @@ Each metric follows its published closed form.  Values that leave the
 metric's nominal range are reported raw with a warning attached; nothing
 is clamped, because estimator artifacts (for example a recovery rate above
 one on a short state sequence) are information, not noise.
+:meth:`MetricValue.to_dict` is the shape of every ``metric`` report; the
+CLI adds only each metric's own extras to it.
 
 Buffering capacity (k-resilience) comes two ways.  Under the connectivity
 criterion :func:`connectivity_buffering` computes it exactly in polynomial
 time from edge-disjoint paths (Menger's theorem).  For any other
 criterion, such as the supply criterion, :func:`buffering_capacity`
-enumerates every failure set against a feasibility oracle; with
-:func:`connectivity_feasibility` it is also the test oracle for the
-Menger path.
+enumerates every failure set of pipes and pumps against a feasibility
+oracle; with :func:`connectivity_feasibility` it is also the test oracle
+for the Menger path.  Both run the same argument and baseline checks, in
+the same order and with the same messages.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -51,13 +54,6 @@ class MetricValue:
         if not math.isfinite(self.value):
             raise ValidationError(f"metric {self.name!r} produced a non-finite value")
         object.__setattr__(self, "warnings", tuple(self.warnings))
-
-    @property
-    def in_range(self) -> bool:
-        if self.nominal_range is None:
-            return True
-        lo, hi = self.nominal_range
-        return lo <= self.value <= hi
 
     def to_dict(self) -> dict:
         return {
@@ -218,33 +214,31 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
     )
 
 
+def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> None:
+    n_components = len(net.pipes) + len(net.pumps)
+    if max_k < 0:
+        raise ValidationError("max_k must be >= 0")
+    if max_k > n_components:
+        raise ValidationError(f"max_k={max_k} exceeds the {n_components} failable components")
+    if not baseline_feasible():
+        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
+
+
 def buffering_capacity(
-    net: Network,
-    feasibility: Callable[[frozenset[str]], bool],
-    max_k: int = 2,
-    components: Iterable[str] | None = None,
+    net: Network, feasibility: Callable[[frozenset[str]], bool], max_k: int = 2
 ) -> int:
     """Largest k such that every failure set of at most k components passes.
 
-    ``feasibility`` receives a frozenset of failed component ids (pipes and
-    pumps by default) and must be a pure predicate, so any criterion can be
-    plugged in; the supply criterion uses this path.  All subsets are
+    ``feasibility`` receives a frozenset of failed component ids (drawn
+    from all pipes and pumps) and must be a pure predicate, so any criterion
+    can be plugged in; the supply criterion uses this path.  All subsets are
     enumerated exactly, which is exponential in ``max_k``; keep ``max_k``
     small on anything beyond desk-scale networks.  For the connectivity
     criterion use :func:`connectivity_buffering`, which gives the same
     value in polynomial time.
     """
-    pool = tuple(sorted(components)) if components is not None else tuple(
-        sorted((*net.pipe_ids, *net.pump_ids))
-    )
-    if max_k < 0:
-        raise ValidationError("max_k must be >= 0")
-    if max_k > len(pool):
-        raise ValidationError(
-            f"max_k={max_k} exceeds the {len(pool)} failable components"
-        )
-    if not feasibility(frozenset()):
-        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
+    _check_buffering(net, max_k, lambda: feasibility(frozenset()))
+    pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
     for k in range(1, max_k + 1):
         for failed in combinations(pool, k):
             if not feasibility(frozenset(failed)):
@@ -270,14 +264,9 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
     That arc's capacity is the smallest ``lambda_j`` found so far, at most
     ``max_k + 1``, so a junction costs at most that many augmenting paths.
     """
-    n_components = len(net.pipes) + len(net.pumps)
-    if max_k < 0:
-        raise ValidationError("max_k must be >= 0")
-    if max_k > n_components:
-        raise ValidationError(f"max_k={max_k} exceeds the {n_components} failable components")
-    reachable = net.reachable_from_sources()
-    if not all(j.id in reachable for j in net.junctions):
-        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
+    _check_buffering(
+        net, max_k, lambda: net.reachable_from_sources().issuperset(net.junction_ids)
+    )
 
     # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
     lam = max_k + 1
@@ -321,12 +310,10 @@ def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[st
     """Feasibility oracle: allocated supply covers ``threshold`` of demand."""
     if not 0 < threshold <= 1:
         raise ValidationError("threshold must lie in (0, 1]")
-    from .hydraulics import allocate_flows
-
     pump_ids = set(net.pump_ids)
 
     def feasible(failed: frozenset[str]) -> bool:
-        alloc = allocate_flows(
+        alloc = hydraulics.allocate_flows(
             net, failed_pipes=failed - pump_ids, failed_pumps=failed & pump_ids
         )
         if alloc.total_demand == 0:

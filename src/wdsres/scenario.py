@@ -118,10 +118,6 @@ class ScenarioSpec:
             if self.horizon < 1:
                 raise ValidationError("horizon must be >= 1")
 
-    @property
-    def has_random_events(self) -> bool:
-        return any(e.is_random for e in self.events)
-
     def to_dict(self) -> dict:
         data: dict = {"events": [e.to_dict() for e in self.events], "seed": self.seed}
         if self.horizon is not None:
@@ -205,17 +201,13 @@ def _step_state(events: tuple[Event, ...], net: Network, t: int):
     return failed_pipes, failed_pumps, demand_factors, supply_factors
 
 
-def apply_scenario(
-    net: Network,
-    spec: ScenarioSpec,
-    horizon: int | None = None,
-    dt: float = 3600.0,
-) -> HydraulicSeries:
+def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None) -> HydraulicSeries:
     """Allocate flows per timestep under the scenario's event timeline.
 
     Concurrent scaling events on the same target multiply.  Random events
     are resolved once from the scenario seed and stay fixed over the
-    horizon.
+    horizon.  Each step is one :func:`surrogate_allocation`; the joined
+    series keeps the default timestep length ``dt`` of 3600 s.
     """
     horizon = horizon if horizon is not None else spec.horizon
     if horizon is None or horizon < 1:
@@ -233,7 +225,6 @@ def apply_scenario(
                 failed_pumps=failed_pumps,
                 demand_factors=demand_factors,
                 supply_factors=supply_factors,
-                dt=dt,
             )
         )
     node_ids = steps[0].node_ids
@@ -243,7 +234,6 @@ def apply_scenario(
         np.vstack([s.demand for s in steps]),
         np.vstack([s.head for s in steps]),
         np.vstack([s.required_head for s in steps]),
-        dt=dt,
     )
 
 

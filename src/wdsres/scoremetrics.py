@@ -119,12 +119,6 @@ class WprChecklist:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.criteria)
 
-    def by_category(self) -> dict[str, tuple[Criterion, ...]]:
-        return {
-            cat: tuple(c for c in self.criteria if c.category == cat)
-            for cat in WPR_CATEGORIES
-        }
-
 
 def wpr_score(checklist: WprChecklist, answers: Mapping[str, bool]) -> int:
     """Count of fulfilled criteria; every criterion must be answered."""

@@ -1,0 +1,70 @@
+"""The public API, pinned by name.
+
+Adding or deleting a public name is a visible diff here.  The benchmark in
+``perfbench/`` imports several of these names (``n_junctions``,
+``n_sources``, ``node_degree``, ``surrogate_allocation``, ...), so deleting
+one of them fails this test before it breaks the benchmark.
+"""
+
+import dataclasses
+import types
+
+import pytest
+
+import wdsres
+
+EXPORTS = [
+    "BaselineInfeasibleError", "BinaryStateSeries", "CLUSTER_FEATURES",
+    "CORRELATION_COLUMNS", "CatalogSummary", "ClusteringResult", "ComputationError",
+    "CorrelationMatrix", "Event", "FLAG_COLUMNS", "FlowAllocation", "GAMMA_W",
+    "HydraulicSeries", "Indicator", "InfeasibleDesignError", "InfiniteResilienceError",
+    "Junction", "MC_METRICS", "Merge", "MetricRecord", "MetricValue", "MonteCarloResult",
+    "Network", "Pipe", "Pump", "ResilienceError", "ScenarioSpec", "Source",
+    "UndefinedInputError", "ValidationError", "WeightedPath", "WprChecklist",
+    "allocate_flows", "apply_scenario", "balaei_aggregate", "buffering_capacity",
+    "classify_states", "connectivity_buffering", "connectivity_feasibility",
+    "cut_clusters", "demand_weighted_index", "dendrogram_export", "dendrogram_import",
+    "flow_based_resilience", "hashimoto_recovery", "k_shortest_paths", "load_answers",
+    "load_catalog", "load_checklist", "load_indicators", "load_network", "load_scenario",
+    "load_series", "monte_carlo", "network_from_dict", "node_index_table",
+    "node_resilience_index", "partition_agreement", "path_resistance", "pearson_matrix",
+    "pipe_fragility", "pipe_resistance", "reference_agreement", "save_network",
+    "save_series", "scenario_from_dict", "summary_counts", "supply_feasibility",
+    "surrogate_allocation", "todini_index", "trimmed_mean_index", "user_functionality",
+    "user_severity", "ward_clustering", "ward_linkage", "wpr_score", "zhuang_availability",
+]
+
+MEMBERS = {
+    wdsres.Network: [
+        "digest", "incident_pipes", "is_node", "junction", "junction_ids", "junctions",
+        "n_junctions", "n_sources", "neighbors", "node_degree", "node_ids", "pipe",
+        "pipe_ids", "pipes", "pump", "pump_ids", "pumps", "reachable_from_sources",
+        "source", "source_ids", "sources", "to_dict", "total_design_demand",
+        "validate_failed_sets",
+    ],
+    wdsres.HydraulicSeries: [
+        "delivered", "demand", "digest", "dt", "head", "n_steps", "node_ids",
+        "node_index", "required_head", "system_ratio", "window", "window_slice",
+    ],
+    wdsres.BinaryStateSeries: ["digest", "per_node", "states", "threshold"],
+    wdsres.MetricValue: [
+        "inputs_digest", "name", "nominal_range", "to_dict", "value", "warnings",
+    ],
+    wdsres.ScenarioSpec: ["events", "horizon", "seed", "to_dict"],
+    wdsres.WprChecklist: ["criteria", "names", "total"],
+}
+
+
+def test_package_exports():
+    public = sorted(
+        name for name, value in vars(wdsres).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == sorted(EXPORTS)
+
+
+@pytest.mark.parametrize("cls", list(MEMBERS), ids=lambda cls: cls.__name__)
+def test_class_members(cls):
+    # fields without a default are not class attributes, so add them by hand
+    names = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+    assert sorted(n for n in names if not n.startswith("_")) == MEMBERS[cls]

@@ -412,6 +412,24 @@ class TestScenarioCommands:
         assert "Traceback" not in result.output
         assert "ratio=" not in result.output
 
+    def test_pipe_capacity_overflowing_when_doubled(self, runner, ring_network, tmp_path):
+        doc = ring_network.to_dict()
+        doc["pipes"][0]["capacity"] = 1.5e308
+        net_file = tmp_path / "wide.json"
+        net_file.write_text(json.dumps(doc))
+        spec = self.spec_file(tmp_path)
+        result = runner.invoke(
+            main, ["scenario", "run", "--network", str(net_file), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: pipe capacities must stay finite when doubled" in result.output
+        assert "ratio=" not in result.output
+        # connectivity buffering ignores capacities, so it still runs
+        result = runner.invoke(main, ["metric", "buffering", "--network", str(net_file)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["value"] == 1
+
     def test_mc_same_seed_byte_identical(self, runner, net_path, tmp_path):
         spec = self.spec_file(
             tmp_path,
@@ -473,6 +491,57 @@ class TestCatalogCommands:
             main, ["catalog", "counts", "--catalog", str(tmp_path / "no.csv")]
         )
         assert result.exit_code == 1
+
+
+# every command line that writes a file; {target} is the path it writes
+WRITERS = {
+    "metric --out": ["metric", "todini", "--network", "{net}", "--series", "{state}",
+                     "--out", "{target}"],
+    "metric --nodes-out": ["metric", "herrera", "--network", "{net}",
+                           "--nodes-out", "{target}"],
+    "scenario run --out": ["scenario", "run", "--network", "{net}", "--spec", "{spec}",
+                           "--out", "{target}"],
+    "scenario mc --out": ["scenario", "mc", "--network", "{net}", "--spec", "{spec}",
+                          "--n", "2", "--metric", "zhuang", "--out", "{target}"],
+    "scenario mc --replicates-csv": ["scenario", "mc", "--network", "{net}", "--spec",
+                                     "{spec}", "--n", "2", "--metric", "zhuang",
+                                     "--replicates-csv", "{target}"],
+    "catalog counts --out": ["catalog", "counts", "--out", "{target}"],
+    "catalog correlate --out": ["catalog", "correlate", "--out", "{target}"],
+    "catalog cluster --out": ["catalog", "cluster", "--out", "{target}"],
+    "catalog dendrogram --out": ["catalog", "dendrogram", "--text", "--out", "{target}"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.fixture
+    def inputs(self, tmp_path, net_path, state_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"events": [], "seed": 1, "horizon": 2}))
+        return {"net": net_path, "state": state_path, "spec": spec}
+
+    def check_error(self, result, target):
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {target}: " in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    def test_exits_one_with_error_line(self, runner, tmp_path, inputs, writer, kind):
+        if kind == "directory":
+            target = tmp_path / "taken"
+            target.mkdir()
+        else:
+            target = tmp_path / "missing" / "out"
+        args = [a.format(target=target, **inputs) for a in WRITERS[writer]]
+        self.check_error(runner.invoke(main, args), target)
+
+    def test_dendrogram_text_render_path_is_a_directory(self, runner, tmp_path):
+        out = tmp_path / "tree.json"
+        (tmp_path / "tree.txt").mkdir()
+        result = runner.invoke(main, ["catalog", "dendrogram", "--out", str(out), "--text"])
+        self.check_error(result, tmp_path / "tree.txt")
 
 
 class TestListMetrics:

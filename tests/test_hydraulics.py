@@ -19,7 +19,7 @@ from wdsres.hydraulics import (
     surrogate_allocation,
 )
 from wdsres.network import Junction, Source, load_network, save_network
-from wdsres.performance import buffering_capacity, supply_feasibility
+from wdsres.performance import buffering_capacity, connectivity_buffering, supply_feasibility
 from wdsres.scenario import Event, ScenarioSpec, apply_scenario, monte_carlo
 from .conftest import make_network, make_pipe, make_series
 from .reference_flow import reference_allocate_flows
@@ -106,7 +106,7 @@ class TestLoadSeries:
             "1,n2,1,1,40,30\n"
         )
         series = load_series(path)
-        assert series.n_nodes == 2
+        assert len(series.node_ids) == 2
         assert series.n_steps == 2
 
 
@@ -264,6 +264,19 @@ class TestAllocation:
         assert allocate_flows(net).total_delivered == pytest.approx(0.03)
         with pytest.raises(ValidationError, match="must stay finite"):
             allocate_flows(net, supply_factors={"R1": 2.0})
+
+    @pytest.mark.parametrize("capacity, accepted", [(8.9e307, True), (1.5e308, False)])
+    def test_pipe_capacity_must_stay_finite_when_doubled(self, capacity, accepted):
+        # pushing 8e307 adds it to the reverse residual, which starts at the capacity
+        net = make_network([Junction("J1", 0.0, 8e307, 30.0)], [Source("R1", 100.0, 8e307)],
+                           [make_pipe("p1", "R1", "J1", capacity=capacity)])
+        if accepted:
+            assert allocate_flows(net).pipe_flows == {"p1": 8e307}
+        else:
+            with pytest.raises(ValidationError, match=r"finite when doubled: \['p1'\]"):
+                allocate_flows(net)
+        # connectivity flows use unit capacities on the same compiled model
+        assert connectivity_buffering(net, max_k=1) == 0
 
 
 _flows = st.one_of(

@@ -1,5 +1,6 @@
 """Performance-based metrics against hand-computed values."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -35,7 +36,7 @@ from .conftest import make_network, make_pipe, make_series
 
 
 def states(text):
-    return BinaryStateSeries.from_string(text, threshold=0.9)
+    return BinaryStateSeries(tuple(text), threshold=0.9)
 
 
 class TestHashimotoRecovery:
@@ -86,7 +87,7 @@ class TestZhuangAvailability:
             zhuang_availability(series)
 
     def test_respects_window(self, zhuang_series):
-        early = zhuang_series.with_window(0, 0)
+        early = dataclasses.replace(zhuang_series, window=(0, 0))
         assert zhuang_availability(early).value == pytest.approx(15 / 20)
 
     def test_monotone_in_delivery(self, zhuang_series):

@@ -1,6 +1,7 @@
 """Score-based metrics: indicator aggregation and the provision checklist."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from wdsres.errors import ValidationError
 from wdsres.scoremetrics import (
+    WPR_CATEGORIES,
     Indicator,
     balaei_aggregate,
     load_answers,
@@ -96,9 +98,9 @@ class TestChecklist:
     def test_default_has_36_criteria(self):
         checklist = load_checklist()
         assert checklist.total == 36
-        by_cat = checklist.by_category()
-        assert sum(len(v) for v in by_cat.values()) == 36
-        assert all(len(v) == 6 for v in by_cat.values())
+        by_cat = Counter(c.category for c in checklist.criteria)
+        assert sum(by_cat[cat] for cat in WPR_CATEGORIES) == 36
+        assert all(by_cat[cat] == 6 for cat in WPR_CATEGORIES)
 
     def test_criteria_carry_tags(self):
         for criterion in load_checklist().criteria:
