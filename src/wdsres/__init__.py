@@ -65,6 +65,7 @@ from .performance import (
     flow_based_resilience,
     hashimoto_recovery,
     pipe_fragility,
+    supply_buffering,
     supply_feasibility,
     todini_index,
     user_functionality,

@@ -10,8 +10,10 @@ timestamps are written.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +48,25 @@ def _guarded(fn):
             sys.exit(1)
 
     return wrapper
+
+
+def _check_writable(*paths) -> None:
+    """Refuse each given output path that is a directory or whose parent is not one.
+
+    Commands call this before any work, so a bad path costs no computation
+    and leaves no partial output; ``_guarded`` reports the error.
+    """
+    for path in paths:
+        if not path:  # unset, or "" which every command treats as unset
+            continue
+        path = Path(path)
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _need(value, flag: str):
@@ -125,9 +146,8 @@ def _metric_herrera(opts) -> dict:
 def _metric_buffering(opts) -> dict:
     net = load_network(_need(opts["network"], "--network"), units=opts["units"])
     if opts["threshold_given"]:
-        oracle = performance.supply_feasibility(net, opts["threshold"])
         criterion = f"supply ratio >= {opts['threshold']}"
-        k = performance.buffering_capacity(net, oracle, max_k=opts["max_k"])
+        k = performance.supply_buffering(net, opts["threshold"], max_k=opts["max_k"])
     else:
         criterion = "all junctions connected to a source"
         k = performance.connectivity_buffering(net, max_k=opts["max_k"])
@@ -188,6 +208,7 @@ METRICS = {
 @_guarded
 def metric_cmd(name, **opts):
     """Compute one named metric and emit a JSON report."""
+    _check_writable(opts["out"], opts["nodes_out"])
     if name not in METRICS:
         raise ValidationError(
             f"unknown metric {name!r}; valid names: {', '.join(sorted(METRICS))}"
@@ -220,6 +241,7 @@ def scenario():
 @_guarded
 def scenario_run(network, spec_path, horizon, seed, units, out):
     """Apply a scenario and print per-step supply ratios."""
+    _check_writable(out)
     net = load_network(network, units=units)
     spec = load_scenario(spec_path)
     if seed is not None:
@@ -256,6 +278,7 @@ def scenario_run(network, spec_path, horizon, seed, units, out):
 def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
                 workers, exhaustive, units, replicates_csv, out):
     """Monte Carlo evaluation of a metric over scenario replicates."""
+    _check_writable(replicates_csv, out)
     net = load_network(network, units=units)
     spec = load_scenario(spec_path)
     if seed is not None:
@@ -290,6 +313,7 @@ def catalog_group():
 @_guarded
 def catalog_counts(catalog_path, out):
     """Per-category counts and multiplicity histograms."""
+    _check_writable(out)
     records = cat.load_catalog(catalog_path)
     summary = cat.summary_counts(records)
     click.echo(f"records: {summary.total}")
@@ -310,6 +334,7 @@ def catalog_counts(catalog_path, out):
 @_guarded
 def catalog_correlate(catalog_path, out):
     """Pearson correlation matrix of the category flags."""
+    _check_writable(out)
     records = cat.load_catalog(catalog_path)
     matrix = cat.pearson_matrix(records)
     text = matrix.to_csv()
@@ -331,6 +356,7 @@ def catalog_correlate(catalog_path, out):
 @_guarded
 def catalog_cluster(catalog_path, k, out):
     """Ward clustering of the catalog flags."""
+    _check_writable(out)
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
     agreement = cat.reference_agreement(records, result)
@@ -354,6 +380,9 @@ def catalog_cluster(catalog_path, k, out):
 @_guarded
 def catalog_dendrogram(catalog_path, k, out, text):
     """Export the full merge tree."""
+    _check_writable(out)
+    if text and out:
+        _check_writable(Path(out).with_suffix(".txt"))
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
     cat.dendrogram_export(result, out, text=text)

@@ -7,14 +7,17 @@ one on a short state sequence) are information, not noise.
 :meth:`MetricValue.to_dict` is the shape of every ``metric`` report; the
 CLI adds only each metric's own extras to it.
 
-Buffering capacity (k-resilience) comes two ways.  Under the connectivity
-criterion :func:`connectivity_buffering` computes it exactly in polynomial
-time from edge-disjoint paths (Menger's theorem).  For any other
-criterion, such as the supply criterion, :func:`buffering_capacity`
-enumerates every failure set of pipes and pumps against a feasibility
-oracle; with :func:`connectivity_feasibility` it is also the test oracle
-for the Menger path.  Both run the same argument and baseline checks, in
-the same order and with the same messages.
+Buffering capacity (k-resilience) comes three ways.  Under the
+connectivity criterion :func:`connectivity_buffering` computes it exactly
+in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
+supply criterion :func:`supply_buffering` walks the failure sets but
+solves only those whose smaller subsets' max flows use the added pipe.
+For any other criterion :func:`buffering_capacity` enumerates every
+failure set of pipes and pumps against a feasibility oracle; with
+:func:`connectivity_feasibility` and :func:`supply_feasibility` it is
+also the test oracle for the two fast paths.  All three run the same
+argument and baseline checks, in the same order and with the same
+messages.
 """
 
 from __future__ import annotations
@@ -231,11 +234,12 @@ def buffering_capacity(
 
     ``feasibility`` receives a frozenset of failed component ids (drawn
     from all pipes and pumps) and must be a pure predicate, so any criterion
-    can be plugged in; the supply criterion uses this path.  All subsets are
-    enumerated exactly, which is exponential in ``max_k``; keep ``max_k``
-    small on anything beyond desk-scale networks.  For the connectivity
-    criterion use :func:`connectivity_buffering`, which gives the same
-    value in polynomial time.
+    can be plugged in.  All subsets are enumerated exactly, which is
+    exponential in ``max_k``; keep ``max_k`` small on anything beyond
+    desk-scale networks.  For the connectivity criterion use
+    :func:`connectivity_buffering`, which gives the same value in
+    polynomial time, and for the supply criterion
+    :func:`supply_buffering`, which gives it from far fewer solves.
     """
     _check_buffering(net, max_k, lambda: feasibility(frozenset()))
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
@@ -306,10 +310,14 @@ def connectivity_feasibility(net: Network) -> Callable[[frozenset[str]], bool]:
     return feasible
 
 
-def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[str]], bool]:
-    """Feasibility oracle: allocated supply covers ``threshold`` of demand."""
+def _check_threshold(threshold: float) -> None:
     if not 0 < threshold <= 1:
         raise ValidationError("threshold must lie in (0, 1]")
+
+
+def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[str]], bool]:
+    """Feasibility oracle: allocated supply covers ``threshold`` of demand."""
+    _check_threshold(threshold)
     pump_ids = set(net.pump_ids)
 
     def feasible(failed: frozenset[str]) -> bool:
@@ -321,6 +329,78 @@ def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[st
         return alloc.total_delivered >= threshold * alloc.total_demand - 1e-12
 
     return feasible
+
+
+def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
+    """Buffering capacity under the supply criterion, pruned by max-flow support.
+
+    Returns ``buffering_capacity(net, supply_feasibility(net, threshold), max_k)``,
+    with the same errors, from far fewer max-flow solves.  It rests on one
+    lemma: if some max flow of ``G - F'`` sends nothing through pipe ``q``,
+    that flow is still a max flow of ``G - F' - q``, so both deliver the
+    same total.
+
+    Levels k = 1..``max_k`` are walked in the enumerator's order.  Each
+    failure set of the previous level keeps one entry: its delivered total
+    and its support, the pipes its flow uses plus any pipe wide enough to
+    swallow a whole push of the kernel in its residual.  A set of level k reuses the
+    entry object of a (k - 1)-subset when the remaining component is
+    outside that subset's support and the subset's total clears the
+    threshold by ``1e-9`` of the total demand, since a fresh solve can
+    differ from it in the last bits.  A pump changes no capacity of the
+    surrogate, so it is in no support and a set with a pump always reuses
+    the entry of the set without it.  Every other set gets its own solve
+    and the oracle's exact comparison; the first one that fails ends the
+    search.  Only the previous level's entries are kept.
+
+    Finding the fewest failures that cut the flow below the threshold is
+    max-flow interdiction, NP-hard in general, so the search stays
+    exponential in ``max_k``; on a 5 x 5 torus at ``max_k=2`` it solves
+    351 of the 1486 failure sets.
+    """
+    _check_threshold(threshold)
+    baseline = []
+
+    def baseline_feasible() -> bool:
+        # at zero demand nothing flows and 0.0 passes, as the oracle's shortcut does
+        baseline.append(hydraulics.allocate_flows(net))
+        return baseline[0].total_delivered >= threshold * baseline[0].total_demand - 1e-12
+
+    _check_buffering(net, max_k, baseline_feasible)
+    total_demand = baseline[0].total_demand
+    needed = threshold * total_demand - 1e-12
+    clears = needed + 1e-9 * total_demand
+    pump_ids = frozenset(net.pump_ids)
+    # the kernel pushes more than 1e-12 at a time, which a pipe residual of
+    # up to twice the capacity can swallow whole once capacity * 2**-52
+    # exceeds it; such a pipe's zero flow proves nothing, so it always counts
+    wide = frozenset(p.id for p in net.pipes if p.capacity * 2.0**-52 > 1e-12)
+
+    def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str]]:
+        support = wide.union(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
+        return alloc.total_delivered, support
+
+    pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
+    previous = {(): entry(baseline[0])}
+    for k in range(1, max_k + 1):
+        current = {}
+        for failed in combinations(pool, k):
+            for i, component in enumerate(failed):
+                parent = previous[failed[:i] + failed[i + 1:]]
+                if component in pump_ids or (
+                    parent[0] >= clears and component not in parent[1]
+                ):
+                    break
+            else:
+                # a set reaches this solve only when it holds no pump
+                alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
+                if alloc.total_delivered < needed:
+                    return k - 1
+                parent = entry(alloc)
+            if k < max_k:
+                current[failed] = parent
+        previous = current
+    return max_k
 
 
 def _check_series_nodes(net: Network, series: HydraulicSeries) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wdsres import hydraulics
 from wdsres.hydraulics import HydraulicSeries
 from wdsres.network import Junction, Network, Pipe, Pump, Source
 
@@ -154,3 +155,17 @@ def hashimoto_series():
     delivered = [[0.01 * r] for r in ratios]
     demand = [[0.01]] * len(ratios)
     return make_series(("n1",), delivered, demand)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """A list that grows by one on each run of the max-flow kernel."""
+    runs = []
+    kernel = hydraulics._edmonds_karp
+
+    def counted(*args):
+        runs.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
+    return runs

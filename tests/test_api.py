@@ -29,9 +29,10 @@ EXPORTS = [
     "load_series", "monte_carlo", "network_from_dict", "node_index_table",
     "node_resilience_index", "partition_agreement", "path_resistance", "pearson_matrix",
     "pipe_fragility", "pipe_resistance", "reference_agreement", "save_network",
-    "save_series", "scenario_from_dict", "summary_counts", "supply_feasibility",
-    "surrogate_allocation", "todini_index", "trimmed_mean_index", "user_functionality",
-    "user_severity", "ward_clustering", "ward_linkage", "wpr_score", "zhuang_availability",
+    "save_series", "scenario_from_dict", "summary_counts", "supply_buffering",
+    "supply_feasibility", "surrogate_allocation", "todini_index", "trimmed_mean_index",
+    "user_functionality", "user_severity", "ward_clustering", "ward_linkage", "wpr_score",
+    "zhuang_availability",
 ]
 
 MEMBERS = {

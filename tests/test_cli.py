@@ -179,6 +179,37 @@ class TestMetricCommand:
         assert report["value"] == 1
         assert report["feasibility"] == "all junctions connected to a source"
 
+    def test_supply_buffering_never_enumerates(self, runner, net_path, monkeypatch):
+        from wdsres import performance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the supply path enumerated failure sets")
+
+        monkeypatch.setattr(performance, "buffering_capacity", refuse)
+        monkeypatch.setattr(performance, "supply_feasibility", refuse)
+        result = runner.invoke(
+            main, ["metric", "buffering", "--network", str(net_path), "--threshold", "0.5",
+                   "--max-k", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["value"] == 1
+        assert report["feasibility"] == "supply ratio >= 0.5"
+
+    @pytest.mark.parametrize("threshold, max_k, message", [
+        ("0", "-1", "error: threshold must lie in (0, 1]"),
+        ("1.5", "2", "error: threshold must lie in (0, 1]"),
+        ("0.5", "-1", "error: max_k must be >= 0"),
+        ("0.5", "5", "error: max_k=5 exceeds the 4 failable components"),
+    ])
+    def test_supply_buffering_errors(self, runner, net_path, threshold, max_k, message):
+        result = runner.invoke(
+            main, ["metric", "buffering", "--network", str(net_path), "--threshold", threshold,
+                   "--max-k", max_k]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip() == message
+
     @pytest.mark.parametrize("max_k, code, message", [
         ("-1", 1, "error: max_k must be >= 0"),
         ("5", 1, "error: max_k=5 exceeds the 4 failable components"),
@@ -542,6 +573,42 @@ class TestUnwritableOutput:
         (tmp_path / "tree.txt").mkdir()
         result = runner.invoke(main, ["catalog", "dendrogram", "--out", str(out), "--text"])
         self.check_error(result, tmp_path / "tree.txt")
+
+    def test_dendrogram_writes_no_json_before_a_bad_text_path(self, runner, tmp_path):
+        out = tmp_path / "tree.json"
+        (tmp_path / "tree.txt").mkdir()
+        runner.invoke(main, ["catalog", "dendrogram", "--out", str(out), "--text"])
+        assert not out.exists()
+
+    def test_catalog_counts_prints_nothing_before_the_error(self, runner, tmp_path):
+        target = tmp_path / "missing" / "c.json"
+        result = runner.invoke(main, ["catalog", "counts", "--out", str(target)])
+        self.check_error(result, target)
+        assert result.stdout == ""
+
+    def test_parent_that_is_a_file(self, runner, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "c.json"
+        result = runner.invoke(main, ["catalog", "counts", "--out", str(target)])
+        self.check_error(result, target)
+        assert "Not a directory" in result.output
+
+    def test_scenario_mc_writes_no_replicates_before_a_bad_out(self, runner, tmp_path, inputs,
+                                                             monkeypatch):
+        from wdsres import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replicates ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "monte_carlo", refuse)
+        target, replicates = tmp_path / "missing" / "mc.json", tmp_path / "reps.csv"
+        result = runner.invoke(main, [
+            "scenario", "mc", "--network", str(inputs["net"]), "--spec", str(inputs["spec"]),
+            "--n", "2", "--metric", "zhuang", "--replicates-csv", str(replicates),
+            "--out", str(target),
+        ])
+        self.check_error(result, target)
+        assert not replicates.exists()
 
 
 class TestListMetrics:

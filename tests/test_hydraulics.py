@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdsres import hydraulics
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import (
     BinaryStateSeries,
@@ -354,20 +353,6 @@ class TestCompiledModel:
         assert net._flow_model is model
         # the model is private state: equality with a fresh load is unchanged
         assert net == load_network(path)
-
-
-@pytest.fixture
-def kernel_runs(monkeypatch):
-    """A list that grows by one on each run of the max-flow kernel."""
-    runs = []
-    kernel = hydraulics._edmonds_karp
-
-    def counted(*args):
-        runs.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
-    return runs
 
 
 class TestLastSolveMemo:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from wdsres.performance import (
     flow_based_resilience,
     hashimoto_recovery,
     pipe_fragility,
+    supply_buffering,
+    supply_feasibility,
     todini_index,
     user_functionality,
     user_severity,
@@ -434,6 +437,155 @@ class TestConnectivityBuffering:
         assert connectivity_buffering(net, max_k=max_k) == 3
         assert len(searches) == 1
         assert 0 < len(kernels) <= net.n_junctions * (max_k + 2)
+
+
+# capacities and demands with rounding in their sums, exact zeros, and a
+# capacity whose double overflows so the allocator refuses the network
+CAPACITIES = st.one_of(st.sampled_from([0.0, 0.004, 0.01, 0.012, 1.0, 1.5e308]),
+                       st.floats(1e-3, 0.1))
+DEMANDS = st.one_of(st.sampled_from([0.0, 0.0, 0.01]), st.floats(1e-3, 0.03))
+
+
+@st.composite
+def supply_problems(draw):
+    """A small random multigraph with random capacities, a depth and a threshold.
+
+    Pipes join any two distinct nodes, so parallel pipes and pipes between
+    two sources occur; junctions may demand nothing and 0-2 pumps are
+    drawn.  The threshold lies outside (0, 1], inside it, or at the exact
+    ratio that some failure set delivers, where the verdict turns on the
+    last bits of that set's solve.
+    """
+    n_sources = draw(st.integers(1, 3))
+    n_junctions = draw(st.integers(1, 4))
+    # at large flows rounding exceeds the oracle's 1e-12 slack; at tiny ones the
+    # kernel's 1e-12 residual cutoff bites
+    scale = draw(st.sampled_from([1.0, 1e-10, 1e6, 3e7]))
+    nodes = [f"R{i}" for i in range(n_sources)] + [f"J{i}" for i in range(n_junctions)]
+    ends = st.tuples(st.integers(0, len(nodes) - 1), st.integers(1, len(nodes) - 1))
+    pairs = draw(st.lists(ends, max_size=10))
+    pipes = [
+        make_pipe(f"p{i}", nodes[a], nodes[(a + step) % len(nodes)],
+                  capacity=min(scale * draw(CAPACITIES), 1.5e308))
+        for i, (a, step) in enumerate(pairs)
+    ]
+    net = make_network(
+        [Junction(f"J{i}", 0.0, scale * draw(DEMANDS), 30.0) for i in range(n_junctions)],
+        [Source(f"R{i}", 100.0, scale * draw(st.sampled_from([0.005, 0.02, 0.05])))
+         for i in range(n_sources)],
+        pipes,
+        [Pump(f"b{i}", 1.0) for i in range(draw(st.integers(0, 2)))],
+    )
+    max_k = draw(st.integers(-1, 4))
+    kind = draw(st.sampled_from(["outside", "inside", "achieved"]))
+    if kind == "outside":
+        threshold = draw(st.sampled_from([-0.5, 0.0, 1.0 + 1e-12, 2.0, math.nan]))
+    elif kind == "inside" or any(p.capacity > 1e300 for p in pipes):
+        threshold = draw(st.floats(1e-6, 1.0))
+    else:
+        failed = draw(st.lists(st.sampled_from(net.pipe_ids), max_size=3)) if pipes else []
+        alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
+        # at zero demand any threshold passes; 0/0 is not a ratio
+        threshold = alloc.total_delivered / alloc.total_demand if alloc.total_demand else 1.0
+    return net, threshold, max_k
+
+
+def _supply_enumerated(net, threshold, max_k):
+    return _outcome(
+        lambda: buffering_capacity(net, supply_feasibility(net, threshold), max_k=max_k)
+    )
+
+
+class TestSupplyBuffering:
+    @given(problem=supply_problems())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_equals_the_subset_enumeration(self, problem):
+        net, threshold, max_k = problem
+        assert _outcome(lambda: supply_buffering(net, threshold, max_k)) == (
+            _supply_enumerated(net, threshold, max_k)
+        )
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
+    def test_fixtures_match_the_enumeration(self, ring_network, tree_network, tight_ring,
+                                            mesh_network, pump_network, threshold, max_k):
+        for net in (ring_network, tree_network, tight_ring, mesh_network, pump_network):
+            assert _outcome(lambda: supply_buffering(net, threshold, max_k)) == (
+                _supply_enumerated(net, threshold, max_k)
+            )
+
+    def test_hand_values(self, ring_network, tree_network, mesh_network):
+        # any one ring pipe may fail; losing p1 and p4 cuts every junction off
+        assert supply_buffering(ring_network, 1.0, max_k=3) == 1
+        assert supply_buffering(tree_network, 0.5) == 0
+        # the worst pair, p3 and p4, leaves 0.01 of the 0.045 demand; p1, p2 and p5 leave 0
+        assert supply_buffering(mesh_network, 0.2, max_k=3) == 2
+        # losing p7 leaves D and E dry, so 0.03 of 0.045 arrives
+        assert supply_buffering(mesh_network, 0.9) == 0
+
+    def test_errors_in_the_enumerators_order(self, ring_network, tight_ring, kernel_runs):
+        with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\]"):
+            supply_buffering(ring_network, 0.0, max_k=-1)
+        with pytest.raises(ValidationError, match="max_k must be >= 0"):
+            supply_buffering(ring_network, 0.5, max_k=-1)
+        with pytest.raises(ValidationError, match="max_k=5 exceeds the 4 failable"):
+            supply_buffering(ring_network, 0.5, max_k=5)
+        assert kernel_runs == []  # the baseline is solved only after the depth checks
+        # p1 and p4 carry at most 0.024 of the 0.03 demand
+        with pytest.raises(BaselineInfeasibleError, match="intact system"):
+            supply_buffering(tight_ring, 1.0, max_k=1)
+        assert len(kernel_runs) == 1
+        assert supply_buffering(tight_ring, 0.8, max_k=0) == 0
+
+    def test_pipe_whose_residual_swallows_the_flow_is_in_every_support(self):
+        # 1.5e-12 more or less leaves a residual of 1e5 unchanged, so the
+        # allocation reports no flow on p1 although all the demand crosses it
+        net = make_network(
+            [Junction("J1", 0.0, 1.5e-12, 30.0)], [Source("R1", 100.0, 2e-12)],
+            [make_pipe("p1", "R1", "J1", capacity=1e5), make_pipe("p2", "R1", "J1")],
+        )
+        assert hydraulics.allocate_flows(net).pipe_flows["p1"] == 0.0
+        assert supply_buffering(net, 1.0, max_k=2) == 1 == _supply_enumerated(net, 1.0, 2)
+
+    def test_zero_demand_passes_every_set_without_a_solve(self, ring_network, kernel_runs):
+        dry = make_network(
+            [dataclasses.replace(j, design_demand=0.0) for j in ring_network.junctions],
+            ring_network.sources, ring_network.pipes,
+        )
+        assert supply_buffering(dry, 1.0, max_k=4) == 4
+        assert len(kernel_runs) == 1
+
+    @pytest.mark.parametrize("make, threshold, value, solves", [
+        ("mesh", 0.2, 2, 13),
+        ("torus", 0.99, 2, 351),
+    ])
+    def test_kernel_count(self, mesh_network, kernel_runs, make, threshold, value, solves):
+        net = mesh_network if make == "mesh" else torus_network(5, 5)
+        assert supply_buffering(net, threshold, max_k=2) == value
+        n = len(net.pipes) + len(net.pumps)
+        assert len(kernel_runs) == solves < 1 + n + math.comb(n, 2)
+
+    def test_pumps_never_need_a_solve(self, ring_network, kernel_runs):
+        pumped = make_network(ring_network.junctions, ring_network.sources,
+                              ring_network.pipes, [Pump("b1", 1.0), Pump("b2", 1.0)])
+        assert supply_buffering(ring_network, 0.5, max_k=3) == 1
+        solves = len(kernel_runs)
+        kernel_runs.clear()
+        assert supply_buffering(pumped, 0.5, max_k=3) == 1
+        assert len(kernel_runs) == solves
+
+    def test_memory_holds_one_level_of_shared_entries(self):
+        # about 0.2 MiB; a copied support per set takes about 0.9 MiB and
+        # keeping every level's entries about 1.8 MiB
+        net = torus_network(4, 4)
+        supply_buffering(net, 0.99, max_k=1)  # compile the flow model outside the trace
+        tracemalloc.start()
+        try:
+            assert supply_buffering(net, 0.99, max_k=3) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
 
 def _random_net_state(rng):
