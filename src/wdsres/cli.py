@@ -125,6 +125,9 @@ def _metric_user_severity(opts) -> dict:
 
 def _metric_herrera(opts) -> dict:
     net = load_network(_need(opts["network"], "--network"), units=opts["units"])
+    # the aggregate checks --trim only after the path search; reject it before
+    graphmetrics._check_k(opts["k"])
+    graphmetrics._check_trim(opts["trim"])
     rows = graphmetrics.node_index_table(net, k=opts["k"])
     if opts["nodes_out"]:
         with open(opts["nodes_out"], "w", newline="") as handle:

@@ -5,13 +5,35 @@ the K cheapest simple routes to that source, where a route's resistance is
 the sum of ``friction * length / diameter`` over its pipes.  Parallel pipes
 are distinct routes.  Ties in resistance are broken by the lexicographic
 order of the pipe-id sequence, which keeps every result reproducible.
+
+The K cheapest routes come from Yen's (1971) deviation scheme, and its
+float arithmetic is part of the result: every heap is keyed by
+``(resistance, pipe tuple)``, a spur's root costs ``sum()`` of its root
+pipes' resistances, the spur's own cost is summed pipe by pipe from the
+spur node, and a candidate costs root plus spur.  Two things make the
+search fast without changing any route or any bit of a resistance:
+
+- Each network is compiled once, on its first path search, into integer
+  form (:class:`_PathModel`): pipes are numbered in sorted-id order, so
+  tuples of pipe numbers order exactly as tuples of pipe ids do, with a
+  flat resistance list and per-node ``(pipe, other end)`` adjacency.
+- Spur searches are pruned.  One reverse Dijkstra per goal gives the
+  cheapest resistance ``h`` from every node to it (``inf`` where the goal
+  cannot be reached).  With k' = K minus the routes accepted, a spur
+  search drops a partial route when ``root + cost + h[node]`` exceeds the
+  k'-th cheapest candidate so far by more than a relative 1e-9.  Every
+  completion of it then costs more than k' candidates, so it could never
+  be accepted.  The slack covers the rounding of the same sums taken in
+  another order, which moves a sum of n terms by at most about
+  ``n * 2**-53`` of itself.  The bound only falls as candidates arrive,
+  so the routes that survive pop in the same order as without it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from math import isfinite
+from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import Iterable, Sequence
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
@@ -69,39 +91,118 @@ def _walk_path(net: Network, pipes: Sequence[str]) -> tuple[str, ...]:
     return tuple(chain)
 
 
-def _dijkstra(
-    net: Network,
-    weights: dict[str, float],
-    start: str,
-    goal: str,
-    banned_pipes: frozenset[str] = frozenset(),
-    banned_nodes: frozenset[str] = frozenset(),
-):
-    """Cheapest simple path by (resistance, pipe-id sequence).
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValidationError("k must be >= 1")
 
-    The heap key includes the pipe sequence, so among equal-resistance
-    routes the lexicographically smallest wins.  Returns
-    (cost, pipes, nodes) or None.
+
+def _check_trim(trim_fraction: float) -> None:
+    if not 0 <= trim_fraction < 0.5:
+        raise ValidationError("trim_fraction must lie in [0, 0.5)")
+
+
+# relative slack on the prune limit.  It covers rounding in root + cost as
+# well as in h; a margin on h alone does not when root + cost dwarfs h.
+_SLACK = 1e-9
+
+
+@dataclass
+class _PathModel:
+    """A network's pipe graph in integer form, compiled once for the path searches.
+
+    Nodes are numbered in node-id order and pipes in sorted pipe-id order,
+    so tuples of pipe numbers compare exactly as tuples of pipe ids do.
+    ``adjacency[node]`` lists ``(pipe, other end)`` pairs; ``ends[pipe]`` is
+    the pipe's node pair.  ``to_goal`` caches, per goal, the cheapest
+    resistance from every node to that goal, filled on first use.
+    """
+
+    nodes: dict[str, int]
+    pipe_ids: tuple[str, ...]
+    ends: tuple[tuple[int, int], ...]
+    weights: list[float]
+    adjacency: list[tuple[tuple[int, int], ...]]
+    to_goal: dict[int, list[float]] = field(default_factory=dict)
+
+    @classmethod
+    def compile(cls, net: Network) -> "_PathModel":
+        nodes = {nid: i for i, nid in enumerate(net.node_ids)}
+        pipes = sorted(net.pipes, key=lambda p: p.id)
+        ends = tuple((nodes[p.endpoints[0]], nodes[p.endpoints[1]]) for p in pipes)
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
+        for pid, (a, b) in enumerate(ends):
+            adjacency[a].append((pid, b))
+            adjacency[b].append((pid, a))
+        return cls(nodes, tuple(p.id for p in pipes), ends,
+                   [pipe_resistance(p) for p in pipes], [tuple(adj) for adj in adjacency])
+
+    def distances_to(self, goal: int) -> list[float]:
+        """Cheapest resistance from each node to ``goal``, by one reverse Dijkstra."""
+        dist = self.to_goal.get(goal)
+        if dist is None:
+            dist = [inf] * len(self.adjacency)
+            dist[goal] = 0.0
+            heap = [(0.0, goal)]
+            while heap:
+                cost, node = heapq.heappop(heap)
+                if cost > dist[node]:
+                    continue
+                for pid, other in self.adjacency[node]:
+                    reach = cost + self.weights[pid]
+                    if reach < dist[other]:
+                        dist[other] = reach
+                        heapq.heappush(heap, (reach, other))
+            self.to_goal[goal] = dist
+        return dist
+
+    def node_chain(self, start: int, pipes: tuple[int, ...]) -> tuple[int, ...]:
+        chain = [start]
+        for pid in pipes:
+            a, b = self.ends[pid]
+            chain.append(b if chain[-1] == a else a)
+        return tuple(chain)
+
+
+def _path_model(net: Network) -> _PathModel:
+    model = net._path_model
+    if model is None:
+        model = _PathModel.compile(net)
+        object.__setattr__(net, "_path_model", model)
+    return model
+
+
+def _spur_search(model: _PathModel, start: int, goal: int, done: bytearray,
+                 banned_pipes: set[int], root_cost: float, h: list[float],
+                 limit: float):
+    """Cheapest simple path by (resistance, pipe-number tuple), or None.
+
+    The heap key includes the pipe tuple, so among equal-resistance routes
+    the lexicographically smallest wins.  ``done`` marks the settled nodes
+    and, on entry, the banned ones.  A push is dropped when
+    ``root_cost + cost + h[node]`` exceeds ``limit``.  Returns
+    (cost, pipes).
     """
     if start == goal:
-        return 0.0, (), (start,)
-    heap = [(0.0, (), start, (start,))]
-    done = set()
+        return 0.0, ()
+    adjacency, weights = model.adjacency, model.weights
+    push, pop = heapq.heappush, heapq.heappop
+    heap = [(0.0, (), start)]
     while heap:
-        cost, pipes, node, nodes = heapq.heappop(heap)
-        if node in done:
+        cost, pipes, node = pop(heap)
+        if done[node]:
             continue
         if node == goal:
-            return cost, pipes, nodes
-        done.add(node)
-        # every node of the popped path was popped, and so put in done,
-        # before the path was extended past it: done also keeps it simple
-        for pid, other in net.neighbors(node):
-            if pid in banned_pipes or other in done or other in banned_nodes:
+            return cost, pipes
+        done[node] = 1
+        # every node of the popped path was settled before the path was
+        # extended past it: done also keeps it simple
+        for pid, other in adjacency[node]:
+            if done[other] or pid in banned_pipes:
                 continue
-            heapq.heappush(
-                heap, (cost + weights[pid], pipes + (pid,), other, nodes + (other,))
-            )
+            reach = cost + weights[pid]
+            if root_cost + reach + h[other] > limit:
+                continue
+            push(heap, (reach, pipes + (pid,), other))
     return None
 
 
@@ -112,19 +213,24 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     returned when fewer exist, and a disconnected pair yields an empty
     list.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_k(k)
     for node in (start, goal):
         if not net.is_node(node):
             raise ValidationError(f"unknown node {node!r}")
-    weights = {p.id: pipe_resistance(p) for p in net.pipes}
+    model = _path_model(net)
+    weights, n_nodes = model.weights, len(model.adjacency)
+    start, goal = model.nodes[start], model.nodes[goal]
+    h = model.distances_to(goal)
 
-    first = _dijkstra(net, weights, start, goal)
+    first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h, inf)
     if first is None:
         return []
-    accepted = [first]
+    accepted = [(*first, model.node_chain(start, first[1]))]
     seen = {first[1]}
-    candidates: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = []
+    candidates: list[tuple[float, tuple[int, ...]]] = []
+    # the k'-th cheapest candidate, k' = k - len(accepted), widened by the slack;
+    # accepting the cheapest candidate lowers k' by one and leaves it unchanged
+    limit = inf
     while len(accepted) < k:
         _, prev_pipes, prev_nodes = accepted[-1]
         for i in range(len(prev_pipes)):
@@ -136,27 +242,28 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
                 for _, pipes, _ in accepted
                 if len(pipes) > i and pipes[:i] == root_pipes
             }
-            banned_nodes = frozenset(prev_nodes[:i])
-            spur = _dijkstra(
-                net, weights, spur_node, goal,
-                frozenset(banned_pipes), banned_nodes,
-            )
+            done = bytearray(n_nodes)
+            for node in prev_nodes[:i]:
+                done[node] = 1
+            spur = _spur_search(model, spur_node, goal, done, banned_pipes,
+                                root_cost, h, limit)
             if spur is None:
                 continue
-            spur_cost, spur_pipes, spur_nodes = spur
+            spur_cost, spur_pipes = spur
             total_pipes = root_pipes + spur_pipes
             if total_pipes in seen:
                 continue
             seen.add(total_pipes)
-            # spur_nodes[0] == prev_nodes[i], so the chains join seamlessly
-            heapq.heappush(
-                candidates,
-                (root_cost + spur_cost, total_pipes, prev_nodes[:i] + spur_nodes),
-            )
+            heapq.heappush(candidates, (root_cost + spur_cost, total_pipes))
+            wanted = k - len(accepted)
+            if len(candidates) >= wanted:
+                limit = heapq.nsmallest(wanted, candidates)[-1][0] * (1.0 + _SLACK)
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
-    return [WeightedPath(pipes, cost) for cost, pipes, _ in accepted]
+        cost, pipes = heapq.heappop(candidates)
+        accepted.append((cost, pipes, model.node_chain(start, pipes)))
+    return [WeightedPath(tuple(model.pipe_ids[pid] for pid in pipes), cost)
+            for cost, pipes, _ in accepted]
 
 
 def _finite(value: float, what: str) -> float:
@@ -181,8 +288,7 @@ def node_resilience_index(
     source node is an error: its own resistance is zero.  So is an index
     that overflows, as the inverse of a subnormal path resistance does.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_k(k)
     if node_id in set(net.source_ids):
         raise InfiniteResilienceError(
             f"{node_id!r} is a source; its resilience index is unbounded"
@@ -220,8 +326,7 @@ def demand_weighted_index(
 def trimmed_mean_index(values: Iterable[float], trim_fraction: float = DEFAULT_TRIM) -> float:
     """Mean after discarding the floor(f*n) smallest and largest values."""
     values = sorted(float(v) for v in values)
-    if not 0 <= trim_fraction < 0.5:
-        raise ValidationError("trim_fraction must lie in [0, 0.5)")
+    _check_trim(trim_fraction)
     if not values:
         raise ValidationError("cannot aggregate an empty index list")
     cut = int(trim_fraction * len(values))

@@ -120,6 +120,8 @@ class Network:
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
     # flow graph arrays, compiled by wdsres.hydraulics on the first flow solve
     _flow_model: object = field(init=False, repr=False, compare=False, default=None)
+    # integer path graph, compiled by wdsres.graphmetrics on the first path search
+    _path_model: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "junctions", tuple(self.junctions))

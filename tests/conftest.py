@@ -19,6 +19,27 @@ def make_network(junctions, sources, pipes, pumps=()):
     return Network(tuple(junctions), tuple(sources), tuple(pumps), tuple(pipes))
 
 
+def torus_network(rows, cols):
+    """A rows x cols grid wrapped into a torus, fed by two sources.
+
+    Every junction has four pipes (five where a source attaches), the torus
+    is 4-edge-connected and four pipes leave the sources, so it survives
+    any three pipe failures.
+    """
+    def jid(r, c):
+        return f"J{r % rows}_{c % cols}"
+
+    junctions = [Junction(jid(r, c), 0.0, 0.01, 30.0) for r in range(rows) for c in range(cols)]
+    half_r, half_c = rows // 2, cols // 2
+    pipes = [make_pipe("s1", "R1", jid(0, 0)), make_pipe("s2", "R1", jid(half_r, half_c)),
+             make_pipe("s3", "R2", jid(0, half_c)), make_pipe("s4", "R2", jid(half_r, 0))]
+    for r in range(rows):
+        for c in range(cols):
+            pipes.append(make_pipe(f"h{r}_{c}", jid(r, c), jid(r, c + 1)))
+            pipes.append(make_pipe(f"v{r}_{c}", jid(r, c), jid(r + 1, c)))
+    return make_network(junctions, [Source("R1", 100.0, 1.0), Source("R2", 100.0, 1.0)], pipes)
+
+
 @pytest.fixture
 def ring_network():
     """One source, three junctions, four pipes forming a single loop."""

@@ -139,6 +139,29 @@ class TestMetricCommand:
         assert lines[0] == "node_id,I,weighted_I"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--trim", "0.7", "error: trim_fraction must lie in [0, 0.5)"),
+        ("--K", "0", "error: k must be >= 1"),
+    ])
+    def test_herrera_rejects_bad_options_before_the_search(
+        self, runner, net_path, tmp_path, monkeypatch, option, value, message
+    ):
+        from wdsres import graphmetrics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the path search ran")
+
+        monkeypatch.setattr(graphmetrics, "k_shortest_paths", refuse)
+        nodes_csv = tmp_path / "nodes.csv"
+        result = runner.invoke(
+            main,
+            ["metric", "herrera", "--network", str(net_path), option, value,
+             "--nodes-out", str(nodes_csv)],
+        )
+        assert result.exit_code == 1
+        assert message in result.output
+        assert not nodes_csv.exists()
+
     def test_herrera_subnormal_resistance_exits_two_without_report(
         self, runner, ring_network, tmp_path
     ):

@@ -1,9 +1,12 @@
 """Path-based indices against exhaustive path enumeration."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wdsres import graphmetrics
 from wdsres.errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from wdsres.graphmetrics import (
     demand_weighted_index,
@@ -14,9 +17,10 @@ from wdsres.graphmetrics import (
     pipe_resistance,
     trimmed_mean_index,
 )
-from wdsres.network import Junction, Source
+from wdsres.network import Junction, Network, Source, load_network, save_network
 
-from .conftest import make_network, make_pipe
+from .conftest import make_network, make_pipe, torus_network
+from .reference_paths import reference_k_shortest_paths
 
 
 def all_simple_paths(net, start, goal):
@@ -150,6 +154,164 @@ class TestKShortestPaths:
     def test_k_must_be_positive(self, ring_network):
         with pytest.raises(ValidationError, match="k must be"):
             k_shortest_paths(ring_network, "J1", "R1", 0)
+
+
+def _bits(paths):
+    """Pipe ids and the exact bits of each resistance."""
+    return [(p.pipes, p.resistance.hex()) for p in paths]
+
+
+def _unit_pipe(pid, a, b, resistance):
+    # friction 1 and diameter 1: the resistance is the length, exactly
+    return make_pipe(pid, a, b, length=resistance, diameter=1.0, friction=1.0)
+
+
+@st.composite
+def path_problems(draw):
+    """A small random multigraph and a few (start, goal, k) queries on it.
+
+    Pipes join any two distinct nodes, so parallel pipes and pipes between
+    two sources occur, and a node may be left without pipes.  Lengths are
+    integers and most resistances equal them, so equal route resistances
+    are common; a diameter of 0.3 mixes in resistances that round.  More
+    than ten pipes make ids such as "p10" sort before "p2".
+    """
+    n_sources = draw(st.integers(1, 3))
+    n_junctions = draw(st.integers(1, 6))
+    nodes = [f"R{i}" for i in range(n_sources)] + [f"J{i}" for i in range(n_junctions)]
+    ends = st.tuples(st.integers(0, len(nodes) - 1), st.integers(1, len(nodes) - 1))
+    pipes = [
+        make_pipe(f"p{i}", nodes[a], nodes[(a + step) % len(nodes)],
+                  length=float(draw(st.integers(1, 6))),
+                  diameter=draw(st.sampled_from([1.0, 1.0, 0.3])), friction=1.0)
+        for i, (a, step) in enumerate(draw(st.lists(ends, max_size=14)))
+    ]
+    net = make_network([Junction(f"J{i}", 0.0, 0.01, 30.0) for i in range(n_junctions)],
+                       [Source(f"R{i}", 100.0, 0.05) for i in range(n_sources)], pipes)
+    node = st.sampled_from(nodes)
+    queries = draw(st.lists(st.tuples(node, node, st.integers(1, 8)), min_size=1, max_size=4))
+    return net, queries
+
+
+def _two_junctions(pipes, n_sources=1):
+    return make_network([Junction("A", 0.0, 0.01, 30.0), Junction("B", 0.0, 0.01, 30.0)],
+                        [Source(f"S{i}", 100.0, 0.05) for i in range(n_sources)], pipes)
+
+
+# A reaches S0 over p9 or p11 (2 each) or over p10 then p2 (1 + 1): exact ties
+# that the pipe ids break, with "p10" and "p11" sorting before "p2" and "p9"
+TIED = _two_junctions([_unit_pipe("p9", "A", "S0", 2.0), _unit_pipe("p11", "A", "S0", 2.0),
+                       _unit_pipe("p10", "A", "B", 1.0), _unit_pipe("p2", "B", "S0", 1.0)])
+# a length of 1e308 over a diameter of 1e-3 is an infinite resistance; over
+# 0.9 it is finite, but two such pipes in a row sum to infinity
+OVERFLOWING = _two_junctions([
+    make_pipe("i1", "A", "S0", length=1e308, diameter=1e-3),
+    make_pipe("i2", "A", "B", length=1e308, diameter=1e-3),
+    make_pipe("m1", "A", "B", length=1e308, diameter=0.9, friction=1.0),
+    make_pipe("m2", "B", "S0", length=1e308, diameter=0.9, friction=1.0),
+    _unit_pipe("f1", "A", "S0", 3.0),
+])
+# B has no pipe and S1 none either
+UNREACHABLE = _two_junctions([_unit_pipe("p1", "S0", "A", 1.0)], n_sources=2)
+# Spur at B, root cost r: its partial cost c plus the last pipe's w, taken as
+# (r + c) + w, rounds one ulp above r + (c + w), the cost of the route it
+# completes, which ties with the direct pipe z and beats it on the pipe ids.
+# A margin on h alone (w * (1 - 1e-9)) drops that route; the slack on the limit does not.
+_R, _C, _W = 1.1674285977934011, 1023.2027099760197, 5.8293066506132665e-08
+ROUNDING = make_network(
+    [Junction(n, 0.0, 0.01, 30.0) for n in ("A", "B", "C")], [Source("S0", 100.0, 0.05)],
+    [_unit_pipe("a1", "A", "B", _R), _unit_pipe("b", "B", "S0", 1.0),
+     _unit_pipe("c", "B", "C", _C), _unit_pipe("d", "C", "S0", _W),
+     _unit_pipe("z", "A", "S0", _R + (_C + _W))],
+)
+
+
+class TestCompiledSearch:
+    """The compiled, pruned search against the string-keyed one it replaced."""
+
+    @given(problem=path_problems())
+    @example(problem=(TIED, [("A", "S0", 4), ("S0", "A", 3), ("B", "S0", 8)]))
+    @example(problem=(OVERFLOWING, [("A", "S0", 5), ("B", "S0", 2), ("S0", "B", 8)]))
+    @example(problem=(UNREACHABLE, [("A", "B", 3), ("B", "S0", 2), ("A", "S1", 1),
+                                    ("A", "S0", 2)]))
+    @example(problem=(ROUNDING, [("A", "S0", 2), ("A", "S0", 8)]))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_equals_the_reference_bit_for_bit(self, problem):
+        net, queries = problem
+        for start, goal, k in queries:
+            got = k_shortest_paths(net, start, goal, k)
+            want = reference_k_shortest_paths(net, start, goal, k)
+            assert got == want, (start, goal, k)
+            assert _bits(got) == _bits(want), (start, goal, k)
+
+    def test_hand_values_of_the_edge_cases(self):
+        assert _bits(k_shortest_paths(TIED, "A", "S0", 4)) == [
+            (("p10", "p2"), (2.0).hex()), (("p11",), (2.0).hex()), (("p9",), (2.0).hex()),
+        ]
+        # the first search settles B over m1, the cheaper pipe, so i2 then m2
+        # turns up only in a spur search after m1 then m2 is accepted
+        assert [(p.pipes, p.resistance) for p in k_shortest_paths(OVERFLOWING, "A", "S0", 5)] == [
+            (("f1",), 3.0), (("i1",), math.inf), (("m1", "m2"), math.inf),
+            (("i2", "m2"), math.inf),
+        ]
+        assert k_shortest_paths(UNREACHABLE, "A", "B", 3) == []
+        assert k_shortest_paths(UNREACHABLE, "A", "S1", 3) == []
+        assert [p.pipes for p in k_shortest_paths(ROUNDING, "A", "S0", 2)] == [
+            ("a1", "b"), ("a1", "c", "d"),
+        ]
+
+    def test_pruning_settles_fewer_nodes_than_the_reference(self, monkeypatch):
+        net = torus_network(7, 7)
+        pairs = [(j, s) for j in sorted(net.junction_ids) for s in net.source_ids]
+        settled = []
+        search = graphmetrics._spur_search
+
+        def counted(model, start, goal, done, *args):
+            before = sum(done)  # the banned nodes
+            try:
+                return search(model, start, goal, done, *args)
+            finally:
+                settled.append(sum(done) - before)
+
+        monkeypatch.setattr(graphmetrics, "_spur_search", counted)
+        got = [k_shortest_paths(net, j, s, 5) for j, s in pairs]
+        # the reference expands each node it settles through Network.neighbors
+        expanded = []
+        neighbors = Network.neighbors
+
+        def counted_neighbors(self, node_id):
+            expanded.append(node_id)
+            return neighbors(self, node_id)
+
+        monkeypatch.setattr(Network, "neighbors", counted_neighbors)
+        want = [reference_k_shortest_paths(net, j, s, 5) for j, s in pairs]
+        assert got == want
+        assert sum(settled) == 25748
+        assert len(expanded) > sum(settled)
+
+    def test_model_is_compiled_lazily_once_and_reused(self, mesh_network, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "mesh.json"
+        save_network(mesh_network, path)
+        net = load_network(path)
+        assert net._path_model is None
+        compiles = []
+        compile_model = graphmetrics._PathModel.compile
+
+        def counted(cls, network):
+            compiles.append(network)
+            return compile_model(network)
+
+        monkeypatch.setattr(graphmetrics._PathModel, "compile", classmethod(counted))
+        rows = node_index_table(net, k=3)
+        model = net._path_model
+        assert model is not None
+        assert node_index_table(net, k=3) == rows
+        assert net._path_model is model and compiles == [net]
+        # one reverse Dijkstra per source, shared by every junction
+        assert sorted(model.to_goal) == sorted(model.nodes[s] for s in net.source_ids)
+        # the model is private state: equality with a fresh load is unchanged
+        assert net == load_network(path)
 
 
 class TestNodeResilienceIndex:

@@ -35,7 +35,7 @@ from wdsres.performance import (
     zhuang_availability,
 )
 
-from .conftest import make_network, make_pipe, make_series
+from .conftest import make_network, make_pipe, make_series, torus_network
 
 
 def states(text):
@@ -337,27 +337,6 @@ def connectivity_problems(draw):
         pumps,
     )
     return net, draw(st.integers(-1, 4))
-
-
-def torus_network(rows, cols):
-    """A rows x cols grid wrapped into a torus, fed by two sources.
-
-    Every junction has four pipes (five where a source attaches), the torus
-    is 4-edge-connected and four pipes leave the sources, so it survives
-    any three pipe failures.
-    """
-    def jid(r, c):
-        return f"J{r % rows}_{c % cols}"
-
-    junctions = [Junction(jid(r, c), 0.0, 0.01, 30.0) for r in range(rows) for c in range(cols)]
-    half_r, half_c = rows // 2, cols // 2
-    pipes = [make_pipe("s1", "R1", jid(0, 0)), make_pipe("s2", "R1", jid(half_r, half_c)),
-             make_pipe("s3", "R2", jid(0, half_c)), make_pipe("s4", "R2", jid(half_r, 0))]
-    for r in range(rows):
-        for c in range(cols):
-            pipes.append(make_pipe(f"h{r}_{c}", jid(r, c), jid(r, c + 1)))
-            pipes.append(make_pipe(f"v{r}_{c}", jid(r, c), jid(r + 1, c)))
-    return make_network(junctions, [Source("R1", 100.0, 1.0), Source("R2", 100.0, 1.0)], pipes)
 
 
 class TestConnectivityBuffering:
