@@ -3,8 +3,13 @@
 A node's index sums, over all sources, the average inverse resistance of
 the K cheapest simple routes to that source, where a route's resistance is
 the sum of ``friction * length / diameter`` over its pipes.  Parallel pipes
-are distinct routes.  Ties in resistance are broken by the lexicographic
-order of the pipe-id sequence, which keeps every result reproducible.
+are distinct routes.  Candidates are ranked by ``(resistance, pipe-id
+tuple)``, which keeps every result reproducible, but a route that only
+turns up in a later spur search comes after the routes already accepted.
+So routes whose sums round to the same value come in search order, not
+pipe-id order: on the ``OVERFLOWING`` test network ``('m1', 'm2')`` comes
+before ``('i2', 'm2')``, both of resistance ``inf``, because the first
+search reaches B over the cheaper pipe m1.
 
 The K cheapest routes come from Yen's (1971) deviation scheme, and its
 float arithmetic is part of the result: every heap is keyed by

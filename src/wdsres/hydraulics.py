@@ -14,6 +14,15 @@ capacities and each pipe's arc) kept on the :class:`Network`.  A solve
 then only copies the base capacities, zeroes the arcs of failed pipes,
 writes the source and demand capacities and runs Edmonds-Karp on the copy.
 
+The kernel is Edmonds & Karp (1972): every augmenting path comes from a
+breadth-first search that scans each node's arcs in the compiled order, so
+the paths, and every float of the result, are fixed.  After a push that
+fills the demand of the junction ending the path and no pipe or source on
+the way, the search resumes where it stopped instead of starting again: a
+fresh search would label the same nodes in the same order and find the
+same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
+torus at design demand, all 196 pushes share one search.
+
 The model also remembers its most recent solve: the capacities the kernel
 was given and the residual capacities it left.  A solve whose capacities
 equal the remembered ones reads the residuals instead of running the
@@ -278,6 +287,7 @@ class _FlowModel:
     ``overflowing_pipes`` lists the pipes whose doubled capacity is not
     finite; a supply solve refuses such a network, while unit-capacity
     connectivity flows on the same arrays are unaffected.
+    ``required_heads`` lists the junctions' required heads in their order.
     """
 
     index: dict[str, int]
@@ -289,6 +299,7 @@ class _FlowModel:
     sources: tuple
     junctions: tuple
     overflowing_pipes: tuple[str, ...]
+    required_heads: tuple[float, ...]
     last_solve: tuple[tuple, tuple] | None = None
 
     @classmethod
@@ -322,7 +333,7 @@ class _FlowModel:
         overflowing = tuple(pid for pid, ai in pipe_arcs.items()
                             if not isfinite(2.0 * capacities[ai]))
         return cls(index, heads, adjacency, capacities, pipe_arcs, first_demand_arc,
-                   sources, junctions, overflowing)
+                   sources, junctions, overflowing, tuple(j.required_head for j in junctions))
 
 
 def _flow_model(net: Network) -> _FlowModel:
@@ -339,17 +350,34 @@ def _edmonds_karp(caps: list[float], heads: list[int],
 
     BFS scans each adjacency in insertion order, which the model keeps
     sorted, so the augmenting-path choice (and therefore the full
-    allocation) is deterministic.  Arcs at capacity 0, such as a failed
-    pipe's, are skipped exactly as if they were absent.
+    allocation) is deterministic.  Arcs with residual at most ``eps``, such
+    as a failed pipe's at 0, are skipped exactly as if they were absent.
+
+    After a push that closes no arc on the path but its last, into ``t``,
+    the search resumes where it stopped instead of starting again from
+    ``s``.  Every node labelled so far was labelled through an arc that is
+    still open; the only arcs the push opens are reverse arcs, each from a
+    path node to its BFS parent, which was labelled before it; and the
+    search stopped on the scan of the node ``u`` whose arc into ``t`` is
+    now closed, with ``t`` the last node that scan labelled (on the
+    compiled model a junction's demand arc comes last).  A fresh BFS would
+    therefore label the same nodes in the same order, reach ``u``, not stop
+    there and go on as the resumed one does, so the augmenting paths are
+    exactly those of the restarting Edmonds-Karp.  A push that closes any
+    other arc, such as a pipe or a source arc, starts a fresh search.
     """
     eps = 1e-12
     n_nodes = len(adjacency)
+    resume = False
     while True:
-        parent = [-1] * n_nodes
-        parent[s] = -2
-        queue = [s]
-        # a FIFO queue: the loop reads the list while the scan appends to it
-        for u in queue:
+        if not resume:
+            parent = [-1] * n_nodes
+            parent[s] = -2
+            queue = [s]
+            # a FIFO queue: the iterator reads the list while the scan
+            # appends to it, and keeps its place across a resume
+            scan = iter(queue)
+        for u in scan:
             for ai, to in adjacency[u]:
                 if parent[to] == -1 and caps[ai] > eps:
                     parent[to] = ai
@@ -358,20 +386,33 @@ def _edmonds_karp(caps: list[float], heads: list[int],
             # stops the search on the scan that reaches the sink
             if parent[t] != -1:
                 break
-        if parent[t] == -1:
+        else:
             return
-        push = float("inf")
+        push = inf
         v = t
         while v != s:
             ai = parent[v]
-            push = min(push, caps[ai])
+            if caps[ai] < push:
+                push = caps[ai]
             v = heads[ai ^ 1]
-        v = t
+        ai = parent[t]
+        caps[ai] -= push
+        caps[ai ^ 1] += push
+        # the push is the path's smallest residual, so the last arc closes
+        # whenever no other arc does; t is the last node labelled because
+        # the arc into it comes last in its tail's adjacency
+        resume = queue[-1] == t
+        v = heads[ai ^ 1]
         while v != s:
             ai = parent[v]
             caps[ai] -= push
             caps[ai ^ 1] += push
+            if caps[ai] <= eps:
+                resume = False
             v = heads[ai ^ 1]
+        if resume:
+            queue.pop()
+            parent[t] = -1
 
 
 def allocate_flows(
@@ -481,10 +522,11 @@ def surrogate_allocation(
     alloc = allocate_flows(
         net, demand_scale, failed_pipes, failed_pumps, demand_factors, supply_factors
     )
-    node_ids = tuple(sorted(j.id for j in net.junctions))
-    delivered = np.array([[alloc.delivered[nid] for nid in node_ids]])
-    demand = np.array([[alloc.demands[nid] for nid in node_ids]])
-    h_star = np.array([[net.junction(nid).required_head for nid in node_ids]])
+    # the maps follow the compiled model's junctions, which are sorted by id
+    node_ids = tuple(alloc.demands)
+    delivered = np.array([list(alloc.delivered.values())])
+    demand = np.array([list(alloc.demands.values())])
+    h_star = np.array([net._flow_model.required_heads])
     supplied = (delivered > 0) | (demand == 0)
     head = np.where(supplied, h_star, 0.0)
     return HydraulicSeries(node_ids, delivered, demand, head, h_star)

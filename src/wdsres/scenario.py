@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 from math import comb
@@ -61,6 +62,10 @@ class Event:
                 and all(isinstance(i, str) for i in self.ids)):
             raise ValidationError(f"event ids must be a list of id strings, got {self.ids!r}")
         object.__setattr__(self, "ids", tuple(self.ids))
+        # a scaling event would apply its factor once per listing
+        if len(set(self.ids)) < len(self.ids):
+            repeated = sorted(i for i, n in Counter(self.ids).items() if n > 1)
+            raise ValidationError(f"{self.kind} lists ids more than once: {repeated}")
         if self.count is not None and not _is_number(self.count, numbers.Integral):
             raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
         if self.kind in ("demand_scale", "supply_scale"):

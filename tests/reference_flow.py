@@ -1,10 +1,14 @@
-"""Reference allocator: the arc-list max-flow that the compiled model replaced.
+"""Reference allocator and kernel: the code the compiled model replaced.
 
-Kept verbatim (apart from this docstring and the function names) as an
-exact-equality oracle.  It rebuilds every arc on each call and drops failed
-pipes from the graph instead of zeroing their capacities, so agreement with
+Kept verbatim (apart from the docstrings and the function names) as
+exact-equality oracles.  ``reference_allocate_flows`` is the arc-list
+max-flow.  It rebuilds every arc on each call and drops failed pipes from
+the graph instead of zeroing their capacities, so agreement with
 ``wdsres.hydraulics.allocate_flows`` checks the compiled model, the flat
-kernel and the capacity writes together.
+kernel and the capacity writes together.  ``restarting_edmonds_karp`` is
+the compiled model's kernel as it was before it resumed its search, so
+agreement with ``wdsres.hydraulics._edmonds_karp`` on the same arrays
+checks the resume rule alone.
 """
 
 from __future__ import annotations
@@ -45,6 +49,41 @@ def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[
             arcs[ai][2] -= push
             arcs[ai ^ 1][2] += push
             v = arcs[ai][0]
+
+
+def restarting_edmonds_karp(caps: list[float], heads: list[int],
+                            adjacency: list[list[tuple[int, int]]], s: int, t: int):
+    """The compiled model's kernel with a fresh BFS from ``s`` after every push."""
+    eps = 1e-12
+    n_nodes = len(adjacency)
+    while True:
+        parent = [-1] * n_nodes
+        parent[s] = -2
+        queue = [s]
+        # a FIFO queue: the loop reads the list while the scan appends to it
+        for u in queue:
+            for ai, to in adjacency[u]:
+                if parent[to] == -1 and caps[ai] > eps:
+                    parent[to] = ai
+                    queue.append(to)
+            # a junction's demand arc comes last in its adjacency, so this
+            # stops the search on the scan that reaches the sink
+            if parent[t] != -1:
+                break
+        if parent[t] == -1:
+            return
+        push = float("inf")
+        v = t
+        while v != s:
+            ai = parent[v]
+            push = min(push, caps[ai])
+            v = heads[ai ^ 1]
+        v = t
+        while v != s:
+            ai = parent[v]
+            caps[ai] -= push
+            caps[ai ^ 1] += push
+            v = heads[ai ^ 1]
 
 
 def reference_allocate_flows(

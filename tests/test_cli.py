@@ -11,7 +11,7 @@ from wdsres.network import save_network
 from wdsres.performance import todini_index
 from wdsres.scoremetrics import load_checklist
 
-from .conftest import make_series
+from .conftest import make_series, torus_network
 
 
 @pytest.fixture
@@ -406,6 +406,22 @@ class TestScenarioCommands:
         assert "error:" in result.output
         assert "Traceback" not in result.output
         assert "ratio=" not in result.output  # no series was printed
+
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--n", "2", "--metric", "zhuang"]])
+    def test_an_id_listed_twice_exits_one(self, runner, tmp_path, command):
+        # applied once per listing, the factor 2 would double J0_0's demand twice
+        net_file = tmp_path / "torus.json"
+        save_network(torus_network(3, 3), net_file)
+        spec = self.spec_file(tmp_path, events=[
+            {"kind": "demand_scale", "onset": 0, "repair": 2, "ids": ["J0_0", "J0_0"],
+             "factor": 2.0},
+        ])
+        result = runner.invoke(
+            main, ["scenario", *command, "--network", str(net_file), "--spec", str(spec)]
+        )
+        assert result.exit_code == 1
+        assert "error: demand_scale lists ids more than once: ['J0_0']" in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("field, value", [
         ("horizon", "x"), ("horizon", True), ("seed", "x"), ("events", 5),

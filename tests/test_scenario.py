@@ -68,6 +68,14 @@ class TestEventValidation:
         with pytest.raises(ValidationError, match="horizon must be an integer"):
             ScenarioSpec((), horizon=horizon)
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("pipe_failure", {}), ("pump_failure", {}),
+        ("demand_scale", {"factor": 2.0}), ("supply_scale", {"factor": 2.0}),
+    ])
+    def test_an_id_listed_twice_is_rejected(self, kind, extra):
+        with pytest.raises(ValidationError, match=r"lists ids more than once: \['a'\]"):
+            Event(kind, onset=0, repair=1, ids=("a", "b", "a"), **extra)
+
     def test_pipe_failure_needs_ids_or_count(self):
         with pytest.raises(ValidationError, match="ids or a random count"):
             Event("pipe_failure", onset=0, repair=1)
