@@ -18,10 +18,14 @@ pipes' resistances, the spur's own cost is summed pipe by pipe from the
 spur node, and a candidate costs root plus spur.  Two things make the
 search fast without changing any route or any bit of a resistance:
 
-- Each network is compiled once, on its first path search, into integer
-  form (:class:`_PathModel`): pipes are numbered in sorted-id order, so
-  tuples of pipe numbers order exactly as tuples of pipe ids do, with a
-  flat resistance list and per-node ``(pipe, other end)`` adjacency.
+- The search runs on the network's one compiled model
+  (:class:`wdsres.hydraulics._Model`), whose pipes are numbered in
+  sorted-id order, so tuples of pipe numbers order exactly as tuples of
+  pipe ids do, with a flat resistance list and per-node ``(pipe, other
+  end)`` adjacency.  Its node numbering decides no tie: two heap entries
+  of one search with equal cost and pipe tuple end at the same node, and
+  a reverse Dijkstra, which only lowers distances, ends at the same ones
+  in any pop order.
 - Spur searches are pruned.  One reverse Dijkstra per goal gives the
   cheapest resistance ``h`` from every node to it (``inf`` where the goal
   cannot be reached).  With k' = K minus the routes accepted, a spur
@@ -37,12 +41,13 @@ search fast without changing any route or any bit of a resistance:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable, Sequence
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
-from .network import Network, Pipe
+from .hydraulics import _Model, _model
+from .network import Network, pipe_resistance
 
 DEFAULT_K = 5
 DEFAULT_TRIM = 0.1
@@ -59,10 +64,6 @@ class WeightedPath:
         object.__setattr__(self, "pipes", tuple(self.pipes))
         if self.pipes and self.resistance <= 0:
             raise ValidationError("a non-empty path must have positive resistance")
-
-
-def pipe_resistance(pipe: Pipe) -> float:
-    return pipe.friction_factor * pipe.length / pipe.diameter
 
 
 def path_resistance(net: Network, pipes: Sequence[str]) -> float:
@@ -111,72 +112,35 @@ def _check_trim(trim_fraction: float) -> None:
 _SLACK = 1e-9
 
 
-@dataclass
-class _PathModel:
-    """A network's pipe graph in integer form, compiled once for the path searches.
-
-    Nodes are numbered in node-id order and pipes in sorted pipe-id order,
-    so tuples of pipe numbers compare exactly as tuples of pipe ids do.
-    ``adjacency[node]`` lists ``(pipe, other end)`` pairs; ``ends[pipe]`` is
-    the pipe's node pair.  ``to_goal`` caches, per goal, the cheapest
-    resistance from every node to that goal, filled on first use.
-    """
-
-    nodes: dict[str, int]
-    pipe_ids: tuple[str, ...]
-    ends: tuple[tuple[int, int], ...]
-    weights: list[float]
-    adjacency: list[tuple[tuple[int, int], ...]]
-    to_goal: dict[int, list[float]] = field(default_factory=dict)
-
-    @classmethod
-    def compile(cls, net: Network) -> "_PathModel":
-        nodes = {nid: i for i, nid in enumerate(net.node_ids)}
-        pipes = sorted(net.pipes, key=lambda p: p.id)
-        ends = tuple((nodes[p.endpoints[0]], nodes[p.endpoints[1]]) for p in pipes)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
-        for pid, (a, b) in enumerate(ends):
-            adjacency[a].append((pid, b))
-            adjacency[b].append((pid, a))
-        return cls(nodes, tuple(p.id for p in pipes), ends,
-                   [pipe_resistance(p) for p in pipes], [tuple(adj) for adj in adjacency])
-
-    def distances_to(self, goal: int) -> list[float]:
-        """Cheapest resistance from each node to ``goal``, by one reverse Dijkstra."""
-        dist = self.to_goal.get(goal)
-        if dist is None:
-            dist = [inf] * len(self.adjacency)
-            dist[goal] = 0.0
-            heap = [(0.0, goal)]
-            while heap:
-                cost, node = heapq.heappop(heap)
-                if cost > dist[node]:
-                    continue
-                for pid, other in self.adjacency[node]:
-                    reach = cost + self.weights[pid]
-                    if reach < dist[other]:
-                        dist[other] = reach
-                        heapq.heappush(heap, (reach, other))
-            self.to_goal[goal] = dist
-        return dist
-
-    def node_chain(self, start: int, pipes: tuple[int, ...]) -> tuple[int, ...]:
-        chain = [start]
-        for pid in pipes:
-            a, b = self.ends[pid]
-            chain.append(b if chain[-1] == a else a)
-        return tuple(chain)
+def _distances_to(model: _Model, goal: int) -> list[float]:
+    """Cheapest resistance from each node to ``goal``, by one reverse Dijkstra."""
+    dist = model.to_goal.get(goal)
+    if dist is None:
+        dist = [inf] * len(model.index)
+        dist[goal] = 0.0
+        heap = [(0.0, goal)]
+        while heap:
+            cost, node = heapq.heappop(heap)
+            if cost > dist[node]:
+                continue
+            for pid, other in model.pipe_adjacency[node]:
+                reach = cost + model.resistances[pid]
+                if reach < dist[other]:
+                    dist[other] = reach
+                    heapq.heappush(heap, (reach, other))
+        model.to_goal[goal] = dist
+    return dist
 
 
-def _path_model(net: Network) -> _PathModel:
-    model = net._path_model
-    if model is None:
-        model = _PathModel.compile(net)
-        object.__setattr__(net, "_path_model", model)
-    return model
+def _node_chain(model: _Model, start: int, pipes: tuple[int, ...]) -> tuple[int, ...]:
+    chain = [start]
+    for pid in pipes:
+        a, b = model.ends[pid]
+        chain.append(b if chain[-1] == a else a)
+    return tuple(chain)
 
 
-def _spur_search(model: _PathModel, start: int, goal: int, done: bytearray,
+def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
                  banned_pipes: set[int], root_cost: float, h: list[float],
                  limit: float):
     """Cheapest simple path by (resistance, pipe-number tuple), or None.
@@ -189,7 +153,7 @@ def _spur_search(model: _PathModel, start: int, goal: int, done: bytearray,
     """
     if start == goal:
         return 0.0, ()
-    adjacency, weights = model.adjacency, model.weights
+    adjacency, weights = model.pipe_adjacency, model.resistances
     push, pop = heapq.heappush, heapq.heappop
     heap = [(0.0, (), start)]
     while heap:
@@ -222,15 +186,15 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     for node in (start, goal):
         if not net.is_node(node):
             raise ValidationError(f"unknown node {node!r}")
-    model = _path_model(net)
-    weights, n_nodes = model.weights, len(model.adjacency)
-    start, goal = model.nodes[start], model.nodes[goal]
-    h = model.distances_to(goal)
+    model = _model(net)
+    weights, n_nodes = model.resistances, len(model.index)
+    start, goal = model.index[start], model.index[goal]
+    h = _distances_to(model, goal)
 
     first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h, inf)
     if first is None:
         return []
-    accepted = [(*first, model.node_chain(start, first[1]))]
+    accepted = [(*first, _node_chain(model, start, first[1]))]
     seen = {first[1]}
     candidates: list[tuple[float, tuple[int, ...]]] = []
     # the k'-th cheapest candidate, k' = k - len(accepted), widened by the slack;
@@ -266,7 +230,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
         if not candidates:
             break
         cost, pipes = heapq.heappop(candidates)
-        accepted.append((cost, pipes, model.node_chain(start, pipes)))
+        accepted.append((cost, pipes, _node_chain(model, start, pipes)))
     return [WeightedPath(tuple(model.pipe_ids[pid] for pid in pipes), cost)
             for cost, pipes, _ in accepted]
 

@@ -8,11 +8,12 @@ where it does not).  That is sufficient to drive every metric in this
 package on synthetic failure scenarios; studies that care about real heads
 should load measured or simulated series instead.
 
-Each network's flow graph is compiled once, on its first solve, into flat
-arc arrays (node index, arc heads, per-node ``(arc, head)`` adjacency, base
-capacities and each pipe's arc) kept on the :class:`Network`.  A solve
-then only copies the base capacities, zeroes the arcs of failed pipes,
-writes the source and demand capacities and runs Edmonds-Karp on the copy.
+Each network is compiled once, on its first flow solve or path search,
+into one model of flat arrays (:class:`_Model`) kept on the
+:class:`Network`: the flow graph's arcs and the pipe graph that
+:mod:`wdsres.graphmetrics` searches for paths.  A solve then only copies
+the base capacities, zeroes the arcs of failed pipes, writes the source
+and demand capacities and runs Edmonds-Karp on the copy.
 
 The kernel is Edmonds & Karp (1972): every augmenting path comes from a
 breadth-first search that scans each node's arcs in the compiled order, so
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .inputs import read_csv
-from .network import Network
+from .network import Network, pipe_resistance
 
 SATISFACTORY = "S"
 FAILURE = "F"
@@ -270,20 +271,25 @@ class FlowAllocation:
 
 
 @dataclass
-class _FlowModel:
-    """One network's flow graph as flat arrays, compiled on its first solve.
+class _Model:
+    """A network as flat arrays, compiled once for its flow solves and path searches.
 
-    Nodes are the sources, then the junctions, each sorted by id, then the
-    super-source and the super-sink.  Arcs come in residual pairs ``2k``
+    Nodes are the sources, then the junctions, each sorted by id, then
+    ``super_source`` and ``super_sink``.  Arcs come in residual pairs ``2k``
     and ``2k + 1``: one pair per source, then one per pipe, then one per
-    junction demand, each group sorted by id.  Every node's adjacency lists
-    its ``(arc, head)`` pairs in that insertion order, so a junction's
+    junction demand, each group sorted by id.  Every node's ``adjacency``
+    lists its ``(arc, head)`` pairs in that insertion order, so a junction's
     demand arc comes last.  ``capacities`` holds the pipe capacities (both
     ways) and zeros on the source and demand arcs, which each solve writes.
-    ``last_solve`` pairs the capacities of the most recent solve with the
-    residual capacities it left, both as tuples.
+    Pipes are numbered in sorted-id order, so tuples of pipe numbers compare
+    as tuples of pipe ids do: ``ends[pipe]`` is a pipe's node pair,
+    ``pipe_adjacency[node]`` a node's ``(pipe, other end)`` pairs in pipe
+    order and ``resistances[pipe]`` a pipe's resistance.
 
-    A pipe's reverse residual can reach twice its capacity, so
+    Two caches fill on use: ``last_solve`` pairs the capacities of the most
+    recent solve with the residual capacities it left, both as tuples, and
+    ``to_goal`` holds, per goal node, the cheapest resistance to it from
+    every node.  A pipe's reverse residual can reach twice its capacity, so
     ``overflowing_pipes`` lists the pipes whose doubled capacity is not
     finite; a supply solve refuses such a network, while unit-capacity
     connectivity flows on the same arrays are unaffected.
@@ -291,6 +297,8 @@ class _FlowModel:
     """
 
     index: dict[str, int]
+    super_source: int
+    super_sink: int
     heads: list[int]
     adjacency: list[list[tuple[int, int]]]
     capacities: list[float]
@@ -300,10 +308,15 @@ class _FlowModel:
     junctions: tuple
     overflowing_pipes: tuple[str, ...]
     required_heads: tuple[float, ...]
+    pipe_ids: tuple[str, ...]
+    ends: list[tuple[int, int]]
+    pipe_adjacency: list[list[tuple[int, int]]]
+    resistances: list[float]
     last_solve: tuple[tuple, tuple] | None = None
+    to_goal: dict[int, list[float]] = field(default_factory=dict)
 
     @classmethod
-    def compile(cls, net: Network) -> "_FlowModel":
+    def compile(cls, net: Network) -> "_Model":
         sources = tuple(sorted(net.sources, key=lambda s: s.id))
         junctions = tuple(sorted(net.junctions, key=lambda j: j.id))
         index = {node.id: i for i, node in enumerate((*sources, *junctions))}
@@ -322,25 +335,32 @@ class _FlowModel:
 
         for src in sources:
             add_pair(s_idx, index[src.id], 0.0)
-        # undirected pipe: a mutual arc pair with the full capacity each way
+        pipes = sorted(net.pipes, key=lambda p: p.id)
+        ends = [(index[p.endpoints[0]], index[p.endpoints[1]]) for p in pipes]
+        pipe_adjacency: list[list[tuple[int, int]]] = [[] for _ in index]
         pipe_arcs = {}
-        for pipe in sorted(net.pipes, key=lambda p: p.id):
-            pipe_arcs[pipe.id] = len(heads)
-            add_pair(index[pipe.endpoints[0]], index[pipe.endpoints[1]], pipe.capacity)
+        # undirected pipe: a mutual arc pair with the full capacity each way
+        for k, (a, b) in enumerate(ends):
+            pipe_adjacency[a].append((k, b))
+            pipe_adjacency[b].append((k, a))
+            pipe_arcs[pipes[k].id] = len(heads)
+            add_pair(a, b, pipes[k].capacity)
         first_demand_arc = len(heads)
         for j in junctions:
             add_pair(index[j.id], t_idx, 0.0)
         overflowing = tuple(pid for pid, ai in pipe_arcs.items()
                             if not isfinite(2.0 * capacities[ai]))
-        return cls(index, heads, adjacency, capacities, pipe_arcs, first_demand_arc,
-                   sources, junctions, overflowing, tuple(j.required_head for j in junctions))
+        return cls(index, s_idx, t_idx, heads, adjacency, capacities, pipe_arcs,
+                   first_demand_arc, sources, junctions, overflowing,
+                   tuple(j.required_head for j in junctions), tuple(pipe_arcs), ends,
+                   pipe_adjacency, [pipe_resistance(p) for p in pipes])
 
 
-def _flow_model(net: Network) -> _FlowModel:
-    model = net._flow_model
+def _model(net: Network) -> _Model:
+    model = net._model
     if model is None:
-        model = _FlowModel.compile(net)
-        object.__setattr__(net, "_flow_model", model)
+        model = _Model.compile(net)
+        object.__setattr__(net, "_model", model)
     return model
 
 
@@ -455,7 +475,7 @@ def allocate_flows(
     if not all(0 < f < inf for f in (*demand_factors.values(), *supply_factors.values())):
         raise ValidationError("demand and supply factors must be finite and > 0")
 
-    model = _flow_model(net)
+    model = _model(net)
     if model.overflowing_pipes:
         raise ValidationError(
             f"pipe capacities must stay finite when doubled: {list(model.overflowing_pipes)}"
@@ -486,8 +506,7 @@ def allocate_flows(
     if last is not None and last[0] == key:
         residual = last[1]
     else:
-        s_idx = len(model.index)
-        _edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
+        _edmonds_karp(caps, model.heads, model.adjacency, model.super_source, model.super_sink)
         residual = tuple(caps)
         model.last_solve = (key, residual)
 
@@ -526,7 +545,7 @@ def surrogate_allocation(
     node_ids = tuple(alloc.demands)
     delivered = np.array([list(alloc.delivered.values())])
     demand = np.array([list(alloc.demands.values())])
-    h_star = np.array([net._flow_model.required_heads])
+    h_star = np.array([net._model.required_heads])
     supplied = (delivered > 0) | (demand == 0)
     head = np.where(supplied, h_star, 0.0)
     return HydraulicSeries(node_ids, delivered, demand, head, h_star)

@@ -104,6 +104,10 @@ class Pipe:
         return b if node_id == a else a
 
 
+def pipe_resistance(pipe: Pipe) -> float:
+    return pipe.friction_factor * pipe.length / pipe.diameter
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable network of junctions, sources, pumps and pipes."""
@@ -118,10 +122,9 @@ class Network:
     _pump_map: dict = field(init=False, repr=False, compare=False, default=None)
     _pipe_map: dict = field(init=False, repr=False, compare=False, default=None)
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
-    # flow graph arrays, compiled by wdsres.hydraulics on the first flow solve
-    _flow_model: object = field(init=False, repr=False, compare=False, default=None)
-    # integer path graph, compiled by wdsres.graphmetrics on the first path search
-    _path_model: object = field(init=False, repr=False, compare=False, default=None)
+    # the network's one compiled model (wdsres.hydraulics._Model), built on
+    # the first flow solve or path search
+    _model: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "junctions", tuple(self.junctions))

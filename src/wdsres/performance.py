@@ -276,18 +276,18 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
     lam = max_k + 1
     if lam == 1:
         return 0
-    model = hydraulics._flow_model(net)
+    model = hydraulics._model(net)
     base = [0.0] * len(model.heads)
     for k in range(len(model.sources)):
         base[2 * k] = float(lam)
     for ai in model.pipe_arcs.values():
         base[ai] = base[ai ^ 1] = 1.0
-    s_idx = len(model.index)
     for k in range(len(model.junctions)):
         caps = base.copy()
         demand_arc = model.first_demand_arc + 2 * k
         caps[demand_arc] = float(lam)
-        hydraulics._edmonds_karp(caps, model.heads, model.adjacency, s_idx, s_idx + 1)
+        hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
+                                 model.super_source, model.super_sink)
         # unit capacities keep every residual an exact integer
         lam -= int(caps[demand_arc])
         if lam == 1:

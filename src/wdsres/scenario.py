@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from math import comb
+from math import comb, floor
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -286,16 +286,29 @@ class MonteCarloResult:
         }
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(ordered, q)`` of sorted finite values, bit for bit, by
+    numpy's default rule: numpy's own first call imports ``numpy.ma``, which
+    costs more than a small Monte Carlo run.  With zeros of both signs in the
+    values a zero result may take the other sign, as numpy's partition keeps
+    no order among equal values; the Monte Carlo metrics never return -0.0.
+    """
+    v = (len(ordered) - 1) * q
+    if v >= len(ordered) - 1:
+        return ordered[-1]
+    i = floor(v)
+    g = v - i
+    d = ordered[i + 1] - ordered[i]
+    # numpy interpolates from the nearer of the two values
+    return ordered[i + 1] - d * (1 - g) if g >= 0.5 else ordered[i] + d * g
+
+
 def summarize(values: tuple[float, ...]) -> dict[str, float]:
     arr = np.asarray(values, dtype=float)
-    summary = {
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }
-    for q in _QUANTILES:
-        summary[f"p{int(q * 100):02d}"] = float(np.quantile(arr, q))
-    return summary
+    ordered = sorted(arr.tolist())
+    # numpy's mean: the report goldens hold the bits of its pairwise sum
+    summary = {"mean": float(arr.mean()), "min": float(arr.min()), "max": float(arr.max())}
+    return summary | {f"p{int(q * 100):02d}": _quantile(ordered, q) for q in _QUANTILES}
 
 
 def monte_carlo(

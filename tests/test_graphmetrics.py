@@ -17,7 +17,7 @@ from wdsres.graphmetrics import (
     pipe_resistance,
     trimmed_mean_index,
 )
-from wdsres.network import Junction, Network, Source, load_network, save_network
+from wdsres.network import Junction, Network, Source
 
 from .conftest import make_network, make_pipe, torus_network
 from .reference_paths import reference_k_shortest_paths
@@ -288,30 +288,6 @@ class TestCompiledSearch:
         assert got == want
         assert sum(settled) == 25748
         assert len(expanded) > sum(settled)
-
-    def test_model_is_compiled_lazily_once_and_reused(self, mesh_network, tmp_path,
-                                                       monkeypatch):
-        path = tmp_path / "mesh.json"
-        save_network(mesh_network, path)
-        net = load_network(path)
-        assert net._path_model is None
-        compiles = []
-        compile_model = graphmetrics._PathModel.compile
-
-        def counted(cls, network):
-            compiles.append(network)
-            return compile_model(network)
-
-        monkeypatch.setattr(graphmetrics._PathModel, "compile", classmethod(counted))
-        rows = node_index_table(net, k=3)
-        model = net._path_model
-        assert model is not None
-        assert node_index_table(net, k=3) == rows
-        assert net._path_model is model and compiles == [net]
-        # one reverse Dijkstra per source, shared by every junction
-        assert sorted(model.to_goal) == sorted(model.nodes[s] for s in net.source_ids)
-        # the model is private state: equality with a fresh load is unchanged
-        assert net == load_network(path)
 
 
 class TestNodeResilienceIndex:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wdsres import hydraulics
 from wdsres.errors import ResilienceError, ValidationError
+from wdsres.graphmetrics import node_index_table
 from wdsres.hydraulics import (
     BinaryStateSeries,
     allocate_flows,
@@ -21,7 +22,12 @@ from wdsres.hydraulics import (
     surrogate_allocation,
 )
 from wdsres.network import Junction, Source, load_network, save_network
-from wdsres.performance import buffering_capacity, connectivity_buffering, supply_feasibility
+from wdsres.performance import (
+    buffering_capacity,
+    connectivity_buffering,
+    supply_buffering,
+    supply_feasibility,
+)
 from wdsres.scenario import Event, ScenarioSpec, apply_scenario, monte_carlo
 from .conftest import make_network, make_pipe, make_series, torus_network
 from .reference_flow import reference_allocate_flows, restarting_edmonds_karp
@@ -349,16 +355,31 @@ class TestCompiledModel:
                     want = reference_allocate_flows(net, failed_pipes=set(failed))
                     assert got == want, failed
 
-    def test_compiled_lazily_once_per_network(self, mesh_network, tmp_path):
+    def test_compiled_lazily_once_per_network(self, mesh_network, tmp_path, monkeypatch):
         path = tmp_path / "mesh.json"
         save_network(mesh_network, path)
         net = load_network(path)
-        assert net._flow_model is None
+        assert net._model is None
+        compiles = []
+        compile_model = hydraulics._Model.compile
+
+        def counted(cls, network):
+            compiles.append(network)
+            return compile_model(network)
+
+        monkeypatch.setattr(hydraulics._Model, "compile", classmethod(counted))
         allocate_flows(net)
-        model = net._flow_model
+        model = net._model
         assert model is not None
         allocate_flows(net, failed_pipes={"p3"}, demand_scale=2.0)
-        assert net._flow_model is model
+        rows = node_index_table(net, k=3)
+        assert node_index_table(net, k=3) == rows
+        connectivity_buffering(net, max_k=2)
+        supply_buffering(net, 0.5, max_k=2)
+        # flow solves, path searches and both buffering criteria share one model
+        assert net._model is model and compiles == [net]
+        # one reverse Dijkstra per source, shared by every junction
+        assert sorted(model.to_goal) == sorted(model.index[s] for s in net.source_ids)
         # the model is private state: equality with a fresh load is unchanged
         assert net == load_network(path)
 

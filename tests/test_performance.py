@@ -389,9 +389,9 @@ class TestConnectivityBuffering:
 
     def test_leaves_the_flow_memo_alone(self, mesh_network):
         before = hydraulics.allocate_flows(mesh_network)
-        memo = mesh_network._flow_model.last_solve
+        memo = mesh_network._model.last_solve
         connectivity_buffering(mesh_network, max_k=2)
-        assert mesh_network._flow_model.last_solve is memo
+        assert mesh_network._model.last_solve is memo
         assert hydraulics.allocate_flows(mesh_network) == before
 
     def test_work_is_one_search_and_a_bounded_kernel_count(self, monkeypatch):

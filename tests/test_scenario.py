@@ -2,14 +2,20 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
-from math import comb
+from math import comb, copysign
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wdsres.errors import ValidationError
-from wdsres.network import Junction, Source
+from wdsres.network import Junction, Source, save_network
 from wdsres.performance import zhuang_availability
 from wdsres.scenario import (
     Event,
@@ -276,6 +282,51 @@ class TestMonteCarlo:
 
         result = monte_carlo(ring_network, self.single_failure_spec(), 6, "zhuang")
         assert result.summary == summarize(result.values)
+
+    @given(values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324]),
+                  st.floats(min_value=-1e300, max_value=1e300)),
+        min_size=1, max_size=30))
+    @example(values=[0.7])
+    @example(values=[-0.0, -0.0, 1.0, 1.0])
+    @example(values=[0.0, -0.0, -0.0, -1.0])
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    def test_summary_quantiles_equal_numpy_bit_for_bit(self, values):
+        from wdsres.scenario import summarize
+
+        summary = summarize(tuple(values))
+        # numpy's partition keeps no order among equal values, so with zeros
+        # of both signs the sign of a zero quantile is numpy's choice
+        signs = {copysign(1.0, v) for v in values if v == 0.0}
+        for q, key in ((0.05, "p05"), (0.25, "p25"), (0.5, "p50"), (0.75, "p75"),
+                       (0.95, "p95")):
+            want = float(np.quantile(np.asarray(values, dtype=float), q))
+            if len(signs) == 2:
+                assert summary[key] == want, key
+            else:
+                assert summary[key].hex() == want.hex(), key
+
+    def test_mc_command_leaves_numpy_ma_unimported(self, ring_network, tmp_path):
+        import wdsres
+
+        net_path = tmp_path / "ring.json"
+        save_network(ring_network, net_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.single_failure_spec().to_dict()))
+        code = ("import sys\n"
+                "from wdsres.cli import main\n"
+                "try:\n    main(sys.argv[1:])\n"
+                "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "scenario", "mc", "--network", str(net_path),
+             "--spec", str(spec), "--n", "3", "--metric", "zhuang",
+             "--out", str(tmp_path / "mc.json")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(wdsres.__file__).parents[1])},
+        )
+        assert json.loads((tmp_path / "mc.json").read_text())["n"] == 3
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_extra_failure_never_improves_zhuang(self, ring_network):
         # monotonicity inherited from the allocator
