@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wdsres import graphmetrics
+from wdsres import graphmetrics, hydraulics
 from wdsres.errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from wdsres.graphmetrics import (
     demand_weighted_index,
@@ -17,7 +17,7 @@ from wdsres.graphmetrics import (
     pipe_resistance,
     trimmed_mean_index,
 )
-from wdsres.network import Junction, Network, Source
+from wdsres.network import Junction, Network, Source, load_network, save_network
 
 from .conftest import make_network, make_pipe, torus_network
 from .reference_paths import reference_k_shortest_paths
@@ -288,6 +288,31 @@ class TestCompiledSearch:
         assert got == want
         assert sum(settled) == 25748
         assert len(expanded) > sum(settled)
+
+    def test_model_is_compiled_lazily_once_and_reused(self, mesh_network, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "mesh.json"
+        save_network(mesh_network, path)
+        net = load_network(path)
+        assert net._model is None
+        compiles = []
+        compile_model = hydraulics._Model.compile
+
+        def counted(cls, network):
+            compiles.append(network)
+            return compile_model(network)
+
+        monkeypatch.setattr(hydraulics._Model, "compile", classmethod(counted))
+        # the path search alone compiles the network's one model
+        rows = node_index_table(net, k=3)
+        model = net._model
+        assert model is not None
+        assert node_index_table(net, k=3) == rows
+        assert net._model is model and compiles == [net]
+        # one reverse Dijkstra per source, shared by every junction
+        assert sorted(model.to_goal) == sorted(model.index[s] for s in net.source_ids)
+        # the model is private state: equality with a fresh load is unchanged
+        assert net == load_network(path)
 
 
 class TestNodeResilienceIndex:
