@@ -1,0 +1,69 @@
+"""Byte digests of the heavy commands on a 900-junction network.
+
+The goldens elsewhere cover fixtures of about ten nodes and grids of up
+to 14x14.  These pin the reports of ``metric herrera``, connectivity
+``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
+wrap-around grid (seed 0), so a change that keeps the small answers but
+moves a bit at scale fails the suite.  The scenario fails 300 random
+pipes, enough to cut junctions off in every replicate, so the four zhuang
+values differ and the digest pins the interpolated quantiles too.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from wdsres.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import netgen  # noqa: E402
+
+SPEC = {
+    "events": [
+        {"kind": "pipe_failure", "onset": 6, "repair": 14, "count": 300},
+        {"kind": "demand_scale", "onset": 10, "repair": 18, "factor": 2.5},
+    ],
+    "seed": 0,
+    "horizon": 24,
+}
+
+# command line (``{name}`` is a file in the run's directory), files to hash
+CASES = {
+    "herrera": (["metric", "herrera", "--network", "{net}", "--K", "5", "--trim", "0.1",
+                 "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
+    "buffering": (["metric", "buffering", "--network", "{net}", "--max-k", "3",
+                   "--out", "{report}"], ("report",)),
+    "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
+            "--metric", "zhuang", "--out", "{report}"], ("report",)),
+}
+
+GOLDEN = {
+    "herrera": {"report": "59494090bcdd1025b1d8169b2a3bbd7988dbb059dd3c6147b512bc2602634d86",
+                "nodes": "42ffc8fd79da4b6aa680aa20e96f5cd8ecf2e472d9a3dbcd8c38b0e9dcaa4042"},
+    "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
+    "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("scale")
+    net = netgen.write_network(directory / "net.json", 30, 30, 0)
+    spec = directory / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    return {"net": net, "spec": spec}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reports_match_the_recorded_digests(inputs, tmp_path, case):
+    args, hashed = CASES[case]
+    paths = inputs | {"report": tmp_path / "report.json", "nodes": tmp_path / "nodes.csv"}
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 0, result.output
+    digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in hashed}
+    assert digests == GOLDEN[case]
