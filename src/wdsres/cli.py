@@ -129,15 +129,16 @@ def _metric_herrera(opts) -> dict:
     graphmetrics._check_k(opts["k"])
     graphmetrics._check_trim(opts["trim"])
     rows = graphmetrics.node_index_table(net, k=opts["k"])
+    # the aggregate can still overflow: compute it before writing anything
+    aggregate = graphmetrics.trimmed_mean_index(
+        [index for _, index, _ in rows], opts["trim"]
+    )
     if opts["nodes_out"]:
         with open(opts["nodes_out"], "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["node_id", "I", "weighted_I"])
             for node_id, index, weighted in rows:
                 writer.writerow([node_id, repr(index), repr(weighted)])
-    aggregate = graphmetrics.trimmed_mean_index(
-        [index for _, index, _ in rows], opts["trim"]
-    )
     report = MetricValue("herrera_trimmed_index", aggregate, None, inputs_digest=net.digest())
     return report.to_dict() | {
         "k": opts["k"],

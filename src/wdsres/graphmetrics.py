@@ -15,8 +15,8 @@ The K cheapest routes come from Yen's (1971) deviation scheme, and its
 float arithmetic is part of the result: every heap is keyed by
 ``(resistance, pipe tuple)``, a spur's root costs ``sum()`` of its root
 pipes' resistances, the spur's own cost is summed pipe by pipe from the
-spur node, and a candidate costs root plus spur.  Two things make the
-search fast without changing any route or any bit of a resistance:
+spur node, and a candidate costs root plus spur.  These make the search
+fast without changing any route or any bit of a resistance:
 
 - The search runs on the network's one compiled model
   (:class:`wdsres.hydraulics._Model`), whose pipes are numbered in
@@ -36,6 +36,23 @@ search fast without changing any route or any bit of a resistance:
   another order, which moves a sum of n terms by at most about
   ``n * 2**-53`` of itself.  The bound only falls as candidates arrive,
   so the routes that survive pop in the same order as without it.
+- The first search is bounded too, by ``h[start]`` widened by the same
+  slack: no route costs less than the cheapest.  Where ``h[start]`` is
+  ``inf`` (the goal cannot be reached, or every route overflows) the
+  bound stays ``inf``.
+- An accepted route is spurred from the goal end first, so short spurs
+  fill the candidates and lower the bound before the long ones run.  The
+  order does not change the candidates: the bound only drops routes that
+  could never be accepted, and duplicates are dropped whichever search
+  finds them first.
+- Lawler's (1972) deviation index: each candidate records the spur index
+  that produced it (the first route records 0), and an accepted route is
+  spurred only from that index on (Martins & Pascoal 2003 give the same
+  rule for loopless Yen).  A spur at index i below it has the root of its
+  parent route.  The last accepted route to ban a new pipe after that
+  root deviated at or before i and was spurred at i, with the same root
+  and banned pipes and a looser bound, so the spur could only find a
+  route already seen or nothing.
 """
 
 from __future__ import annotations
@@ -191,24 +208,28 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     start, goal = model.index[start], model.index[goal]
     h = _distances_to(model, goal)
 
-    first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h, inf)
+    # no route costs less than h[start]; inf * (1 + _SLACK) stays inf
+    first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h,
+                         h[start] * (1.0 + _SLACK))
     if first is None:
         return []
-    accepted = [(*first, _node_chain(model, start, first[1]))]
+    # each route carries the spur index that produced it, its deviation index
+    accepted = [(*first, _node_chain(model, start, first[1]), 0)]
     seen = {first[1]}
-    candidates: list[tuple[float, tuple[int, ...]]] = []
+    candidates: list[tuple[float, tuple[int, ...], int]] = []
     # the k'-th cheapest candidate, k' = k - len(accepted), widened by the slack;
     # accepting the cheapest candidate lowers k' by one and leaves it unchanged
     limit = inf
     while len(accepted) < k:
-        _, prev_pipes, prev_nodes = accepted[-1]
-        for i in range(len(prev_pipes)):
+        _, prev_pipes, prev_nodes, deviation = accepted[-1]
+        # goal end first: short spurs fill the candidates and tighten the limit
+        for i in reversed(range(deviation, len(prev_pipes))):
             spur_node = prev_nodes[i]
             root_pipes = prev_pipes[:i]
             root_cost = sum(weights[pid] for pid in root_pipes)
             banned_pipes = {
                 pipes[i]
-                for _, pipes, _ in accepted
+                for _, pipes, _, _ in accepted
                 if len(pipes) > i and pipes[:i] == root_pipes
             }
             done = bytearray(n_nodes)
@@ -223,16 +244,16 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
             if total_pipes in seen:
                 continue
             seen.add(total_pipes)
-            heapq.heappush(candidates, (root_cost + spur_cost, total_pipes))
+            heapq.heappush(candidates, (root_cost + spur_cost, total_pipes, i))
             wanted = k - len(accepted)
             if len(candidates) >= wanted:
                 limit = heapq.nsmallest(wanted, candidates)[-1][0] * (1.0 + _SLACK)
         if not candidates:
             break
-        cost, pipes = heapq.heappop(candidates)
-        accepted.append((cost, pipes, _node_chain(model, start, pipes)))
+        cost, pipes, deviation = heapq.heappop(candidates)
+        accepted.append((cost, pipes, _node_chain(model, start, pipes), deviation))
     return [WeightedPath(tuple(model.pipe_ids[pid] for pid in pipes), cost)
-            for cost, pipes, _ in accepted]
+            for cost, pipes, _, _ in accepted]
 
 
 def _finite(value: float, what: str) -> float:

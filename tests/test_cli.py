@@ -7,11 +7,11 @@ from click.testing import CliRunner
 
 from wdsres.cli import main
 from wdsres.hydraulics import load_series, save_series
-from wdsres.network import save_network
+from wdsres.network import Junction, Source, save_network
 from wdsres.performance import todini_index
 from wdsres.scoremetrics import load_checklist
 
-from .conftest import make_series, torus_network
+from .conftest import make_network, make_pipe, make_series, torus_network
 
 
 @pytest.fixture
@@ -179,6 +179,26 @@ class TestMetricCommand:
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "not a finite number" in result.output
         assert "Infinity" not in result.output
+        assert not out.exists() and not nodes_csv.exists()
+
+    def test_herrera_overflowing_aggregate_writes_no_node_table(self, runner, tmp_path):
+        # each junction's index is 1 / 1e-308 = 1e308, finite; their sum is not
+        net = make_network(
+            [Junction("J1", 0.0, 0.01, 30.0), Junction("J2", 0.0, 0.01, 30.0)],
+            [Source("S0", 100.0, 0.05)],
+            [make_pipe(pid, "S0", jid, length=1e-308, diameter=1.0, friction=1.0)
+             for pid, jid in (("p1", "J1"), ("p2", "J2"))],
+        )
+        net_file, out, nodes_csv = (tmp_path / name for name in
+                                    ("net.json", "report.json", "nodes.csv"))
+        save_network(net, net_file)
+        result = runner.invoke(
+            main,
+            ["metric", "herrera", "--network", str(net_file), "--K", "1", "--trim", "0",
+             "--out", str(out), "--nodes-out", str(nodes_csv)],
+        )
+        assert result.exit_code == 2
+        assert "error: trimmed mean index is inf" in result.output
         assert not out.exists() and not nodes_csv.exists()
 
     def test_buffering_on_ring(self, runner, net_path):

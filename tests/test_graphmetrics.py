@@ -225,6 +225,47 @@ ROUNDING = make_network(
      _unit_pipe("z", "A", "S0", _R + (_C + _W))],
 )
 
+# A's only route, x then y then z, sums forward one ulp above the reverse
+# Dijkstra's (z + y) + x = h[A]: a first search bounded by h[A] without the
+# slack drops it at C
+_X, _Y, _Z = 4.6500743108035625, 2.9688379844458073, 0.3127480821324979
+CHAIN = make_network(
+    [Junction(n, 0.0, 0.01, 30.0) for n in ("A", "B", "C")], [Source("S0", 100.0, 0.05)],
+    [_unit_pipe("x", "A", "B", _X), _unit_pipe("y", "B", "C", _Y),
+     _unit_pipe("z", "C", "S0", _Z)],
+)
+
+
+def _lattice():
+    """A 3x3 grid of unit pipes, S0 at one corner and S1 at another.
+
+    The shortest routes across it tie exactly and differ only in the nodes
+    where they turn, so Yen's spur searches from different spur nodes find
+    routes of equal resistance.  The pipe ids run in a stride through the
+    grid, so their order is not the order of the hops.
+    """
+    ends = [(f"J{r * 3 + c}", f"J{r * 3 + c + 1}") for r in range(3) for c in range(2)]
+    ends += [(f"J{r * 3 + c}", f"J{r * 3 + c + 3}") for r in range(2) for c in range(3)]
+    ends += [("J8", "S0"), ("J6", "S1")]
+    return make_network([Junction(f"J{i}", 0.0, 0.01, 30.0) for i in range(9)],
+                        [Source(f"S{i}", 100.0, 0.05) for i in range(2)],
+                        [_unit_pipe(f"p{5 * i % len(ends)}", a, b, 1.0)
+                         for i, (a, b) in enumerate(ends)])
+
+
+LATTICE = _lattice()
+# every route from A to S0 overflows, so h[A] is inf and the first search has
+# no limit: the routes over B and over C tie at inf and differ only there
+ALL_INFINITE = make_network(
+    [Junction(n, 0.0, 0.01, 30.0) for n in ("A", "B", "C")], [Source("S0", 100.0, 0.05)],
+    [make_pipe("i1", "A", "S0", length=1e308, diameter=1e-3),
+     make_pipe("m1", "A", "B", length=1e308, diameter=0.9, friction=1.0),
+     make_pipe("m2", "B", "S0", length=1e308, diameter=0.9, friction=1.0),
+     make_pipe("m3", "A", "C", length=1e308, diameter=0.9, friction=1.0),
+     make_pipe("m4", "C", "S0", length=1e308, diameter=0.9, friction=1.0),
+     make_pipe("i2", "B", "C", length=1e308, diameter=1e-3)],
+)
+
 
 class TestCompiledSearch:
     """The compiled, pruned search against the string-keyed one it replaced."""
@@ -235,6 +276,9 @@ class TestCompiledSearch:
     @example(problem=(UNREACHABLE, [("A", "B", 3), ("B", "S0", 2), ("A", "S1", 1),
                                     ("A", "S0", 2)]))
     @example(problem=(ROUNDING, [("A", "S0", 2), ("A", "S0", 8)]))
+    @example(problem=(CHAIN, [("A", "S0", 2)]))
+    @example(problem=(LATTICE, [("J0", "S0", 8), ("J4", "S1", 6), ("J2", "S1", 12)]))
+    @example(problem=(ALL_INFINITE, [("A", "S0", 5), ("B", "S0", 4), ("S0", "A", 3)]))
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     def test_equals_the_reference_bit_for_bit(self, problem):
         net, queries = problem
@@ -286,7 +330,8 @@ class TestCompiledSearch:
         monkeypatch.setattr(Network, "neighbors", counted_neighbors)
         want = [reference_k_shortest_paths(net, j, s, 5) for j, s in pairs]
         assert got == want
-        assert sum(settled) == 25748
+        assert sum(settled) == 25073
+        assert len(expanded) == 62087
         assert len(expanded) > sum(settled)
 
     def test_model_is_compiled_lazily_once_and_reused(self, mesh_network, tmp_path,
