@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 
 from . import catalog as cat
-from . import graphmetrics, performance, scoremetrics
+from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
 from .network import load_network
@@ -220,6 +220,7 @@ def metric_cmd(name, **opts):
     opts["threshold_given"] = opts["threshold"] is not None
     if opts["threshold"] is None:
         opts["threshold"] = DEFAULT_THRESHOLD
+    hydraulics._check_threshold(opts["threshold"])
     payload = METRICS[name][0](opts)
     _write_json(payload, opts["out"])
     if opts["out"]:
@@ -283,6 +284,7 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
                 workers, exhaustive, units, replicates_csv, out):
     """Monte Carlo evaluation of a metric over scenario replicates."""
     _check_writable(replicates_csv, out)
+    hydraulics._check_threshold(threshold)
     net = load_network(network, units=units)
     spec = load_scenario(spec_path)
     if seed is not None:

@@ -22,16 +22,17 @@ fills the demand of the junction ending the path and no pipe or source on
 the way, the search resumes where it stopped instead of starting again: a
 fresh search would label the same nodes in the same order and find the
 same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
-torus at design demand, all 196 pushes share one search.
+torus at design demand, all 196 pushes share one search.  Pipe flows are
+the kernel's per-arc sums of pushes, which no residual can round away.
 
 The model also remembers its most recent solve: the capacities the kernel
-was given and the residual capacities it left.  A solve whose capacities
-equal the remembered ones reads the residuals instead of running the
-kernel again.  The kernel is deterministic and the capacities are its
-whole input, so the result is the one a fresh solve would give.  Scenario
-events are piecewise constant, so most timesteps of a scenario repeat the
-state of the step before them and hit this one-entry memo; a memo of more
-entries would keep one per failure set during a buffering search.
+was given, the residuals it left and its sums of pushes.  A solve with
+equal capacities reads these instead of running the kernel again.  The
+kernel is deterministic and the capacities are its whole input, so the
+result is the one a fresh solve would give.  Scenario events are
+piecewise constant, so most timesteps of a scenario repeat the state of
+the step before them and hit this one-entry memo; a memo of more entries
+would keep one per failure set during a buffering search.
 """
 
 from __future__ import annotations
@@ -220,6 +221,11 @@ def save_series(series: HydraulicSeries, path: str | Path) -> None:
                 )
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold <= 1:
+        raise ValidationError("threshold must lie in (0, 1]")
+
+
 def classify_states(
     series: HydraulicSeries, threshold: float, per_node: bool = False
 ) -> BinaryStateSeries:
@@ -229,8 +235,7 @@ def classify_states(
     demanded >= threshold.  Per-node mode: S iff every node with demand
     individually meets the threshold.  A step with zero demand is S.
     """
-    if not 0 < threshold <= 1:
-        raise ValidationError("threshold must lie in (0, 1]")
+    _check_threshold(threshold)
     t0, t1 = series.window
     states = []
     for t in range(t0, t1 + 1):
@@ -253,7 +258,7 @@ class FlowAllocation:
     """Max-flow routing result for one demand snapshot.
 
     ``pipe_flows`` holds the signed net flow per pipe, positive from
-    ``endpoints[0]`` to ``endpoints[1]``.
+    ``endpoints[0]`` to ``endpoints[1]``: the pushes that way less those back.
     """
 
     delivered: Mapping[str, float]
@@ -286,13 +291,13 @@ class _Model:
     ``pipe_adjacency[node]`` a node's ``(pipe, other end)`` pairs in pipe
     order and ``resistances[pipe]`` a pipe's resistance.
 
-    Two caches fill on use: ``last_solve`` pairs the capacities of the most
-    recent solve with the residual capacities it left, both as tuples, and
-    ``to_goal`` holds, per goal node, the cheapest resistance to it from
-    every node.  A pipe's reverse residual can reach twice its capacity, so
-    ``overflowing_pipes`` lists the pipes whose doubled capacity is not
-    finite; a supply solve refuses such a network, while unit-capacity
-    connectivity flows on the same arrays are unaffected.
+    Two caches fill on use: ``last_solve`` holds the capacities of the most
+    recent solve, the residuals it left (both tuples) and the kernel's list
+    of pushes summed per arc, and ``to_goal`` the cheapest resistance from
+    every node to each goal node.  A pipe's reverse residual can reach twice
+    its capacity, so ``overflowing_pipes`` lists the pipes whose doubled
+    capacity is not finite; a supply solve refuses such a network, while
+    unit-capacity connectivity flows on the same arrays are unaffected.
     ``required_heads`` lists the junctions' required heads in their order.
     """
 
@@ -312,7 +317,7 @@ class _Model:
     ends: list[tuple[int, int]]
     pipe_adjacency: list[list[tuple[int, int]]]
     resistances: list[float]
-    last_solve: tuple[tuple, tuple] | None = None
+    last_solve: tuple[tuple, tuple, list[float]] | None = None
     to_goal: dict[int, list[float]] = field(default_factory=dict)
 
     @classmethod
@@ -372,6 +377,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
     sorted, so the augmenting-path choice (and therefore the full
     allocation) is deterministic.  Arcs with residual at most ``eps``, such
     as a failed pipe's at 0, are skipped exactly as if they were absent.
+    It returns, per arc, the sum of the pushes across it.
 
     After a push that closes no arc on the path but its last, into ``t``,
     the search resumes where it stopped instead of starting again from
@@ -388,6 +394,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
     """
     eps = 1e-12
     n_nodes = len(adjacency)
+    sent = [0.0] * len(caps)
     resume = False
     while True:
         if not resume:
@@ -407,7 +414,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
             if parent[t] != -1:
                 break
         else:
-            return
+            return sent
         push = inf
         v = t
         while v != s:
@@ -418,6 +425,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
         ai = parent[t]
         caps[ai] -= push
         caps[ai ^ 1] += push
+        sent[ai] += push
         # the push is the path's smallest residual, so the last arc closes
         # whenever no other arc does; t is the last node labelled because
         # the arc into it comes last in its tail's adjacency
@@ -427,6 +435,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
             ai = parent[v]
             caps[ai] -= push
             caps[ai ^ 1] += push
+            sent[ai] += push
             if caps[ai] <= eps:
                 resume = False
             v = heads[ai ^ 1]
@@ -457,7 +466,7 @@ def allocate_flows(
 
     A call whose capacities (pipes after failures, sources and demands
     after scaling) equal those of the network's previous solve reuses that
-    solve's residual capacities instead of running the max-flow kernel; the
+    solve's residuals and pushes instead of running the max-flow kernel; the
     returned maps are built fresh either way and are identical to those of
     a new solve.
     """
@@ -502,20 +511,18 @@ def allocate_flows(
         caps[first_demand_arc + 2 * k] = demand
 
     key = tuple(caps)
-    last = model.last_solve
-    if last is not None and last[0] == key:
-        residual = last[1]
-    else:
-        _edmonds_karp(caps, model.heads, model.adjacency, model.super_source, model.super_sink)
-        residual = tuple(caps)
-        model.last_solve = (key, residual)
+    if model.last_solve is None or model.last_solve[0] != key:
+        sent = _edmonds_karp(caps, model.heads, model.adjacency,
+                             model.super_source, model.super_sink)
+        model.last_solve = (key, tuple(caps), sent)
+    _, residual, sent = model.last_solve
 
     delivered = {
         j_id: demand - residual[first_demand_arc + 2 * k]
         for k, (j_id, demand) in enumerate(demands.items())
     }
     pipe_flows = {
-        pipe_id: (residual[ai ^ 1] - residual[ai]) / 2.0
+        pipe_id: sent[ai] - sent[ai ^ 1]
         for pipe_id, ai in model.pipe_arcs.items()
         if pipe_id not in failed_pipes
     }

@@ -11,13 +11,13 @@ Buffering capacity (k-resilience) comes three ways.  Under the
 connectivity criterion :func:`connectivity_buffering` computes it exactly
 in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
 supply criterion :func:`supply_buffering` walks the failure sets but
-solves only those whose smaller subsets' max flows use the added pipe.
-For any other criterion :func:`buffering_capacity` enumerates every
-failure set of pipes and pumps against a feasibility oracle; with
-:func:`connectivity_feasibility` and :func:`supply_feasibility` it is
-also the test oracle for the two fast paths.  All three run the same
-argument and baseline checks, in the same order and with the same
-messages.
+solves only those whose smaller subsets' max flows push anything through
+the added pipe.  For any other criterion :func:`buffering_capacity`
+enumerates every failure set of pipes and pumps against a feasibility
+oracle; with :func:`connectivity_feasibility` and
+:func:`supply_feasibility` it is also the test oracle for the two fast
+paths.  All three run the same argument and baseline checks, in the same
+order and with the same messages.
 """
 
 from __future__ import annotations
@@ -310,14 +310,9 @@ def connectivity_feasibility(net: Network) -> Callable[[frozenset[str]], bool]:
     return feasible
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold <= 1:
-        raise ValidationError("threshold must lie in (0, 1]")
-
-
 def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[str]], bool]:
     """Feasibility oracle: allocated supply covers ``threshold`` of demand."""
-    _check_threshold(threshold)
+    hydraulics._check_threshold(threshold)
     pump_ids = set(net.pump_ids)
 
     def feasible(failed: frozenset[str]) -> bool:
@@ -342,23 +337,23 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
 
     Levels k = 1..``max_k`` are walked in the enumerator's order.  Each
     failure set of the previous level keeps one entry: its delivered total
-    and its support, the pipes its flow uses plus any pipe wide enough to
-    swallow a whole push of the kernel in its residual.  A set of level k reuses the
-    entry object of a (k - 1)-subset when the remaining component is
-    outside that subset's support and the subset's total clears the
-    threshold by ``1e-9`` of the total demand, since a fresh solve can
-    differ from it in the last bits.  A pump changes no capacity of the
-    surrogate, so it is in no support and a set with a pump always reuses
-    the entry of the set without it.  Every other set gets its own solve
-    and the oracle's exact comparison; the first one that fails ends the
-    search.  Only the previous level's entries are kept.
+    and its support, the pipes whose net flow, summed from the kernel's
+    pushes, is not zero.  A set of level k reuses the entry object of a (k - 1)-subset
+    when the remaining component is outside that subset's support and the
+    subset's total clears the threshold by ``1e-9`` of the total demand,
+    since a fresh solve can differ from it in the last bits.  A pump
+    changes no capacity of the surrogate, so it is in no support and a set
+    with a pump always reuses the entry of the set without it.  Every other
+    set gets its own solve and the oracle's exact comparison; the first one
+    that fails ends the search.  Only the previous level's entries are
+    kept, and only the sets below ``max_k`` build one.
 
     Finding the fewest failures that cut the flow below the threshold is
     max-flow interdiction, NP-hard in general, so the search stays
     exponential in ``max_k``; on a 5 x 5 torus at ``max_k=2`` it solves
     351 of the 1486 failure sets.
     """
-    _check_threshold(threshold)
+    hydraulics._check_threshold(threshold)
     baseline = []
 
     def baseline_feasible() -> bool:
@@ -371,13 +366,9 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     needed = threshold * total_demand - 1e-12
     clears = needed + 1e-9 * total_demand
     pump_ids = frozenset(net.pump_ids)
-    # the kernel pushes more than 1e-12 at a time, which a pipe residual of
-    # up to twice the capacity can swallow whole once capacity * 2**-52
-    # exceeds it; such a pipe's zero flow proves nothing, so it always counts
-    wide = frozenset(p.id for p in net.pipes if p.capacity * 2.0**-52 > 1e-12)
 
     def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str]]:
-        support = wide.union(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
+        support = frozenset(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
         return alloc.total_delivered, support
 
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
@@ -396,7 +387,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                 alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
                 if alloc.total_delivered < needed:
                     return k - 1
-                parent = entry(alloc)
+                parent = entry(alloc) if k < max_k else None  # the last level keeps none
             if k < max_k:
                 current[failed] = parent
         previous = current

@@ -1,9 +1,12 @@
 """Reference allocator and kernel: the code the compiled model replaced.
 
 Kept verbatim (apart from the docstrings and the function names) as
-exact-equality oracles.  ``reference_allocate_flows`` is the arc-list
-max-flow.  It rebuilds every arc on each call and drops failed pipes from
-the graph instead of zeroing their capacities, so agreement with
+exact-equality oracles, with one change that follows the compiled kernel:
+the arc-list kernel adds each push to a fourth field of the arc it
+crosses, and a pipe's flow is the pushes one way less those the other
+way.  ``reference_allocate_flows`` is the arc-list max-flow.  It rebuilds
+every arc on each call and drops failed pipes from the graph instead of
+zeroing their capacities, so agreement with
 ``wdsres.hydraulics.allocate_flows`` checks the compiled model, the flat
 kernel and the capacity writes together.  ``restarting_edmonds_karp`` is
 the compiled model's kernel as it was before it resumed its search, so
@@ -31,7 +34,7 @@ def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[
         while queue and parent[t] == -1:
             u = queue.popleft()
             for ai in adjacency[u]:
-                _, to, cap = arcs[ai]
+                _, to, cap, _ = arcs[ai]
                 if cap > eps and parent[to] == -1:
                     parent[to] = ai
                     queue.append(to)
@@ -48,6 +51,7 @@ def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[
             ai = parent[v]
             arcs[ai][2] -= push
             arcs[ai ^ 1][2] += push
+            arcs[ai][3] += push
             v = arcs[ai][0]
 
 
@@ -120,9 +124,9 @@ def reference_allocate_flows(
 
     def add_arc(u: int, v: int, cap_uv: float, cap_vu: float):
         adjacency[u].append(len(arcs))
-        arcs.append([u, v, cap_uv])
+        arcs.append([u, v, cap_uv, 0.0])
         adjacency[v].append(len(arcs))
-        arcs.append([v, u, cap_vu])
+        arcs.append([v, u, cap_vu, 0.0])
 
     source_arc = {}
     source_caps = {}
@@ -152,7 +156,7 @@ def reference_allocate_flows(
     pipe_flows = {}
     for pipe in pipes:
         ai = pipe_arc[pipe.id]
-        pipe_flows[pipe.id] = (arcs[ai ^ 1][2] - arcs[ai][2]) / 2.0
+        pipe_flows[pipe.id] = arcs[ai][3] - arcs[ai ^ 1][3]
     source_out = {
         src.id: source_caps[src.id] - arcs[source_arc[src.id]][2] for src in sources
     }

@@ -670,6 +670,40 @@ class TestUnwritableOutput:
         assert not replicates.exists()
 
 
+# every command line that reads --threshold; {net}, {state} and {spec} are inputs
+THRESHOLD_READERS = {
+    "scenario mc": ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "2",
+                    "--metric", "zhuang"],
+    "metric zhuang": ["metric", "zhuang", "--series", "{state}"],
+    "metric user_severity": ["metric", "user_severity", "--series", "{state}", "--node", "J1"],
+    "metric herrera": ["metric", "herrera", "--network", "{net}"],
+    "metric hashimoto": ["metric", "hashimoto", "--series", "{state}"],
+    "metric buffering": ["metric", "buffering", "--network", "{net}"],
+}
+
+
+class TestThresholdRange:
+    @pytest.mark.parametrize("command", sorted(THRESHOLD_READERS))
+    @pytest.mark.parametrize("threshold", ["nan", "5", "-1", "0"])
+    def test_out_of_range_exits_one_before_any_work(self, runner, tmp_path, net_path,
+                                                    state_path, monkeypatch, command,
+                                                    threshold):
+        from wdsres import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before the threshold was checked")
+
+        monkeypatch.setattr(cli, "load_network", refuse)
+        monkeypatch.setattr(cli, "load_series", refuse)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"events": [], "seed": 1, "horizon": 2}))
+        args = [a.format(net=net_path, state=state_path, spec=spec)
+                for a in THRESHOLD_READERS[command]]
+        result = runner.invoke(main, [*args, "--threshold", threshold])
+        assert result.exit_code == 1
+        assert result.output == "error: threshold must lie in (0, 1]\n"
+
+
 class TestListMetrics:
     def test_lists_implemented_metrics_with_flags(self, runner):
         result = runner.invoke(main, ["list-metrics"])

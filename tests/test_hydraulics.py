@@ -1,6 +1,7 @@
 """Series handling, state classification and the surrogate allocator."""
 
 import collections
+import dataclasses
 import itertools
 from math import comb
 from unittest import mock
@@ -341,8 +342,11 @@ class TestCompiledModel:
         for kwargs in calls:  # later solves reuse the compiled model and the last solve
             want = reference_allocate_flows(net, **kwargs)
             got = allocate_flows(net, **kwargs)
+            # a copy of the network has no compiled model and no memo to hit
+            fresh = allocate_flows(dataclasses.replace(net), **kwargs)
             for name in ("delivered", "demands", "pipe_flows", "source_outflows"):
                 assert getattr(got, name) == getattr(want, name), name
+                assert getattr(got, name) == getattr(fresh, name), name
                 assert list(getattr(got, name)) == list(getattr(want, name)), name
                 # the caller owns the maps: changing them must not reach the next call
                 getattr(got, name)["J0"] = -1.0
@@ -389,14 +393,18 @@ def kernel_inputs(solve):
     adjacency, s, t, residuals)`` with the restarting kernel's residuals.
 
     ``solve`` runs on the restarting kernel, so it takes the same steps as
-    it did before the kernel learned to resume.
+    it did before the kernel learned to resume.  That kernel records no
+    pushes, so the pushes handed back to ``solve`` come from the compiled
+    kernel run on a copy of the same input.
     """
     runs = []
+    kernel = hydraulics._edmonds_karp
 
     def restarting(caps, heads, adjacency, s, t):
         given = caps.copy()
         restarting_edmonds_karp(caps, heads, adjacency, s, t)
         runs.append((given, heads, adjacency, s, t, caps.copy()))
+        return kernel(given.copy(), heads, adjacency, s, t)
 
     with mock.patch.object(hydraulics, "_edmonds_karp", restarting):
         try:
