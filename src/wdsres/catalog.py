@@ -238,15 +238,12 @@ class ClusteringResult:
         return len(self.leaf_names)
 
 
-def ward_clustering(
-    records: Sequence[MetricRecord],
-    feature_columns: Sequence[str] = CLUSTER_FEATURES,
-    k: int = 5,
-) -> ClusteringResult:
-    """Agglomerate the records' flag vectors and cut into k clusters."""
+def ward_clustering(records: Sequence[MetricRecord], k: int = 5) -> ClusteringResult:
+    """Agglomerate the records' :data:`CLUSTER_FEATURES` flag vectors and cut
+    into k clusters."""
     if k > len(records):
         raise ValidationError(f"cannot form {k} clusters from {len(records)} records")
-    data = [[float(r.flag(c)) for c in feature_columns] for r in records]
+    data = [[float(r.flag(c)) for c in CLUSTER_FEATURES] for r in records]
     merges = ward_linkage(data)
     labels = cut_clusters(merges, len(records), k)
     return ClusteringResult(
@@ -254,7 +251,7 @@ def ward_clustering(
         tuple(merges),
         tuple(labels),
         k,
-        tuple(feature_columns),
+        CLUSTER_FEATURES,
     )
 
 

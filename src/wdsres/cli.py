@@ -51,11 +51,14 @@ def _guarded(fn):
 
 
 def _check_writable(*paths) -> None:
-    """Refuse each given output path that is a directory or whose parent is not one.
+    """Refuse each given output path that is a directory or whose parent is not
+    one, and two given paths that resolve to one file, where one output would
+    overwrite the other.
 
     Commands call this before any work, so a bad path costs no computation
     and leaves no partial output; ``_guarded`` reports the error.
     """
+    seen = set()
     for path in paths:
         if not path:  # unset, or "" which every command treats as unset
             continue
@@ -65,6 +68,10 @@ def _check_writable(*paths) -> None:
         elif not path.parent.is_dir():
             code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
         else:
+            target = path.resolve()
+            if target in seen:
+                raise ValidationError(f"two outputs name the same file: {path}")
+            seen.add(target)
             continue
         raise OSError(code, os.strerror(code), str(path))
 
@@ -284,14 +291,15 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
                 workers, exhaustive, units, replicates_csv, out):
     """Monte Carlo evaluation of a metric over scenario replicates."""
     _check_writable(replicates_csv, out)
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     hydraulics._check_threshold(threshold)
     net = load_network(network, units=units)
     spec = load_scenario(spec_path)
     if seed is not None:
         spec = replace(spec, seed=seed)
     result = monte_carlo(
-        net, spec, n, metric_name, horizon=horizon, workers=workers,
-        exhaustive=exhaustive, threshold=threshold,
+        net, spec, n, metric_name, horizon=horizon, exhaustive=exhaustive, threshold=threshold
     )
     if replicates_csv:
         with open(replicates_csv, "w", newline="") as handle:
@@ -386,9 +394,7 @@ def catalog_cluster(catalog_path, k, out):
 @_guarded
 def catalog_dendrogram(catalog_path, k, out, text):
     """Export the full merge tree."""
-    _check_writable(out)
-    if text and out:
-        _check_writable(Path(out).with_suffix(".txt"))
+    _check_writable(out, Path(out).with_suffix(".txt") if text and out else None)
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
     cat.dendrogram_export(result, out, text=text)

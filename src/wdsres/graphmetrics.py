@@ -263,17 +263,11 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def node_resilience_index(
-    net: Network,
-    node_id: str,
-    k: int = DEFAULT_K,
-    average_available: bool = False,
-) -> float:
+def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> float:
     """Sum over sources of the averaged inverse path resistances.
 
     For each source the up-to-k cheapest simple paths contribute 1/r each;
-    the sum is divided by k regardless of how many paths were found (set
-    ``average_available`` to divide by the found count instead).  Sources
+    the sum is divided by k regardless of how many paths were found.  Sources
     the node cannot reach contribute nothing.  Requesting the index of a
     source node is an error: its own resistance is zero.  So is an index
     that overflows, as the inverse of a subnormal path resistance does.
@@ -291,16 +285,11 @@ def node_resilience_index(
         if not paths:
             continue
         inv = sum(1.0 / p.resistance for p in paths)
-        total += inv / (len(paths) if average_available else k)
+        total += inv / k
     return _finite(total, f"index of {node_id!r}")
 
 
-def demand_weighted_index(
-    net: Network,
-    node_id: str,
-    k: int = DEFAULT_K,
-    average_available: bool = False,
-) -> float:
+def demand_weighted_index(net: Network, node_id: str, k: int = DEFAULT_K) -> float:
     """Node index weighted by the node's share of total network demand."""
     total_demand = net.total_design_demand()
     if total_demand <= 0:
@@ -308,7 +297,7 @@ def demand_weighted_index(
     junction = net.junction(node_id)
     if junction.design_demand == 0:
         return 0.0
-    index = node_resilience_index(net, node_id, k, average_available)
+    index = node_resilience_index(net, node_id, k)
     return _finite(index * junction.design_demand / total_demand,
                    f"demand-weighted index of {node_id!r}")
 
@@ -324,15 +313,13 @@ def trimmed_mean_index(values: Iterable[float], trim_fraction: float = DEFAULT_T
     return _finite(sum(kept) / len(kept), "trimmed mean index")
 
 
-def node_index_table(
-    net: Network, k: int = DEFAULT_K, average_available: bool = False
-) -> list[tuple[str, float, float]]:
+def node_index_table(net: Network, k: int = DEFAULT_K) -> list[tuple[str, float, float]]:
     """(node_id, index, demand-weighted index) for every junction."""
     rows = []
     for junction in sorted(net.junctions, key=lambda j: j.id):
-        index = node_resilience_index(net, junction.id, k, average_available)
+        index = node_resilience_index(net, junction.id, k)
         try:
-            weighted = demand_weighted_index(net, junction.id, k, average_available)
+            weighted = demand_weighted_index(net, junction.id, k)
         except UndefinedInputError:
             weighted = 0.0
         rows.append((junction.id, index, weighted))

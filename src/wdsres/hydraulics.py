@@ -446,9 +446,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
 
 def allocate_flows(
     net: Network,
-    demand_scale: float = 1.0,
     failed_pipes: Iterable[str] = (),
-    failed_pumps: Iterable[str] = (),
     demand_factors: Mapping[str, float] | None = None,
     supply_factors: Mapping[str, float] | None = None,
 ) -> FlowAllocation:
@@ -456,13 +454,12 @@ def allocate_flows(
 
     The routing maximises total delivered flow subject to pipe capacities,
     source outflow limits and per-junction demands; deliveries never exceed
-    demand.  ``demand_factors`` / ``supply_factors`` apply per-id multipliers
-    on top of the global ``demand_scale``; every factor must be a finite
-    number > 0, and the scaled demands, their sum and the scaled source
-    outflows must stay finite, as must twice each pipe capacity (the most
-    a pipe's residual capacity can reach).  Failed pumps are validated but
-    do not constrain the routing: the surrogate has no pressure model for
-    them.
+    demand.  ``demand_factors`` / ``supply_factors`` apply per-id
+    multipliers; every factor must be a finite number > 0, and the scaled
+    demands, their sum and the scaled source outflows must stay finite, as
+    must twice each pipe capacity (the most a pipe's residual capacity can
+    reach).  The surrogate has no pressure model, so pumps play no part in
+    the routing.
 
     A call whose capacities (pipes after failures, sources and demands
     after scaling) equal those of the network's previous solve reuses that
@@ -470,9 +467,7 @@ def allocate_flows(
     returned maps are built fresh either way and are identical to those of
     a new solve.
     """
-    if not 0 < demand_scale < inf:
-        raise ValidationError(f"demand_scale must be finite and > 0, got {demand_scale!r}")
-    failed_pipes, failed_pumps = net.validate_failed_sets(failed_pipes, failed_pumps)
+    failed_pipes, _ = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
     for key in demand_factors:
@@ -497,7 +492,7 @@ def allocate_flows(
         src.id: src.outflow * supply_factors.get(src.id, 1.0) for src in model.sources
     }
     demands = {
-        j.id: j.design_demand * demand_scale * demand_factors.get(j.id, 1.0)
+        j.id: j.design_demand * demand_factors.get(j.id, 1.0)
         for j in model.junctions
     }
     # finite inputs can overflow when scaled; an inf demand, outflow or
@@ -534,20 +529,17 @@ def allocate_flows(
 
 def surrogate_allocation(
     net: Network,
-    demand_scale: float = 1.0,
     failed_pipes: Iterable[str] = (),
-    failed_pumps: Iterable[str] = (),
     demand_factors: Mapping[str, float] | None = None,
     supply_factors: Mapping[str, float] | None = None,
 ) -> HydraulicSeries:
-    """Single-timestep series from a max-flow allocation.
+    """Single-timestep series from a max-flow allocation
+    (:func:`allocate_flows` takes the same arguments).
 
     Heads are a declared fiction: ``h = h*`` for nodes receiving any flow
     (or demanding none), ``h = 0`` for unsupplied nodes.
     """
-    alloc = allocate_flows(
-        net, demand_scale, failed_pipes, failed_pumps, demand_factors, supply_factors
-    )
+    alloc = allocate_flows(net, failed_pipes, demand_factors, supply_factors)
     # the maps follow the compiled model's junctions, which are sorted by id
     node_ids = tuple(alloc.demands)
     delivered = np.array([list(alloc.delivered.values())])

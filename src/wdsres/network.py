@@ -4,8 +4,10 @@ A :class:`Network` is an attributed undirected multigraph: junctions and
 sources are nodes, pipes are edges (parallel pipes are allowed, self-loops
 are not), pumps are stand-alone powered components.  All quantities are SI
 internally (m, m3/s, W); files may declare flows in L/s and are converted
-on ingest.  Networks are immutable after construction and safe to share
-across workers.
+on ingest.  A network's fields are immutable after construction, but its
+first flow solve or path search caches a compiled model on it
+(:mod:`wdsres.hydraulics`), and each flow solve rewrites that model's memo
+of the last solve, so threads must not solve on one network at once.
 """
 
 from __future__ import annotations

@@ -311,14 +311,16 @@ def connectivity_feasibility(net: Network) -> Callable[[frozenset[str]], bool]:
 
 
 def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[str]], bool]:
-    """Feasibility oracle: allocated supply covers ``threshold`` of demand."""
+    """Feasibility oracle: allocated supply covers ``threshold`` of demand.
+
+    Failed pump ids in the set are accepted and ignored, since the
+    surrogate allocator has no pump model.
+    """
     hydraulics._check_threshold(threshold)
     pump_ids = set(net.pump_ids)
 
     def feasible(failed: frozenset[str]) -> bool:
-        alloc = hydraulics.allocate_flows(
-            net, failed_pipes=failed - pump_ids, failed_pumps=failed & pump_ids
-        )
+        alloc = hydraulics.allocate_flows(net, failed_pipes=failed - pump_ids)
         if alloc.total_demand == 0:
             return True
         return alloc.total_delivered >= threshold * alloc.total_demand - 1e-12

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .hydraulics import HydraulicSeries, classify_states, surrogate_allocation
+from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
 from .inputs import is_finite_number, json_rows, read_json
 from .network import Network
 from .performance import hashimoto_recovery, zhuang_availability
@@ -185,16 +185,14 @@ def resolve_events(net: Network, spec: ScenarioSpec, rng: random.Random) -> tupl
 
 def _step_state(events: tuple[Event, ...], net: Network, t: int):
     failed_pipes: set[str] = set()
-    failed_pumps: set[str] = set()
     demand_factors: dict[str, float] = {}
     supply_factors: dict[str, float] = {}
     for event in events:
         if not event.active_at(t):
             continue
+        # the surrogate has no pump model, so a pump failure changes no state
         if event.kind == "pipe_failure":
             failed_pipes.update(event.ids)
-        elif event.kind == "pump_failure":
-            failed_pumps.update(event.ids)
         elif event.kind == "demand_scale":
             targets = event.ids or net.junction_ids
             for nid in targets:
@@ -203,7 +201,7 @@ def _step_state(events: tuple[Event, ...], net: Network, t: int):
             targets = event.ids or net.source_ids
             for sid in targets:
                 supply_factors[sid] = supply_factors.get(sid, 1.0) * event.factor
-    return failed_pipes, failed_pumps, demand_factors, supply_factors
+    return failed_pipes, demand_factors, supply_factors
 
 
 def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None) -> HydraulicSeries:
@@ -212,7 +210,9 @@ def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None)
     Concurrent scaling events on the same target multiply.  Random events
     are resolved once from the scenario seed and stay fixed over the
     horizon.  Each step is one :func:`surrogate_allocation`; the joined
-    series keeps the default timestep length ``dt`` of 3600 s.
+    series keeps the default timestep length ``dt`` of 3600 s.  Pump
+    failures are validated against the network's pumps but change no
+    step, since the surrogate has no pump model.
     """
     horizon = horizon if horizon is not None else spec.horizon
     if horizon is None or horizon < 1:
@@ -220,14 +220,11 @@ def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None)
     events = resolve_events(net, spec, random.Random(spec.seed))
     steps = []
     for t in range(horizon):
-        failed_pipes, failed_pumps, demand_factors, supply_factors = _step_state(
-            events, net, t
-        )
+        failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)
         steps.append(
             surrogate_allocation(
                 net,
                 failed_pipes=failed_pipes,
-                failed_pumps=failed_pumps,
                 demand_factors=demand_factors,
                 supply_factors=supply_factors,
             )
@@ -242,17 +239,16 @@ def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None)
     )
 
 
-def _metric_zhuang(net: Network, series: HydraulicSeries, **_: object) -> float:
+def _metric_zhuang(series: HydraulicSeries, threshold: float) -> float:
     return zhuang_availability(series).value
 
 
-def _metric_hashimoto(
-    net: Network, series: HydraulicSeries, threshold: float = 1.0, **_: object
-) -> float:
+def _metric_hashimoto(series: HydraulicSeries, threshold: float) -> float:
     return hashimoto_recovery(classify_states(series, threshold)).value
 
 
-MC_METRICS: dict[str, Callable[..., float]] = {
+# each takes (series, threshold); zhuang has no threshold and ignores it
+MC_METRICS: dict[str, Callable[[HydraulicSeries, float], float]] = {
     "zhuang": _metric_zhuang,
     "hashimoto": _metric_hashimoto,
 }
@@ -317,9 +313,8 @@ def monte_carlo(
     n: int,
     metric: str,
     horizon: int | None = None,
-    workers: int = 1,
     exhaustive: bool = False,
-    **metric_kwargs,
+    threshold: float = 1.0,
 ) -> MonteCarloResult:
     """Evaluate a named metric over n scenario replicates.
 
@@ -327,8 +322,9 @@ def monte_carlo(
     exhaustive mode the scenario must contain exactly one random event; the
     r-th replicate then takes the r-th pipe combination in sorted order
     instead of sampling, which turns the run into an exact enumeration.
-    Replicates run serially in order; ``workers`` is validated and accepted
-    for compatibility but does not start threads or processes.
+    ``threshold`` is the service threshold of the state-based metrics; it
+    is checked before any replicate runs, whatever the metric.  Replicates
+    run serially, in order.
     """
     if n < 1:
         raise ValidationError("replicate count must be >= 1")
@@ -336,8 +332,7 @@ def monte_carlo(
         raise ValidationError(
             f"unknown metric {metric!r}; choose from {sorted(MC_METRICS)}"
         )
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    _check_threshold(threshold)
     metric_fn = MC_METRICS[metric]
 
     combos: list[tuple[str, ...]] | None = None
@@ -363,7 +358,7 @@ def monte_carlo(
         else:
             rep_spec = replace(spec, seed=spec.seed ^ r)
         series = apply_scenario(net, rep_spec, horizon=horizon)
-        return metric_fn(net, series, **metric_kwargs)
+        return metric_fn(series, threshold)
 
     values = tuple(replicate(r) for r in range(n))
     return MonteCarloResult(metric, values, spec.seed)

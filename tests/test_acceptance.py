@@ -13,6 +13,7 @@ import random
 import time
 
 import pytest
+from click.testing import CliRunner
 
 from wdsres.catalog import (
     load_catalog,
@@ -21,6 +22,7 @@ from wdsres.catalog import (
     summary_counts,
     ward_clustering,
 )
+from wdsres.cli import main
 from wdsres.errors import InfeasibleDesignError
 from wdsres.graphmetrics import (
     k_shortest_paths,
@@ -28,7 +30,7 @@ from wdsres.graphmetrics import (
     trimmed_mean_index,
 )
 from wdsres.hydraulics import allocate_flows, classify_states
-from wdsres.network import Junction, Network, Pipe, Pump, Source
+from wdsres.network import Junction, Network, Pipe, Pump, Source, save_network
 from wdsres.performance import (
     buffering_capacity,
     connectivity_buffering,
@@ -39,7 +41,7 @@ from wdsres.performance import (
     todini_index,
     zhuang_availability,
 )
-from wdsres.scenario import Event, ScenarioSpec, monte_carlo
+from wdsres.scenario import Event, ScenarioSpec
 from wdsres.scoremetrics import Indicator, balaei_aggregate, load_checklist, wpr_score
 
 from .conftest import make_network, make_pipe, make_series
@@ -277,7 +279,7 @@ def test_criterion_6_property_suites():
         assert crit.elapsed < 30.0
 
 
-def test_criterion_7_monte_carlo_determinism(ring_network):
+def test_criterion_7_monte_carlo_determinism(ring_network, tmp_path):
     with _Criterion(7, "Monte Carlo is byte-identical across runs and worker counts"):
         spec = ScenarioSpec(
             (
@@ -287,14 +289,19 @@ def test_criterion_7_monte_carlo_determinism(ring_network):
             seed=99,
             horizon=4,
         )
+        net_path, spec_path = tmp_path / "ring.json", tmp_path / "spec.json"
+        save_network(ring_network, net_path)
+        spec_path.write_text(json.dumps(spec.to_dict()))
         blobs = []
-        for workers in (1, 1, 4, 7):
-            result = monte_carlo(
-                ring_network, spec, 12, "zhuang", workers=workers
-            )
-            blobs.append(
-                json.dumps(result.to_dict(), sort_keys=True, indent=2).encode()
-            )
+        # the worker count is a CLI option only
+        for i, workers in enumerate((1, 1, 4, 7)):
+            out = tmp_path / f"mc{i}.json"
+            result = CliRunner().invoke(main, [
+                "scenario", "mc", "--network", str(net_path), "--spec", str(spec_path),
+                "--n", "12", "--metric", "zhuang", "--workers", str(workers), "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 

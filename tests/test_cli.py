@@ -537,6 +537,19 @@ class TestScenarioCommands:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_mc_workers_below_one_exits_one(self, runner, net_path, tmp_path, workers):
+        spec = self.spec_file(tmp_path)
+        out = tmp_path / "mc.json"
+        result = runner.invoke(
+            main,
+            ["scenario", "mc", "--network", str(net_path), "--spec", str(spec), "--n", "2",
+             "--metric", "zhuang", "--workers", workers, "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.output == "error: workers must be >= 1\n"
+        assert not out.exists()
+
 
 class TestCatalogCommands:
     def test_counts_prints_reference_numbers(self, runner):
@@ -668,6 +681,27 @@ class TestUnwritableOutput:
         ])
         self.check_error(result, target)
         assert not replicates.exists()
+
+    # {target} and {alias} name one file, the second through a "sub/.." detour
+    @pytest.mark.parametrize("args", [
+        ["metric", "herrera", "--network", "{net}", "--out", "{target}",
+         "--nodes-out", "{alias}"],
+        ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "2",
+         "--metric", "zhuang", "--out", "{target}", "--replicates-csv", "{alias}"],
+        # the text render goes to the --out path with suffix .txt
+        ["catalog", "dendrogram", "--out", "{target}", "--text"],
+    ], ids=["metric herrera", "scenario mc", "catalog dendrogram"])
+    def test_two_outputs_naming_one_file_exit_one_before_any_work(self, runner, tmp_path,
+                                                                  inputs, args):
+        target = tmp_path / "out.txt"
+        (tmp_path / "sub").mkdir()
+        alias = tmp_path / "sub" / ".." / "out.txt"
+        result = runner.invoke(main, [a.format(target=target, alias=alias, **inputs)
+                                      for a in args])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: two outputs name the same file: ")
+        assert "Traceback" not in result.output
+        assert not target.exists()
 
 
 # every command line that reads --threshold; {net}, {state} and {spec} are inputs

@@ -379,9 +379,6 @@ class TestNodeResilienceIndex:
         assert node_resilience_index(two_route_network, "A", 3) == pytest.approx(
             (1 / 40 + 1 / 80) / 3, abs=1e-12
         )
-        assert node_resilience_index(
-            two_route_network, "A", 3, average_available=True
-        ) == pytest.approx(0.01875, abs=1e-12)
 
     def test_disconnected_node_is_zero(self):
         net = make_network(

@@ -34,14 +34,19 @@ from .conftest import make_network, make_pipe, make_series, torus_network
 from .reference_flow import reference_allocate_flows, restarting_edmonds_karp
 
 
-def exhaustive_min_cut(net, demand_scale=1.0, failed_pipes=frozenset()):
+def surged(net, factor, **kwargs):
+    """``allocate_flows`` with every junction's demand scaled by ``factor``."""
+    return allocate_flows(net, demand_factors=dict.fromkeys(net.junction_ids, factor), **kwargs)
+
+
+def exhaustive_min_cut(net, failed_pipes=frozenset()):
     """Independent max-flow value via enumeration of all source/sink cuts.
 
     By strong duality the smallest cut capacity equals the maximum flow, so
     this is an oracle for the allocator's total delivered flow.
     """
     nodes = sorted(net.node_ids)
-    demands = {j.id: j.design_demand * demand_scale for j in net.junctions}
+    demands = {j.id: j.design_demand for j in net.junctions}
     pipes = [p for p in net.pipes if p.id not in failed_pipes]
     best = float("inf")
     for bits in itertools.product((0, 1), repeat=len(nodes)):
@@ -232,19 +237,6 @@ class TestAllocation:
         assert a.delivered == b.delivered
         assert a.pipe_flows == b.pipe_flows
 
-    def test_unknown_failed_pump(self, ring_network):
-        with pytest.raises(ValidationError, match="unknown pump"):
-            allocate_flows(ring_network, failed_pumps={"nope"})
-
-    def test_demand_scale_must_be_positive(self, ring_network):
-        with pytest.raises(ValidationError, match="demand_scale"):
-            allocate_flows(ring_network, demand_scale=0.0)
-
-    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
-    def test_demand_scale_must_be_finite(self, ring_network, scale):
-        with pytest.raises(ValidationError, match="demand_scale must be finite"):
-            allocate_flows(ring_network, demand_scale=scale)
-
     @pytest.mark.parametrize("factor", [0.0, -1.0, -0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("argument", ["demand_factors", "supply_factors"])
     def test_factors_must_be_finite_and_positive(self, ring_network, argument, factor):
@@ -253,8 +245,7 @@ class TestAllocation:
             allocate_flows(ring_network, **{argument: {target: factor}})
 
     @pytest.mark.parametrize("demands, kwargs", [
-        ((0.01, 1.7e308, 0.01), {"demand_scale": 1.5}),  # one scaled demand overflows
-        ((0.01, 1.7e308, 0.01), {"demand_factors": {"J2": 1.5}}),
+        ((0.01, 1.7e308, 0.01), {"demand_factors": {"J2": 1.5}}),  # one scaled demand overflows
         ((1e308, 1e308, 1e308), {}),  # each demand is finite, their sum is not
     ])
     def test_overflowing_demands_rejected(self, demands, kwargs):
@@ -298,7 +289,6 @@ def allocation_arguments(net):
     """One allocation call's keyword arguments on ``net``."""
     factors = st.floats(min_value=0.1, max_value=3.0)
     return st.fixed_dictionaries({
-        "demand_scale": factors,
         "failed_pipes": st.sets(st.sampled_from(net.pipe_ids)) if net.pipes else st.just(set()),
         "demand_factors": st.dictionaries(st.sampled_from(net.junction_ids), factors),
         "supply_factors": st.dictionaries(st.sampled_from(net.source_ids), factors),
@@ -375,7 +365,7 @@ class TestCompiledModel:
         allocate_flows(net)
         model = net._model
         assert model is not None
-        allocate_flows(net, failed_pipes={"p3"}, demand_scale=2.0)
+        surged(net, 2.0, failed_pipes={"p3"})
         rows = node_index_table(net, k=3)
         assert node_index_table(net, k=3) == rows
         connectivity_buffering(net, max_k=2)
@@ -499,10 +489,8 @@ class TestResumingKernel:
     @example(runs=kernel_inputs(lambda: allocate_flows(_two_arcs_close())))
     @example(runs=kernel_inputs(lambda: allocate_flows(_interior_leftover())))
     @example(runs=kernel_inputs(lambda: allocate_flows(_zero_arcs(), failed_pipes={"b"})))
-    @example(runs=kernel_inputs(lambda: allocate_flows(_supply_bound(), demand_scale=2.5)))
-    @example(runs=kernel_inputs(
-        lambda: allocate_flows(torus_network(4, 4), demand_scale=2.5, failed_pipes={"h0_0"})
-    ))
+    @example(runs=kernel_inputs(lambda: surged(_supply_bound(), 2.5)))
+    @example(runs=kernel_inputs(lambda: surged(torus_network(4, 4), 2.5, failed_pipes={"h0_0"})))
     @example(runs=kernel_inputs(lambda: connectivity_buffering(torus_network(3, 3), 3)))
     def test_residuals_equal_the_restarting_kernel(self, runs):
         for caps, heads, adjacency, s, t, want in runs:
@@ -512,12 +500,10 @@ class TestResumingKernel:
 
     # the restarting kernel reads 20093 arc lists in 197 searches and, under
     # the surge, 2907 in 81
-    @pytest.mark.parametrize("demand_scale, reads, searches", [(1.0, 199, 1), (2.5, 112, 3)])
-    def test_work_on_the_torus(self, demand_scale, reads, searches):
+    @pytest.mark.parametrize("factor, reads, searches", [(1.0, 199, 1), (2.5, 112, 3)])
+    def test_work_on_the_torus(self, factor, reads, searches):
         net = torus_network(14, 14)
-        [(caps, heads, adjacency, s, t, want)] = kernel_inputs(
-            lambda: allocate_flows(net, demand_scale=demand_scale)
-        )
+        [(caps, heads, adjacency, s, t, want)] = kernel_inputs(lambda: surged(net, factor))
         counted = CountingAdjacency(adjacency)
         hydraulics._edmonds_karp(caps, heads, counted, s, t)
         assert caps == want

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wdsres import scenario
 from wdsres.errors import ValidationError
 from wdsres.network import Junction, Source, save_network
 from wdsres.performance import zhuang_availability
 from wdsres.scenario import (
+    MC_METRICS,
     Event,
     ScenarioSpec,
     apply_scenario,
@@ -25,7 +27,7 @@ from wdsres.scenario import (
     monte_carlo,
     scenario_from_dict,
 )
-from .conftest import make_network, make_pipe
+from .conftest import make_network, make_pipe, torus_network
 
 
 class TestEventValidation:
@@ -110,6 +112,19 @@ class TestApplyScenario:
         plain = apply_scenario(ring_network, ScenarioSpec((), seed=1), horizon=4)
         np.testing.assert_array_equal(scaled.delivered, plain.delivered)
         np.testing.assert_array_equal(scaled.demand, plain.demand)
+
+    def test_pump_failure_changes_no_step(self, pump_network):
+        # the surrogate has no pump model, so a failed pump routes as an intact one
+        failed = apply_scenario(
+            pump_network, ScenarioSpec((Event("pump_failure", 0, 2, ids=("b1",)),)), horizon=3
+        )
+        intact = apply_scenario(pump_network, ScenarioSpec(()), horizon=3)
+        assert failed.digest() == intact.digest()
+
+    def test_unknown_pump_rejected_even_if_never_active(self, pump_network):
+        spec = ScenarioSpec((Event("pump_failure", 5, 6, ids=("nope",)),))
+        with pytest.raises(ValidationError, match="unknown pump"):
+            apply_scenario(pump_network, spec, horizon=2)
 
     def test_bridge_failure_window(self, tree_network):
         spec = ScenarioSpec((Event("pipe_failure", 2, 5, ids=("p2",)),), seed=0)
@@ -199,11 +214,6 @@ class TestMonteCarlo:
             b.to_dict(), sort_keys=True
         )
 
-    def test_worker_count_does_not_change_results(self, ring_network):
-        serial = monte_carlo(ring_network, self.single_failure_spec(), 8, "zhuang", workers=1)
-        threaded = monte_carlo(ring_network, self.single_failure_spec(), 8, "zhuang", workers=4)
-        assert serial.values == threaded.values
-
     @pytest.mark.parametrize("fixture", ["tree_network", "ring_network"])
     def test_exhaustive_matches_per_pipe_evaluation(self, fixture, request):
         net = request.getfixturevalue(fixture)
@@ -276,6 +286,18 @@ class TestMonteCarlo:
     def test_unknown_metric(self, ring_network):
         with pytest.raises(ValidationError, match="unknown metric"):
             monte_carlo(ring_network, self.single_failure_spec(), 2, "nope")
+
+    @pytest.mark.parametrize("metric", sorted(MC_METRICS))
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, 1.5])
+    def test_threshold_checked_before_any_replicate(self, metric, threshold, monkeypatch):
+        # zhuang has no threshold, but a bad one is still an error, not ignored
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran before the threshold was checked")
+
+        monkeypatch.setattr(scenario, "apply_scenario", refuse)
+        with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\]"):
+            monte_carlo(torus_network(3, 3), self.single_failure_spec(), 2, metric,
+                        threshold=threshold)
 
     def test_summary_recomputable_from_values(self, ring_network):
         from wdsres.scenario import summarize
