@@ -115,6 +115,19 @@ class TestMetricCommand:
         assert report["states"] == "SSFSSFFSSS"
         assert report["value"] == pytest.approx(20 / 27)
 
+    def test_per_node_states_differ_from_system_states(self, runner, tmp_path, zhuang_series):
+        # n1 gets 50% and 80% of its demand; the system gets 75% and 90%
+        path = tmp_path / "series.csv"
+        save_series(zhuang_series, path)
+        states = {}
+        for mode in ([], ["--per-node"]):
+            result = runner.invoke(
+                main, ["metric", "hashimoto", "--series", str(path), "--threshold", "0.9", *mode]
+            )
+            assert result.exit_code == 0, result.output
+            states[bool(mode)] = json.loads(result.output)["states"]
+        assert states == {False: "FS", True: "FF"}
+
     def test_hashimoto_rejects_nan_series_cell(self, runner, tmp_path, hashimoto_series):
         path = tmp_path / "series.csv"
         save_series(hashimoto_series, path)
@@ -536,6 +549,43 @@ class TestScenarioCommands:
             assert result.exit_code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_run_horizon_overrides_the_spec(self, runner, net_path, tmp_path):
+        spec = self.spec_file(tmp_path, horizon=4)
+        result = runner.invoke(main, ["scenario", "run", "--network", str(net_path),
+                                      "--spec", str(spec), "--horizon", "2"])
+        assert result.exit_code == 0, result.output
+        assert [line.split()[0] for line in result.output.splitlines()] == ["t=0", "t=1"]
+
+    def test_mc_seed_and_horizon_override_the_spec(self, runner, ring_network, net_path,
+                                                   tmp_path):
+        from dataclasses import replace
+
+        from wdsres.scenario import load_scenario, monte_carlo
+
+        spec = self.spec_file(
+            tmp_path, events=[{"kind": "pipe_failure", "onset": 1, "repair": 5, "count": 1}],
+            horizon=4,
+        )
+        result = runner.invoke(main, ["scenario", "mc", "--network", str(net_path), "--spec",
+                                      str(spec), "--n", "3", "--metric", "zhuang",
+                                      "--seed", "11", "--horizon", "6"])
+        assert result.exit_code == 0, result.output
+        expected = monte_carlo(
+            ring_network, replace(load_scenario(spec), seed=11, horizon=6), 3, "zhuang"
+        )
+        assert json.loads(result.output) == expected.to_dict()
+
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--n", "2", "--metric", "zhuang"]],
+                             ids=["run", "mc"])
+    def test_horizon_zero_exits_one(self, runner, net_path, tmp_path, command):
+        spec = self.spec_file(tmp_path)
+        result = runner.invoke(main, ["scenario", command[0], "--network", str(net_path),
+                                      "--spec", str(spec), *command[1:], "--horizon", "0"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "horizon" in lines[0]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_mc_workers_below_one_exits_one(self, runner, net_path, tmp_path, workers):

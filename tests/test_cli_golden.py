@@ -24,6 +24,8 @@ CASES = {
     "zhuang": (["metric", "zhuang", "--series", "{zhuang}"], None),
     "hashimoto": (["metric", "hashimoto", "--series", "{hashimoto}",
                    "--threshold", "0.9"], None),
+    "hashimoto_per_node": (["metric", "hashimoto", "--series", "{zhuang}",
+                            "--threshold", "0.9", "--per-node"], None),
     "flow_resilience": (["metric", "flow_resilience", "--network", "{net}",
                          "--series", "{state}"], None),
     "user_severity": (["metric", "user_severity", "--series", "{state}",
@@ -46,6 +48,7 @@ GOLDEN = {
     "buffering_supply": "d5f5908f767b46cfed647a916276db5d894966eea9448fbbe8a73d56bac71b42",
     "flow_resilience": "fc343f878eda7bab730592efcaa4f11e58bf0c663fe531e62087e47fac530ce4",
     "hashimoto": "63f1144acef7e9db17f77ea5a6739743aec39cbc558e1794e5e4778d4221047b",
+    "hashimoto_per_node": "aee802465b4ba2eb41c1b895254393690da7dfa9db53b138a7c533e981053b60",
     "herrera": "c4972e45981a5288699af1168bece88a923a32067b812f885e4ea1ae99f9fdf8",
     "herrera_nodes": "688ce9b8594f2e4ff62a270226e60b525fef0abeecd08f2d23e7389d61fd05ec",
     "list_metrics": "9a8cb18e4e1ddc0f2e819e2e4376d916f69bf941040e593e5676a779066c3b73",

@@ -40,6 +40,12 @@ CASES = {
                    "--out", "{report}"], ("report",)),
     "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
             "--metric", "zhuang", "--out", "{report}"], ("report",)),
+    "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
+                      "--metric", "hashimoto", "--threshold", "0.9", "--out", "{report}"],
+                     ("report",)),
+    # "stdout" hashes what the command printed
+    "run": (["scenario", "run", "--network", "{net}", "--spec", "{spec}",
+             "--out", "{series}"], ("series", "stdout")),
 }
 
 GOLDEN = {
@@ -47,6 +53,10 @@ GOLDEN = {
                 "nodes": "42ffc8fd79da4b6aa680aa20e96f5cd8ecf2e472d9a3dbcd8c38b0e9dcaa4042"},
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
+    "mc_hashimoto": {
+        "report": "3b8c8c1332b88de161fe2292a4faac3be4a56722ad3845c9ff926ec027484039"},
+    "run": {"series": "79c16657c0f27fc9ac26970db3e952b0cf5913f3bd3b820ae844c30839ac4550",
+            "stdout": "b6484e101f555cfc6bde9cbf067a462c854effc7d11dfb6077a73496fd6b5ddf"},
 }
 
 
@@ -62,8 +72,13 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reports_match_the_recorded_digests(inputs, tmp_path, case):
     args, hashed = CASES[case]
-    paths = inputs | {"report": tmp_path / "report.json", "nodes": tmp_path / "nodes.csv"}
+    paths = inputs | {"report": tmp_path / "report.json", "nodes": tmp_path / "nodes.csv",
+                      "series": tmp_path / "series.csv"}
     result = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 0, result.output
-    digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in hashed}
+    digests = {
+        name: hashlib.sha256(result.stdout_bytes if name == "stdout"
+                             else paths[name].read_bytes()).hexdigest()
+        for name in hashed
+    }
     assert digests == GOLDEN[case]
