@@ -50,14 +50,16 @@ def _guarded(fn):
     return wrapper
 
 
-def _check_writable(*paths) -> None:
+def _check_writable(*paths, inputs=()) -> None:
     """Refuse each given output path that is a directory or whose parent is not
-    one, and two given paths that resolve to one file, where one output would
-    overwrite the other.
+    one, two given paths that resolve to one file, where one output would
+    overwrite the other, and an output that resolves to one of the command's
+    ``inputs``, which it would overwrite.
 
     Commands call this before any work, so a bad path costs no computation
     and leaves no partial output; ``_guarded`` reports the error.
     """
+    read = {Path(path).resolve() for path in inputs if path}
     seen = set()
     for path in paths:
         if not path:  # unset, or "" which every command treats as unset
@@ -71,6 +73,8 @@ def _check_writable(*paths) -> None:
             target = path.resolve()
             if target in seen:
                 raise ValidationError(f"two outputs name the same file: {path}")
+            if target in read:
+                raise ValidationError(f"an output names an input file: {path}")
             seen.add(target)
             continue
         raise OSError(code, os.strerror(code), str(path))
@@ -219,7 +223,9 @@ METRICS = {
 @_guarded
 def metric_cmd(name, **opts):
     """Compute one named metric and emit a JSON report."""
-    _check_writable(opts["out"], opts["nodes_out"])
+    _check_writable(opts["out"], opts["nodes_out"], inputs=[
+        opts[flag] for flag in ("network", "series", "indicators", "checklist", "answers")
+    ])
     if name not in METRICS:
         raise ValidationError(
             f"unknown metric {name!r}; valid names: {', '.join(sorted(METRICS))}"
@@ -243,6 +249,16 @@ def scenario():
     """Run critical-event scenarios against a network."""
 
 
+def _load_spec(path: str, seed: int | None, horizon: int | None):
+    """The scenario file with the command line's seed and horizon, where given."""
+    spec = load_scenario(path)
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    if horizon is not None:
+        spec = replace(spec, horizon=horizon)
+    return spec
+
+
 @scenario.command(name="run")
 @click.option("--network", required=True, help="Network JSON file.")
 @click.option("--spec", "spec_path", required=True, help="Scenario JSON file.")
@@ -253,12 +269,10 @@ def scenario():
 @_guarded
 def scenario_run(network, spec_path, horizon, seed, units, out):
     """Apply a scenario and print per-step supply ratios."""
-    _check_writable(out)
+    _check_writable(out, inputs=(network, spec_path))
     net = load_network(network, units=units)
-    spec = load_scenario(spec_path)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    series = apply_scenario(net, spec, horizon=horizon)
+    spec = _load_spec(spec_path, seed, horizon)
+    series = apply_scenario(net, spec)
     if out:
         save_series(series, out)
     for t in range(series.n_steps):
@@ -290,17 +304,13 @@ def scenario_run(network, spec_path, horizon, seed, units, out):
 def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
                 workers, exhaustive, units, replicates_csv, out):
     """Monte Carlo evaluation of a metric over scenario replicates."""
-    _check_writable(replicates_csv, out)
+    _check_writable(replicates_csv, out, inputs=(network, spec_path))
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     hydraulics._check_threshold(threshold)
     net = load_network(network, units=units)
-    spec = load_scenario(spec_path)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    result = monte_carlo(
-        net, spec, n, metric_name, horizon=horizon, exhaustive=exhaustive, threshold=threshold
-    )
+    spec = _load_spec(spec_path, seed, horizon)
+    result = monte_carlo(net, spec, n, metric_name, exhaustive=exhaustive, threshold=threshold)
     if replicates_csv:
         with open(replicates_csv, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -327,7 +337,7 @@ def catalog_group():
 @_guarded
 def catalog_counts(catalog_path, out):
     """Per-category counts and multiplicity histograms."""
-    _check_writable(out)
+    _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     summary = cat.summary_counts(records)
     click.echo(f"records: {summary.total}")
@@ -348,7 +358,7 @@ def catalog_counts(catalog_path, out):
 @_guarded
 def catalog_correlate(catalog_path, out):
     """Pearson correlation matrix of the category flags."""
-    _check_writable(out)
+    _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     matrix = cat.pearson_matrix(records)
     text = matrix.to_csv()
@@ -370,7 +380,7 @@ def catalog_correlate(catalog_path, out):
 @_guarded
 def catalog_cluster(catalog_path, k, out):
     """Ward clustering of the catalog flags."""
-    _check_writable(out)
+    _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
     agreement = cat.reference_agreement(records, result)
@@ -394,7 +404,8 @@ def catalog_cluster(catalog_path, k, out):
 @_guarded
 def catalog_dendrogram(catalog_path, k, out, text):
     """Export the full merge tree."""
-    _check_writable(out, Path(out).with_suffix(".txt") if text and out else None)
+    _check_writable(out, Path(out).with_suffix(".txt") if text and out else None,
+                    inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
     cat.dendrogram_export(result, out, text=text)

@@ -60,9 +60,10 @@ _SERIES_COLUMNS = ("t", "node_id", "delivered_m3s", "demand_m3s", "head_m", "req
 class HydraulicSeries:
     """Per-node, per-timestep delivered flow, demand, head and required head.
 
-    Arrays are shaped ``(n_steps, n_nodes)`` and aligned with ``node_ids``.
-    ``window`` is an inclusive pair of timestep indices bounding the
-    analysis period used by time-aggregating metrics.
+    Arrays are shaped ``(n_steps, n_nodes)`` and aligned with ``node_ids``;
+    every entry must be finite.  A series spans its whole horizon and the
+    time-aggregating metrics read every step, so a sub-period is analysed
+    by slicing the arrays into a new series.
     """
 
     node_ids: tuple[str, ...]
@@ -70,10 +71,6 @@ class HydraulicSeries:
     demand: np.ndarray
     head: np.ndarray
     required_head: np.ndarray
-    dt: float = 3600.0
-    window: tuple[int, int] | None = None
-
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
@@ -81,6 +78,9 @@ class HydraulicSeries:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 2:
                 raise ValidationError(f"{name} must be a 2-d array (steps x nodes)")
+            # a nan ratio compares false, so a nan delivery would pass for a failure
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must hold finite numbers")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -96,15 +96,6 @@ class HydraulicSeries:
                 raise ValidationError("all series arrays must share one shape")
         if np.any(self.delivered < 0) or np.any(self.demand < 0):
             raise ValidationError("flows must be >= 0")
-        if self.dt <= 0:
-            raise ValidationError("dt must be > 0")
-        if self.window is None:
-            object.__setattr__(self, "window", (0, shape[0] - 1))
-        t0, t1 = self.window
-        if not (0 <= t0 <= t1 < shape[0]):
-            raise ValidationError(f"invalid analysis window {self.window} for {shape[0]} steps")
-        object.__setattr__(self, "window", (int(t0), int(t1)))
-        object.__setattr__(self, "_index", {nid: i for i, nid in enumerate(self.node_ids)})
 
     @property
     def n_steps(self) -> int:
@@ -112,13 +103,9 @@ class HydraulicSeries:
 
     def node_index(self, node_id: str) -> int:
         try:
-            return self._index[node_id]
-        except KeyError:
+            return self.node_ids.index(node_id)
+        except ValueError:
             raise ValidationError(f"unknown node {node_id!r} in series") from None
-
-    def window_slice(self) -> slice:
-        t0, t1 = self.window
-        return slice(t0, t1 + 1)
 
     def system_ratio(self, t: int) -> float:
         """Total delivered over total demanded flow at step ``t``; 1.0 if
@@ -131,8 +118,10 @@ class HydraulicSeries:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(",".join(self.node_ids).encode())
-        h.update(repr(self.dt).encode())
-        h.update(repr(self.window).encode())
+        # a 3600 s step and an all-steps window, hashed so that every
+        # inputs_digest keeps its value
+        h.update(repr(3600.0).encode())
+        h.update(repr((0, self.n_steps - 1)).encode())
         for name in ("delivered", "demand", "head", "required_head"):
             h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
         return h.hexdigest()[:12]
@@ -229,16 +218,16 @@ def _check_threshold(threshold: float) -> None:
 def classify_states(
     series: HydraulicSeries, threshold: float, per_node: bool = False
 ) -> BinaryStateSeries:
-    """Threshold the series into satisfactory (S) / failure (F) states.
+    """Threshold every step of the series into satisfactory (S) / failure (F)
+    states.
 
     System mode (default): step ``t`` is S iff total delivered / total
     demanded >= threshold.  Per-node mode: S iff every node with demand
     individually meets the threshold.  A step with zero demand is S.
     """
     _check_threshold(threshold)
-    t0, t1 = series.window
     states = []
-    for t in range(t0, t1 + 1):
+    for t in range(series.n_steps):
         if per_node:
             demand = series.demand[t]
             active = demand > 0

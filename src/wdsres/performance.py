@@ -106,12 +106,11 @@ def hashimoto_recovery(states: BinaryStateSeries) -> MetricValue:
 
 
 def zhuang_availability(series: HydraulicSeries) -> MetricValue:
-    """Delivered over demanded volume, summed over nodes and the window."""
-    sl = series.window_slice()
-    total_demand = float(series.demand[sl].sum())
+    """Delivered over demanded volume, summed over nodes and every step."""
+    total_demand = float(series.demand.sum())
     if total_demand <= 0:
         raise UndefinedInputError("availability is undefined at zero total demand")
-    value = float(series.delivered[sl].sum()) / total_demand
+    value = float(series.delivered.sum()) / total_demand
     return MetricValue(
         "zhuang_availability",
         value,
@@ -131,7 +130,8 @@ def flow_based_resilience(net: Network, series: HydraulicSeries) -> MetricValue:
 
     Per node and timestep the head surplus ``q*(h - h*)`` is weighted by the
     summed reliability ``(1 - Pf)`` of the incident pipes; the denominator
-    carries a fixed factor of 4 on the demand-head product.
+    carries a fixed factor of 4 on the demand-head product.  Both sums run
+    over every node and step.
     """
     _check_series_nodes(net, series)
     reliability = {
@@ -139,11 +139,10 @@ def flow_based_resilience(net: Network, series: HydraulicSeries) -> MetricValue:
         for j in net.junctions
     }
     rel = np.array([reliability[nid] for nid in series.node_ids])
-    sl = series.window_slice()
-    demand = series.demand[sl]
-    surplus = series.head[sl] - series.required_head[sl]
+    demand = series.demand
+    surplus = series.head - series.required_head
     numerator = float((rel * demand * surplus).sum())
-    denominator = 4.0 * float((demand * series.required_head[sl]).sum())
+    denominator = 4.0 * float((demand * series.required_head).sum())
     if denominator <= 0:
         raise UndefinedInputError("flow-based resilience needs a positive demand-head product")
     value = numerator / denominator
@@ -164,11 +163,10 @@ def user_functionality(supply: float, demand: float) -> float:
 
 
 def user_severity(series: HydraulicSeries, node_id: str) -> MetricValue:
-    """Minimum supply/demand ratio of one node over the analysis window."""
+    """Minimum supply/demand ratio of one node over every step."""
     i = series.node_index(node_id)
-    t0, t1 = series.window
     ratios = []
-    for t in range(t0, t1 + 1):
+    for t in range(series.n_steps):
         demand = float(series.demand[t, i])
         if demand <= 0:
             raise UndefinedInputError(

@@ -204,22 +204,22 @@ def _step_state(events: tuple[Event, ...], net: Network, t: int):
     return failed_pipes, demand_factors, supply_factors
 
 
-def apply_scenario(net: Network, spec: ScenarioSpec, horizon: int | None = None) -> HydraulicSeries:
-    """Allocate flows per timestep under the scenario's event timeline.
+def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
+    """Allocate flows per timestep, over the spec's horizon, under the
+    scenario's event timeline.
 
     Concurrent scaling events on the same target multiply.  Random events
     are resolved once from the scenario seed and stay fixed over the
-    horizon.  Each step is one :func:`surrogate_allocation`; the joined
-    series keeps the default timestep length ``dt`` of 3600 s.  Pump
-    failures are validated against the network's pumps but change no
-    step, since the surrogate has no pump model.
+    horizon.  Each step is one :func:`surrogate_allocation`, and the joined
+    series has one row per step of the horizon.  Pump failures are
+    validated against the network's pumps but change no step, since the
+    surrogate has no pump model.
     """
-    horizon = horizon if horizon is not None else spec.horizon
-    if horizon is None or horizon < 1:
+    if spec.horizon is None:
         raise ValidationError("a positive horizon is required")
     events = resolve_events(net, spec, random.Random(spec.seed))
     steps = []
-    for t in range(horizon):
+    for t in range(spec.horizon):
         failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)
         steps.append(
             surrogate_allocation(
@@ -312,13 +312,13 @@ def monte_carlo(
     spec: ScenarioSpec,
     n: int,
     metric: str,
-    horizon: int | None = None,
     exhaustive: bool = False,
     threshold: float = 1.0,
 ) -> MonteCarloResult:
     """Evaluate a named metric over n scenario replicates.
 
-    Replicate r runs the scenario with seed ``spec.seed ^ r``.  In
+    Each replicate runs the scenario over ``spec.horizon`` steps, and
+    replicate r runs it with seed ``spec.seed ^ r``.  In
     exhaustive mode the scenario must contain exactly one random event; the
     r-th replicate then takes the r-th pipe combination in sorted order
     instead of sampling, which turns the run into an exact enumeration.
@@ -350,14 +350,13 @@ def monte_carlo(
 
     def replicate(r: int) -> float:
         if combos is not None:
-            events = tuple(
+            rep_spec = replace(spec, events=tuple(
                 Event(e.kind, e.onset, e.repair, ids=combos[r]) if e.is_random else e
                 for e in spec.events
-            )
-            rep_spec = ScenarioSpec(events, seed=spec.seed, horizon=spec.horizon)
+            ))
         else:
             rep_spec = replace(spec, seed=spec.seed ^ r)
-        series = apply_scenario(net, rep_spec, horizon=horizon)
+        series = apply_scenario(net, rep_spec)
         return metric_fn(series, threshold)
 
     values = tuple(replicate(r) for r in range(n))

@@ -149,14 +149,14 @@ def pump_network():
     )
 
 
-def make_series(node_ids, delivered, demand, head=None, required_head=None, dt=3600.0):
+def make_series(node_ids, delivered, demand, head=None, required_head=None):
     delivered = np.asarray(delivered, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if head is None:
         head = np.full_like(delivered, 40.0)
     if required_head is None:
         required_head = np.full_like(delivered, 30.0)
-    return HydraulicSeries(tuple(node_ids), delivered, demand, head, required_head, dt=dt)
+    return HydraulicSeries(tuple(node_ids), delivered, demand, head, required_head)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ one of them fails this test before it breaks the benchmark.
 """
 
 import dataclasses
+import inspect
 import types
 
 import pytest
@@ -44,15 +45,28 @@ MEMBERS = {
         "validate_failed_sets",
     ],
     wdsres.HydraulicSeries: [
-        "delivered", "demand", "digest", "dt", "head", "n_steps", "node_ids",
-        "node_index", "required_head", "system_ratio", "window", "window_slice",
+        "delivered", "demand", "digest", "head", "n_steps", "node_ids", "node_index",
+        "required_head", "system_ratio",
     ],
+    wdsres.MonteCarloResult: ["metric", "n", "seed", "summary", "to_dict", "values"],
     wdsres.BinaryStateSeries: ["digest", "per_node", "states", "threshold"],
     wdsres.MetricValue: [
         "inputs_digest", "name", "nominal_range", "to_dict", "value", "warnings",
     ],
     wdsres.ScenarioSpec: ["events", "horizon", "seed", "to_dict"],
     wdsres.WprChecklist: ["criteria", "names", "total"],
+}
+
+# the functions whose options were deleted, so that bringing one back is a diff
+PARAMETERS = {
+    "allocate_flows": ["net", "failed_pipes", "demand_factors", "supply_factors"],
+    "surrogate_allocation": ["net", "failed_pipes", "demand_factors", "supply_factors"],
+    "apply_scenario": ["net", "spec"],
+    "monte_carlo": ["net", "spec", "n", "metric", "exhaustive", "threshold"],
+    "node_resilience_index": ["net", "node_id", "k"],
+    "demand_weighted_index": ["net", "node_id", "k"],
+    "node_index_table": ["net", "k"],
+    "ward_clustering": ["records", "k"],
 }
 
 
@@ -69,3 +83,8 @@ def test_class_members(cls):
     # fields without a default are not class attributes, so add them by hand
     names = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
     assert sorted(n for n in names if not n.startswith("_")) == MEMBERS[cls]
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_function_parameters(name):
+    assert list(inspect.signature(getattr(wdsres, name)).parameters) == PARAMETERS[name]

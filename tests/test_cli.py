@@ -408,8 +408,7 @@ class TestScenarioCommands:
             zhuang_availability(
                 apply_scenario(
                     ring_network,
-                    ScenarioSpec((Event("pipe_failure", 0, 4, ids=(pid,)),), seed=3),
-                    horizon=4,
+                    ScenarioSpec((Event("pipe_failure", 0, 4, ids=(pid,)),), seed=3, horizon=4),
                 )
             ).value
             for pid in sorted(ring_network.pipe_ids)
@@ -752,6 +751,38 @@ class TestUnwritableOutput:
         assert result.output.startswith("error: two outputs name the same file: ")
         assert "Traceback" not in result.output
         assert not target.exists()
+
+    # each output names one of the command's own input files
+    @pytest.mark.parametrize("args", [
+        ["metric", "herrera", "--network", "{net}", "--nodes-out", "{net}"],
+        ["metric", "todini", "--network", "{net}", "--series", "{state}", "--out", "{state}"],
+        ["metric", "balaei", "--indicators", "{indicators}", "--out", "{indicators}"],
+        ["metric", "wpr", "--checklist", "{checklist}", "--answers", "{answers}",
+         "--out", "{checklist}"],
+        ["metric", "wpr", "--answers", "{answers}", "--out", "{answers}"],
+        ["scenario", "run", "--network", "{net}", "--spec", "{spec}", "--out", "{spec}"],
+        ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "2",
+         "--metric", "zhuang", "--replicates-csv", "{net}"],
+        ["catalog", "counts", "--catalog", "{catalog}", "--out", "{catalog}"],
+        ["catalog", "dendrogram", "--catalog", "{catalog}", "--out", "{catalog}"],
+    ], ids=["metric --nodes-out", "metric --out series", "metric --out indicators",
+            "metric --out checklist", "metric --out answers", "scenario run --out",
+            "scenario mc --replicates-csv", "catalog counts --out", "catalog dendrogram --out"])
+    def test_output_naming_an_input_exits_one_and_leaves_it(self, runner, tmp_path, inputs,
+                                                            args):
+        from wdsres.inputs import bundled
+
+        files = dict(inputs, indicators=tmp_path / "ind.csv", answers=tmp_path / "ans.json",
+                     checklist=tmp_path / "checklist.json", catalog=tmp_path / "catalog.csv")
+        files["indicators"].write_text("name,raw,max_observed,weight\na,0.5,1.0,1\n")
+        files["answers"].write_text("{}")
+        files["checklist"].write_bytes(bundled("wpr_checklist.json").read_bytes())
+        files["catalog"].write_bytes(bundled("catalog.csv").read_bytes())
+        before = {name: path.read_bytes() for name, path in files.items()}
+        result = runner.invoke(main, [a.format(**files) for a in args])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: an output names an input file: ")
+        assert {name: path.read_bytes() for name, path in files.items()} == before
 
 
 # every command line that reads --threshold; {net}, {state} and {spec} are inputs

@@ -16,6 +16,7 @@ from wdsres.errors import ResilienceError, ValidationError
 from wdsres.graphmetrics import node_index_table
 from wdsres.hydraulics import (
     BinaryStateSeries,
+    HydraulicSeries,
     allocate_flows,
     classify_states,
     load_series,
@@ -122,6 +123,22 @@ class TestLoadSeries:
         series = load_series(path)
         assert len(series.node_ids) == 2
         assert series.n_steps == 2
+
+
+class TestHydraulicSeries:
+    @pytest.mark.parametrize("name", ["delivered", "demand", "head", "required_head"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, zhuang_series, name, value):
+        arrays = {n: getattr(zhuang_series, n).copy()
+                  for n in ("delivered", "demand", "head", "required_head")}
+        arrays[name][1, 0] = value
+        with pytest.raises(ValidationError, match=f"{name} must hold finite numbers"):
+            HydraulicSeries(zhuang_series.node_ids, **arrays)
+
+    def test_node_index(self, zhuang_series):
+        assert zhuang_series.node_index("n2") == 1
+        with pytest.raises(ValidationError, match="unknown node 'n3' in series"):
+            zhuang_series.node_index("n3")
 
 
 class TestClassifyStates:
@@ -518,8 +535,8 @@ class TestLastSolveMemo:
     def test_failure_window_runs_the_kernel_once_per_change_of_state(
         self, mesh_network, kernel_runs
     ):
-        spec = ScenarioSpec((Event("pipe_failure", 6, 14, ids=("p3",)),))
-        series = apply_scenario(mesh_network, spec, horizon=24)
+        spec = ScenarioSpec((Event("pipe_failure", 6, 14, ids=("p3",)),), horizon=24)
+        series = apply_scenario(mesh_network, spec)
         assert len(kernel_runs) == 3  # intact, failed, intact again
         np.testing.assert_array_equal(series.delivered[:6], series.delivered[14:20])
 
@@ -530,8 +547,9 @@ class TestLastSolveMemo:
                 Event("demand_scale", 10, 18, factor=2.5),
             ),
             seed=7,
+            horizon=24,
         )
-        monte_carlo(mesh_network, spec, n=2, metric="zhuang", horizon=24)
+        monte_carlo(mesh_network, spec, n=2, metric="zhuang")
         # five states per replicate; the second starts intact, as the first ended
         assert len(kernel_runs) == 5 + 4
 

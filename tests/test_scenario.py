@@ -98,7 +98,7 @@ class TestEventValidation:
 
 class TestApplyScenario:
     def test_empty_events_equal_intact_allocation(self, ring_network):
-        series = apply_scenario(ring_network, ScenarioSpec((), seed=1), horizon=4)
+        series = apply_scenario(ring_network, ScenarioSpec((), seed=1, horizon=4))
         assert series.n_steps == 4
         np.testing.assert_allclose(series.delivered, 0.01)
         np.testing.assert_allclose(series.demand, 0.01)
@@ -106,29 +106,28 @@ class TestApplyScenario:
     def test_identity_demand_scale(self, ring_network):
         scaled = apply_scenario(
             ring_network,
-            ScenarioSpec((Event("demand_scale", 0, 4, factor=1.0),), seed=1),
-            horizon=4,
+            ScenarioSpec((Event("demand_scale", 0, 4, factor=1.0),), seed=1, horizon=4),
         )
-        plain = apply_scenario(ring_network, ScenarioSpec((), seed=1), horizon=4)
+        plain = apply_scenario(ring_network, ScenarioSpec((), seed=1, horizon=4))
         np.testing.assert_array_equal(scaled.delivered, plain.delivered)
         np.testing.assert_array_equal(scaled.demand, plain.demand)
 
     def test_pump_failure_changes_no_step(self, pump_network):
         # the surrogate has no pump model, so a failed pump routes as an intact one
         failed = apply_scenario(
-            pump_network, ScenarioSpec((Event("pump_failure", 0, 2, ids=("b1",)),)), horizon=3
+            pump_network, ScenarioSpec((Event("pump_failure", 0, 2, ids=("b1",)),), horizon=3)
         )
-        intact = apply_scenario(pump_network, ScenarioSpec(()), horizon=3)
+        intact = apply_scenario(pump_network, ScenarioSpec((), horizon=3))
         assert failed.digest() == intact.digest()
 
     def test_unknown_pump_rejected_even_if_never_active(self, pump_network):
-        spec = ScenarioSpec((Event("pump_failure", 5, 6, ids=("nope",)),))
+        spec = ScenarioSpec((Event("pump_failure", 5, 6, ids=("nope",)),), horizon=2)
         with pytest.raises(ValidationError, match="unknown pump"):
-            apply_scenario(pump_network, spec, horizon=2)
+            apply_scenario(pump_network, spec)
 
     def test_bridge_failure_window(self, tree_network):
-        spec = ScenarioSpec((Event("pipe_failure", 2, 5, ids=("p2",)),), seed=0)
-        series = apply_scenario(tree_network, spec, horizon=6)
+        spec = ScenarioSpec((Event("pipe_failure", 2, 5, ids=("p2",)),), seed=0, horizon=6)
+        series = apply_scenario(tree_network, spec)
         j2 = series.node_index("J2")
         for t in range(6):
             expected_connected = "J2" in tree_network.reachable_from_sources(
@@ -142,9 +141,9 @@ class TestApplyScenario:
 
     def test_demand_scaling_applies_inside_window(self, ring_network):
         spec = ScenarioSpec(
-            (Event("demand_scale", 1, 2, factor=2.0, ids=("J1",)),), seed=0
+            (Event("demand_scale", 1, 2, factor=2.0, ids=("J1",)),), seed=0, horizon=3
         )
-        series = apply_scenario(ring_network, spec, horizon=3)
+        series = apply_scenario(ring_network, spec)
         j1 = series.node_index("J1")
         assert series.demand[0, j1] == pytest.approx(0.01)
         assert series.demand[1, j1] == pytest.approx(0.02)
@@ -152,9 +151,9 @@ class TestApplyScenario:
 
     def test_supply_scaling_limits_sources(self, ring_network):
         spec = ScenarioSpec(
-            (Event("supply_scale", 0, 2, factor=0.2),), seed=0
+            (Event("supply_scale", 0, 2, factor=0.2),), seed=0, horizon=2
         )
-        series = apply_scenario(ring_network, spec, horizon=2)
+        series = apply_scenario(ring_network, spec)
         # source cap 0.05 * 0.2 = 0.01 cannot cover 0.03 of demand
         assert float(series.delivered[0].sum()) == pytest.approx(0.01)
 
@@ -165,8 +164,9 @@ class TestApplyScenario:
                 Event("demand_scale", 0, 2, factor=3.0, ids=("J1",)),
             ),
             seed=0,
+            horizon=1,
         )
-        series = apply_scenario(ring_network, spec, horizon=1)
+        series = apply_scenario(ring_network, spec)
         assert series.demand[0, series.node_index("J1")] == pytest.approx(0.06)
 
     def test_horizon_required(self, ring_network):
@@ -174,9 +174,9 @@ class TestApplyScenario:
             apply_scenario(ring_network, ScenarioSpec((), seed=1))
 
     def test_random_failure_resolved_from_seed(self, ring_network):
-        spec = ScenarioSpec((Event("pipe_failure", 0, 2, count=1),), seed=11)
-        a = apply_scenario(ring_network, spec, horizon=2)
-        b = apply_scenario(ring_network, spec, horizon=2)
+        spec = ScenarioSpec((Event("pipe_failure", 0, 2, count=1),), seed=11, horizon=2)
+        a = apply_scenario(ring_network, spec)
+        b = apply_scenario(ring_network, spec)
         np.testing.assert_array_equal(a.delivered, b.delivered)
 
     def test_json_round_trip(self, tmp_path):
@@ -226,8 +226,7 @@ class TestMonteCarlo:
         for pid in sorted(net.pipe_ids):
             series = apply_scenario(
                 net,
-                ScenarioSpec((Event("pipe_failure", 0, 2, ids=(pid,)),), seed=5),
-                horizon=2,
+                ScenarioSpec((Event("pipe_failure", 0, 2, ids=(pid,)),), seed=5, horizon=2),
             )
             expected.append(zhuang_availability(series).value)
         assert list(result.values) == pytest.approx(expected)
@@ -245,7 +244,7 @@ class TestMonteCarlo:
         result = monte_carlo(net, spec, n, "zhuang", exhaustive=True)
         expected = [
             zhuang_availability(apply_scenario(
-                net, ScenarioSpec((Event("pipe_failure", 0, 2, ids=ids),), seed=5), horizon=2,
+                net, ScenarioSpec((Event("pipe_failure", 0, 2, ids=ids),), seed=5, horizon=2),
             )).value
             for ids in list(itertools.combinations(pool, count))[:n]
         ]
