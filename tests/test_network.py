@@ -1,7 +1,10 @@
 """Network model: loading, validation, degrees and connectivity."""
 
+import hashlib
 import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,10 @@ from wdsres.network import (
 )
 
 from .conftest import make_network, make_pipe
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import netgen  # noqa: E402
 
 
 def minimal_doc():
@@ -149,6 +156,140 @@ class TestLoadNetwork:
     def test_ring_fixture_shape(self, ring_network):
         assert len(ring_network.pipes) == 4
         assert "J2" in ring_network.reachable_from_sources()
+
+
+# every numeric field of each section, in file order, with the kind the
+# messages name
+NUMERIC_FIELDS = {
+    "junctions": ("junction", ("elevation", "design_demand", "required_head")),
+    "sources": ("source", ("total_head", "outflow")),
+    "pumps": ("pump", ("power",)),
+    "pipes": ("pipe", ("length", "diameter", "friction_factor", "repair_rate", "capacity")),
+}
+FIELD_CASES = [(section, field) for section, (_, fields) in NUMERIC_FIELDS.items()
+               for field in fields]
+
+
+def doc_with_pump():
+    doc = minimal_doc()
+    doc["pumps"] = [{"id": "b1", "power": 100.0}]
+    return doc
+
+
+class TestIngestMessages:
+    """The exact message for each malformed field of each section."""
+
+    @pytest.mark.parametrize("section, field", FIELD_CASES)
+    def test_missing_field(self, section, field):
+        doc = doc_with_pump()
+        row = doc[section][0]
+        del row[field]
+        kind = NUMERIC_FIELDS[section][0]
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == f"{kind} {row['id']!r}: missing field {field!r}"
+
+    @pytest.mark.parametrize("value", [float("nan"), True, "1.0"], ids=["nan", "bool", "str"])
+    @pytest.mark.parametrize("section, field", FIELD_CASES)
+    def test_not_a_finite_number(self, section, field, value):
+        doc = doc_with_pump()
+        row = doc[section][0]
+        row[field] = value
+        kind = NUMERIC_FIELDS[section][0]
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == f"{kind} {row['id']!r}: field {field!r} must be a finite number"
+
+    @pytest.mark.parametrize("section", sorted(NUMERIC_FIELDS))
+    def test_missing_id(self, section):
+        doc = doc_with_pump()
+        del doc[section][0]["id"]
+        kind = NUMERIC_FIELDS[section][0]
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        # a pipe checks its endpoints first, and they are present here
+        assert str(info.value) == f"{kind} '?': missing field 'id'"
+
+    @pytest.mark.parametrize("section", sorted(NUMERIC_FIELDS))
+    def test_fields_are_checked_in_file_order(self, section):
+        doc = doc_with_pump()
+        kind, fields = NUMERIC_FIELDS[section]
+        row = {"id": "x"}
+        if section == "pipes":
+            row["endpoints"] = ["R1", "J1"]
+        doc[section][0] = row
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == f"{kind} 'x': missing field {fields[0]!r}"
+
+    def test_pipe_with_neither_id_nor_endpoints(self):
+        doc = minimal_doc()
+        del doc["pipes"][0]["id"]
+        del doc["pipes"][0]["endpoints"]
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == "pipe '?': missing field 'endpoints'"
+
+    @pytest.mark.parametrize("endpoints", ["R1", ["R1"], ["R1", "J1", "J1"], {"R1": "J1"}, 5])
+    def test_malformed_endpoints(self, endpoints):
+        doc = minimal_doc()
+        doc["pipes"][0]["endpoints"] = endpoints
+        # checked before the id: a pipe without one gives the same message
+        del doc["pipes"][0]["id"]
+        with pytest.raises(ValidationError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == "pipe '?': endpoints must be a pair of node ids"
+
+    def test_numeric_ids_become_strings(self):
+        doc = doc_with_pump()
+        doc["junctions"][0]["id"] = 5
+        doc["pipes"][0]["id"] = 7
+        doc["pipes"][0]["endpoints"] = ["R1", 5]
+        doc["pumps"][0]["id"] = 9
+        net = network_from_dict(doc)
+        assert net.junction_ids == ("5",)
+        assert net.pipe("7").endpoints == ("R1", "5")
+        assert net.pump("9").power == 100.0
+
+
+def lps_network_doc():
+    """Pumps, a parallel pair and flows in L/s whose conversion is inexact."""
+    pipe = {"length": 120.5, "diameter": 0.15, "friction_factor": 0.021,
+            "repair_rate": 0.002}
+    return {
+        "units": "lps",
+        "junctions": [
+            {"id": "B", "elevation": 3.5, "design_demand": 12.3, "required_head": 25.0},
+            {"id": "A", "elevation": 1.25, "design_demand": 7.7, "required_head": 20.0},
+        ],
+        "sources": [{"id": "R", "total_head": 80.0, "outflow": 33.3}],
+        "pumps": [{"id": "u2", "power": 1500.0}, {"id": "u1", "power": 750.5}],
+        "pipes": [
+            {"id": "p3", "endpoints": ["A", "B"], **pipe, "capacity": 9.9},
+            {"id": "p1", "endpoints": ["R", "A"], **pipe, "capacity": 21.1},
+            {"id": "p2", "endpoints": ["A", "R"], **pipe, "capacity": 0.7},
+        ],
+    }
+
+
+class TestSavedBytes:
+    """sha256 of the ``save_network`` bytes: key order, sort order and float bits."""
+
+    def test_grid(self, tmp_path):
+        path = tmp_path / "grid.json"
+        save_network(network_from_dict(netgen.grid_network(30, 30, 0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f541e48a6439bc152fedc96fa665917dc25d072d4e70a8b4537a79703a610aa3"
+        )
+
+    def test_pumps_parallel_pipes_and_lps(self, tmp_path):
+        source = tmp_path / "lps.json"
+        source.write_text(json.dumps(lps_network_doc()))
+        path = tmp_path / "saved.json"
+        save_network(load_network(source), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "576545a9edfedb36c7213fb420d8b09b0a9a4e28acd9befdf06ff0a24f39f269"
+        )
 
 
 class TestSaveRoundTrip:
