@@ -4,7 +4,10 @@ A :class:`Network` is an attributed undirected multigraph: junctions and
 sources are nodes, pipes are edges (parallel pipes are allowed, self-loops
 are not), pumps are stand-alone powered components.  All quantities are SI
 internally (m, m3/s, W); files may declare flows in L/s and are converted
-on ingest.  A network's fields are immutable after construction, but its
+on ingest.  One table, ``_SECTIONS``, gives each section of a network file
+its element type, its numeric fields and which of them are flows; ingest
+(:func:`network_from_dict`), :meth:`Network.to_dict` and the id lookups
+read it.  A network's fields are immutable after construction, but its
 first flow solve or path search caches a compiled model on it
 (:mod:`wdsres.hydraulics`), and each flow solve rewrites that model's memo
 of the last solve, so threads must not solve on one network at once.
@@ -110,6 +113,26 @@ def pipe_resistance(pipe: Pipe) -> float:
     return pipe.friction_factor * pipe.length / pipe.diameter
 
 
+# network file section -> (element type, its numeric fields in field order,
+# the flows among them, which a file may give in L/s).  Every element's
+# first field is its id; a pipe's endpoints come between its id and its
+# numbers.
+_SECTIONS = {
+    "junctions": (Junction, ("elevation", "design_demand", "required_head"), {"design_demand"}),
+    "sources": (Source, ("total_head", "outflow"), {"outflow"}),
+    "pumps": (Pump, ("power",), set()),
+    "pipes": (Pipe, ("length", "diameter", "friction_factor", "repair_rate", "capacity"),
+              {"capacity"}),
+}
+
+
+def _lookup(by_id: dict, element_id: str, kind: str):
+    try:
+        return by_id[element_id]
+    except KeyError:
+        raise ValidationError(f"unknown {kind} {element_id!r}") from None
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable network of junctions, sources, pumps and pipes."""
@@ -119,20 +142,16 @@ class Network:
     pumps: tuple[Pump, ...]
     pipes: tuple[Pipe, ...]
 
-    _junction_map: dict = field(init=False, repr=False, compare=False, default=None)
-    _source_map: dict = field(init=False, repr=False, compare=False, default=None)
-    _pump_map: dict = field(init=False, repr=False, compare=False, default=None)
-    _pipe_map: dict = field(init=False, repr=False, compare=False, default=None)
+    # section -> {id: element}
+    _by_id: dict = field(init=False, repr=False, compare=False, default=None)
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
     # the network's one compiled model (wdsres.hydraulics._Model), built on
     # the first flow solve or path search
     _model: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "junctions", tuple(self.junctions))
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "pumps", tuple(self.pumps))
-        object.__setattr__(self, "pipes", tuple(self.pipes))
+        for section in _SECTIONS:
+            object.__setattr__(self, section, tuple(getattr(self, section)))
         if not self.sources:
             raise ValidationError("network needs at least one source")
         if not self.junctions:
@@ -144,14 +163,13 @@ class Network:
                 raise ValidationError(f"duplicate node id {node.id!r}")
             node_ids.add(node.id)
 
-        pump_ids = {p.id for p in self.pumps}
-        if len(pump_ids) != len(self.pumps):
+        by_id = {section: {e.id: e for e in getattr(self, section)} for section in _SECTIONS}
+        if len(by_id["pumps"]) != len(self.pumps):
             raise ValidationError("duplicate pump id")
-        pipe_ids = {p.id for p in self.pipes}
-        if len(pipe_ids) != len(self.pipes):
+        if len(by_id["pipes"]) != len(self.pipes):
             raise ValidationError("duplicate pipe id")
         # pipes and pumps share the failable-component namespace
-        overlap = pipe_ids & pump_ids
+        overlap = by_id["pipes"].keys() & by_id["pumps"].keys()
         if overlap:
             raise ValidationError(f"pipe and pump ids must not collide: {sorted(overlap)}")
 
@@ -168,10 +186,7 @@ class Network:
         # immutable, so neighbors() can hand them out without a copy
         adjacency = {nid: tuple(sorted(pairs)) for nid, pairs in adjacency.items()}
 
-        object.__setattr__(self, "_junction_map", {j.id: j for j in self.junctions})
-        object.__setattr__(self, "_source_map", {s.id: s for s in self.sources})
-        object.__setattr__(self, "_pump_map", {p.id: p for p in self.pumps})
-        object.__setattr__(self, "_pipe_map", {p.id: p for p in self.pipes})
+        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adjacency", adjacency)
 
     # -- counts ---------------------------------------------------------
@@ -185,28 +200,16 @@ class Network:
 
     # -- lookups --------------------------------------------------------
     def junction(self, node_id: str) -> Junction:
-        try:
-            return self._junction_map[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown junction {node_id!r}") from None
+        return _lookup(self._by_id["junctions"], node_id, "junction")
 
     def source(self, node_id: str) -> Source:
-        try:
-            return self._source_map[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown source {node_id!r}") from None
+        return _lookup(self._by_id["sources"], node_id, "source")
 
     def pump(self, pump_id: str) -> Pump:
-        try:
-            return self._pump_map[pump_id]
-        except KeyError:
-            raise ValidationError(f"unknown pump {pump_id!r}") from None
+        return _lookup(self._by_id["pumps"], pump_id, "pump")
 
     def pipe(self, pipe_id: str) -> Pipe:
-        try:
-            return self._pipe_map[pipe_id]
-        except KeyError:
-            raise ValidationError(f"unknown pipe {pipe_id!r}") from None
+        return _lookup(self._by_id["pipes"], pipe_id, "pipe")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -259,10 +262,10 @@ class Network:
         failed_pipes = frozenset(failed_pipes)
         failed_pumps = frozenset(failed_pumps)
         # difference() with a dict looks each failed id up instead of copying the keys
-        unknown = failed_pipes.difference(self._pipe_map)
+        unknown = failed_pipes.difference(self._by_id["pipes"])
         if unknown:
             raise ValidationError(f"unknown pipe ids in failure set: {sorted(unknown)}")
-        unknown = failed_pumps.difference(self._pump_map)
+        unknown = failed_pumps.difference(self._by_id["pumps"])
         if unknown:
             raise ValidationError(f"unknown pump ids in failure set: {sorted(unknown)}")
         return failed_pipes, failed_pumps
@@ -270,7 +273,7 @@ class Network:
     def reachable_from_sources(self, failed_pipes: Iterable[str] = ()) -> frozenset[str]:
         """All nodes connected to at least one source via non-failed pipes."""
         failed, _ = self.validate_failed_sets(failed_pipes)
-        seen = set(self._source_map)
+        seen = set(self._by_id["sources"])
         queue = deque(sorted(seen))
         while queue:
             node = queue.popleft()
@@ -283,39 +286,19 @@ class Network:
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
-        """Canonical dict form: SI units, elements sorted by id."""
-        return {
-            "units": "m3s",
-            "junctions": [
-                {
-                    "id": j.id,
-                    "elevation": j.elevation,
-                    "design_demand": j.design_demand,
-                    "required_head": j.required_head,
-                }
-                for j in sorted(self.junctions, key=lambda j: j.id)
-            ],
-            "sources": [
-                {"id": s.id, "total_head": s.total_head, "outflow": s.outflow}
-                for s in sorted(self.sources, key=lambda s: s.id)
-            ],
-            "pumps": [
-                {"id": p.id, "power": p.power}
-                for p in sorted(self.pumps, key=lambda p: p.id)
-            ],
-            "pipes": [
-                {
-                    "id": p.id,
-                    "endpoints": list(p.endpoints),
-                    "length": p.length,
-                    "diameter": p.diameter,
-                    "friction_factor": p.friction_factor,
-                    "repair_rate": p.repair_rate,
-                    "capacity": p.capacity,
-                }
-                for p in sorted(self.pipes, key=lambda p: p.id)
-            ],
-        }
+        """Canonical dict form: SI units, elements sorted by id, keys in field order."""
+        data: dict = {"units": "m3s"}
+        for section, (kind, numbers, _) in _SECTIONS.items():
+            rows = []
+            for element in sorted(getattr(self, section), key=lambda e: e.id):
+                row = {"id": element.id}
+                if kind is Pipe:
+                    row["endpoints"] = list(element.endpoints)
+                for name in numbers:
+                    row[name] = getattr(element, name)
+                rows.append(row)
+            data[section] = rows
+        return data
 
     def digest(self) -> str:
         """Short stable identifier of the network contents."""
@@ -349,49 +332,31 @@ def network_from_dict(data: Mapping, units: str | None = None) -> Network:
         raise ValidationError(f"unknown flow units {units!r}; expected one of {FLOW_UNITS}")
     scale = M3S_PER_LPS if units == "lps" else 1.0
 
-    junctions = []
-    for row in json_rows(data, "junctions"):
-        context = f"junction {row.get('id', '?')!r}"
-        junctions.append(
-            Junction(
-                id=str(_require(row, "id", context)),
-                elevation=_num(row, "elevation", context),
-                design_demand=_num(row, "design_demand", context) * scale,
-                required_head=_num(row, "required_head", context),
-            )
-        )
-    sources = []
-    for row in json_rows(data, "sources"):
-        context = f"source {row.get('id', '?')!r}"
-        sources.append(
-            Source(
-                id=str(_require(row, "id", context)),
-                total_head=_num(row, "total_head", context),
-                outflow=_num(row, "outflow", context) * scale,
-            )
-        )
-    pumps = []
-    for row in json_rows(data, "pumps"):
-        context = f"pump {row.get('id', '?')!r}"
-        pumps.append(Pump(id=str(_require(row, "id", context)), power=_num(row, "power", context)))
-    pipes = []
-    for row in json_rows(data, "pipes"):
-        context = f"pipe {row.get('id', '?')!r}"
-        endpoints = _require(row, "endpoints", context)
-        if not isinstance(endpoints, (list, tuple)) or len(endpoints) != 2:
-            raise ValidationError(f"{context}: endpoints must be a pair of node ids")
-        pipes.append(
-            Pipe(
-                id=str(_require(row, "id", context)),
-                endpoints=(str(endpoints[0]), str(endpoints[1])),
-                length=_num(row, "length", context),
-                diameter=_num(row, "diameter", context),
-                friction_factor=_num(row, "friction_factor", context),
-                repair_rate=_num(row, "repair_rate", context),
-                capacity=_num(row, "capacity", context) * scale,
-            )
-        )
-    return Network(tuple(junctions), tuple(sources), tuple(pumps), tuple(pipes))
+    return Network(**{
+        section: _elements(section, json_rows(data, section), scale) for section in _SECTIONS
+    })
+
+
+def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
+    """The elements of one file section.  A pipe's endpoints are checked
+    before its id; every other field is checked in field order."""
+    kind, numbers, flows = _SECTIONS[section]
+    label = kind.__name__.lower()
+    elements = []
+    for row in rows:
+        context = f"{label} {row.get('id', '?')!r}"
+        endpoints = ()  # a pipe's one non-numeric field after its id
+        if kind is Pipe:
+            pair = _require(row, "endpoints", context)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValidationError(f"{context}: endpoints must be a pair of node ids")
+            endpoints = ((str(pair[0]), str(pair[1])),)
+        values = [str(_require(row, "id", context)), *endpoints]
+        for name in numbers:
+            value = _num(row, name, context)
+            values.append(value * scale if name in flows else value)
+        elements.append(kind(*values))
+    return tuple(elements)
 
 
 def load_network(path: str | Path, units: str | None = None) -> Network:
