@@ -216,7 +216,7 @@ METRICS = {
 @click.option("--indicators", help="Indicator CSV (balaei).")
 @click.option("--checklist", help="Checklist JSON (wpr); defaults to the bundled file.")
 @click.option("--answers", help="Answers JSON (wpr).")
-@click.option("--nodes-out", help="Per-node index CSV output (herrera).")
+@click.option("--nodes-out", help="Per-node index CSV output (herrera only).")
 @click.option("--units", type=click.Choice(["lps", "m3s"]), default=None,
               help="Override flow units of the network file.")
 @click.option("--out", help="Write the JSON report here instead of stdout.")
@@ -230,6 +230,8 @@ def metric_cmd(name, **opts):
         raise ValidationError(
             f"unknown metric {name!r}; valid names: {', '.join(sorted(METRICS))}"
         )
+    if opts["nodes_out"] and name != "herrera":
+        raise ValidationError("--nodes-out applies to the herrera metric only")
     opts["threshold_given"] = opts["threshold"] is not None
     if opts["threshold"] is None:
         opts["threshold"] = DEFAULT_THRESHOLD

@@ -211,13 +211,18 @@ def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
     Concurrent scaling events on the same target multiply.  Random events
     are resolved once from the scenario seed and stay fixed over the
     horizon.  Each step is one :func:`surrogate_allocation`, and the joined
-    series has one row per step of the horizon.  Pump failures are
+    series has one row per step of the horizon.  Every event must start
+    within the horizon, after its ids are checked.  Pump failures are
     validated against the network's pumps but change no step, since the
     surrogate has no pump model.
     """
     if spec.horizon is None:
         raise ValidationError("a positive horizon is required")
     events = resolve_events(net, spec, random.Random(spec.seed))
+    for event in events:
+        if event.onset >= spec.horizon:
+            raise ValidationError(f"{event.kind} event starts at step {event.onset}, past the "
+                                  f"last step ({spec.horizon - 1}) of the horizon")
     steps = []
     for t in range(spec.horizon):
         failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)

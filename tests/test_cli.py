@@ -152,6 +152,27 @@ class TestMetricCommand:
         assert lines[0] == "node_id,I,weighted_I"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("name", ["zhuang", "todini", "buffering", "wpr"])
+    def test_nodes_out_on_another_metric_exits_one_before_any_work(
+        self, runner, net_path, state_path, tmp_path, monkeypatch, name
+    ):
+        from wdsres import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before --nodes-out was checked")
+
+        monkeypatch.setattr(cli, "load_network", refuse)
+        monkeypatch.setattr(cli, "load_series", refuse)
+        nodes_csv = tmp_path / "nodes.csv"
+        result = runner.invoke(
+            main,
+            ["metric", name, "--network", str(net_path), "--series", str(state_path),
+             "--nodes-out", str(nodes_csv)],
+        )
+        assert result.exit_code == 1
+        assert result.output == "error: --nodes-out applies to the herrera metric only\n"
+        assert not nodes_csv.exists()
+
     @pytest.mark.parametrize("option, value, message", [
         ("--trim", "0.7", "error: trim_fraction must lie in [0, 0.5)"),
         ("--K", "0", "error: k must be >= 1"),
@@ -585,6 +606,34 @@ class TestScenarioCommands:
         lines = result.output.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "horizon" in lines[0]
+
+    @pytest.mark.parametrize("horizon, override", [(4, None), (8, "5"), (8, "6")],
+                             ids=["spec", "override", "override-at-onset"])
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--n", "2", "--metric", "hashimoto"]],
+                             ids=["run", "mc"])
+    def test_event_starting_at_or_after_the_horizon_exits_one(
+        self, runner, net_path, tmp_path, command, horizon, override
+    ):
+        event = {"kind": "pipe_failure", "onset": 6, "repair": 9, "count": 2}
+        spec = self.spec_file(tmp_path, events=[event], horizon=horizon)
+        cut = ["--horizon", override] if override else []
+        result = runner.invoke(main, ["scenario", command[0], "--network", str(net_path),
+                                      "--spec", str(spec), *command[1:], *cut])
+        assert result.exit_code == 1
+        steps = int(override or horizon)
+        assert result.output == ("error: pipe_failure event starts at step 6, "
+                                 f"past the last step ({steps - 1}) of the horizon\n")
+
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--n", "2", "--metric", "zhuang"]],
+                             ids=["run", "mc"])
+    def test_event_starting_on_the_last_step_runs(self, runner, net_path, tmp_path, command):
+        spec = self.spec_file(
+            tmp_path, events=[{"kind": "pipe_failure", "onset": 3, "repair": 9, "count": 1}],
+            horizon=4,
+        )
+        result = runner.invoke(main, ["scenario", command[0], "--network", str(net_path),
+                                      "--spec", str(spec), *command[1:]])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_mc_workers_below_one_exits_one(self, runner, net_path, tmp_path, workers):

@@ -125,6 +125,14 @@ class TestApplyScenario:
         with pytest.raises(ValidationError, match="unknown pump"):
             apply_scenario(pump_network, spec)
 
+    @pytest.mark.parametrize("onset", [2, 3])
+    def test_event_that_never_acts_is_rejected(self, ring_network, onset):
+        events = (Event("demand_scale", 0, 2, factor=1.5),
+                  Event("pipe_failure", onset, 5, ids=("p2",)))
+        spec = ScenarioSpec(events, horizon=2)
+        with pytest.raises(ValidationError, match=f"starts at step {onset}, past the last step"):
+            apply_scenario(ring_network, spec)
+
     def test_bridge_failure_window(self, tree_network):
         spec = ScenarioSpec((Event("pipe_failure", 2, 5, ids=("p2",)),), seed=0, horizon=6)
         series = apply_scenario(tree_network, spec)
@@ -311,7 +319,7 @@ class TestMonteCarlo:
     @example(values=[0.7])
     @example(values=[-0.0, -0.0, 1.0, 1.0])
     @example(values=[0.0, -0.0, -0.0, -1.0])
-    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=1000)
     def test_summary_quantiles_equal_numpy_bit_for_bit(self, values):
         from wdsres.scenario import summarize
 
