@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
+import wdsres.cli  # noqa: F401  (see the profile below)
 from wdsres import hydraulics
 from wdsres.hydraulics import HydraulicSeries
 from wdsres.network import Junction, Network, Pipe, Pump, Source
+
+# every property test draws the same examples in every run, keeps no
+# example database (no .hypothesis/ directory) and has no time limit per
+# example; a test sets only its own max_examples
+settings.register_profile("wdsres", derandomize=True, database=None, deadline=None)
+settings.load_profile("wdsres")
+# hypothesis mixes the constants of every loaded module of the checkout (test
+# files aside) into its draws, so the suite loads them all up front: a test
+# then draws the same examples whether it runs alone or in the full suite
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run  # noqa: E402,F401  (it loads netgen, tracing and workloads)
 
 
 def make_pipe(pid, a, b, length=100.0, diameter=0.1, friction=0.02,

@@ -112,8 +112,7 @@ def test_mutated_input_exits_cleanly(files, name):
     runner = CliRunner()
 
     @given(data=mutations(seed))
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
     def run(data):
         files["mutant"].write_bytes(data)
         result = runner.invoke(main, argv)

@@ -279,7 +279,7 @@ class TestCompiledSearch:
     @example(problem=(CHAIN, [("A", "S0", 2)]))
     @example(problem=(LATTICE, [("J0", "S0", 8), ("J4", "S1", 6), ("J2", "S1", 12)]))
     @example(problem=(ALL_INFINITE, [("A", "S0", 5), ("B", "S0", 4), ("S0", "A", 3)]))
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     def test_equals_the_reference_bit_for_bit(self, problem):
         net, queries = problem
         for start, goal, k in queries:
@@ -489,7 +489,7 @@ class TestTrimmedMean:
         fraction=st.floats(0.0, 0.49),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_permutation_invariant(self, values, fraction, seed):
         import random as _random
 

@@ -176,7 +176,7 @@ class TestClassifyStates:
         low=st.floats(0.05, 1.0),
         high=st.floats(0.05, 1.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_monotone_in_threshold(self, ratios, low, high):
         low, high = sorted((low, high))
         series = make_series(
@@ -342,7 +342,7 @@ def flow_problems(draw):
 
 
 class TestCompiledModel:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(problem=flow_problems())
     def test_matches_arc_list_reference_exactly(self, problem):
         net, calls = problem
@@ -501,7 +501,7 @@ class CountingAdjacency(list):
 
 class TestResumingKernel:
     @given(runs=kernel_problems())
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @example(runs=kernel_inputs(lambda: allocate_flows(_mid_path_saturation())))
     @example(runs=kernel_inputs(lambda: allocate_flows(_two_arcs_close())))
     @example(runs=kernel_inputs(lambda: allocate_flows(_interior_leftover())))

@@ -67,7 +67,7 @@ class TestHashimotoRecovery:
             hashimoto_recovery(states("S"))
 
     @given(st.text(alphabet="SF", min_size=2, max_size=40))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_nonnegative(self, text):
         assert hashimoto_recovery(states(text)).value >= 0.0
 
@@ -121,7 +121,7 @@ class TestPipeFragility:
         a=st.floats(0.0, 20.0),
         b=st.floats(1e-4, 10.0),
     )
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_strictly_increasing_and_bounded(self, a, b):
         # exponents kept below ~30: past that, 1 - exp(-x) saturates to
         # exactly 1.0 in float64 and strictness is unobservable
@@ -343,7 +343,7 @@ def connectivity_problems(draw):
 
 class TestConnectivityBuffering:
     @given(problem=connectivity_problems())
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     def test_equals_the_subset_enumeration(self, problem):
         net, max_k = problem
         assert _outcome(lambda: connectivity_buffering(net, max_k)) == _enumerated(net, max_k)
@@ -495,7 +495,7 @@ def _widened(net, capacity):
 
 class TestSupplyBuffering:
     @given(problem=supply_problems())
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     # pinned: which examples a derandomized run draws depends on the loaded modules
     @example(problem=(_swallowing(), 1.0, 2))
     @example(problem=(_widened(torus_network(4, 4), 1e4), 0.99, 2))

@@ -73,7 +73,7 @@ class TestBalaeiAggregate:
         ),
         scale=st.floats(0.01, 100.0),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_weight_scaling_invariance(self, data, scale):
         base = [Indicator(f"i{n}", v, 1.0, w) for n, (v, w) in enumerate(data)]
         scaled = [Indicator(f"i{n}", v, 1.0, w * scale) for n, (v, w) in enumerate(data)]
@@ -172,7 +172,7 @@ class TestWprScore:
 
     @given(bits=st.lists(st.booleans(), min_size=36, max_size=36),
            flip=st.integers(0, 35))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_single_flip_changes_score_by_one(self, bits, flip):
         checklist = load_checklist()
         names = checklist.names()
