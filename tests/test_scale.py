@@ -1,8 +1,8 @@
 """Byte digests of the heavy commands on a 900-junction network.
 
 The goldens elsewhere cover fixtures of about ten nodes and grids of up
-to 14x14.  These pin the reports of ``metric herrera``, connectivity
-``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
+to 14x14.  These pin the reports of ``metric herrera``, connectivity and
+supply ``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
 wrap-around grid (seed 0), so a change that keeps the small answers but
 moves a bit at scale fails the suite.  The scenario fails 300 random
 pipes, enough to cut junctions off in every replicate, so the four zhuang
@@ -38,6 +38,8 @@ CASES = {
                  "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
     "buffering": (["metric", "buffering", "--network", "{net}", "--max-k", "3",
                    "--out", "{report}"], ("report",)),
+    "supply": (["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
+                "--max-k", "1", "--out", "{report}"], ("report",)),
     "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
             "--metric", "zhuang", "--out", "{report}"], ("report",)),
     "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
@@ -55,6 +57,7 @@ GOLDEN = {
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
     "mc_hashimoto": {
         "report": "3b8c8c1332b88de161fe2292a4faac3be4a56722ad3845c9ff926ec027484039"},
+    "supply": {"report": "973d7bf91922aa3b4e7501d374ba6078f5a82e70febba5ef00b59b9e36878766"},
     "run": {"series": "79c16657c0f27fc9ac26970db3e952b0cf5913f3bd3b820ae844c30839ac4550",
             "stdout": "b6484e101f555cfc6bde9cbf067a462c854effc7d11dfb6077a73496fd6b5ddf"},
 }
