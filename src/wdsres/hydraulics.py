@@ -24,6 +24,9 @@ fresh search would label the same nodes in the same order and find the
 same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
 torus at design demand, all 196 pushes share one search.  Pipe flows are
 the kernel's per-arc sums of pushes, which no residual can round away.
+A second routine, :func:`_push`, moves a bounded amount between two
+nodes of a residual array; the supply buffering search uses it to reroute
+a failed pipe's flow around the failures.
 
 The model also remembers its most recent solve: the capacities the kernel
 was given, the residuals it left and its sums of pushes.  A solve with
@@ -431,6 +434,50 @@ def _edmonds_karp(caps: list[float], heads: list[int],
         if resume:
             queue.pop()
             parent[t] = -1
+
+
+def _push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, int]]],
+          u: int, v: int, amount: float) -> bool:
+    """Push up to ``amount`` from ``u`` to ``v`` in place on the residuals ``caps``.
+
+    Each augmenting path is a shortest one, found by a breadth-first search
+    that stops as soon as it labels ``v``; arcs with residual at most the
+    kernel's ``eps`` are skipped, so a zeroed arc carries nothing.  A push
+    is the path's smallest residual or what is left of ``amount``, so every
+    path but the last closes an arc, and as in Edmonds & Karp (1972) there
+    are at most O(V * E) pushes, each O(E).  It returns True only if the
+    whole ``amount`` went through; on False, ``caps`` holds what was pushed.
+    """
+    eps = 1e-12
+    n_nodes = len(adjacency)
+    while amount > 0.0:
+        parent = [-1] * n_nodes
+        parent[u] = -2
+        queue = [u]
+        for w in queue:
+            for ai, to in adjacency[w]:
+                if parent[to] == -1 and caps[ai] > eps:
+                    parent[to] = ai
+                    queue.append(to)
+            if parent[v] != -1:
+                break
+        else:
+            return False
+        push = amount
+        w = v
+        while w != u:
+            ai = parent[w]
+            if caps[ai] < push:
+                push = caps[ai]
+            w = heads[ai ^ 1]
+        w = v
+        while w != u:
+            ai = parent[w]
+            caps[ai] -= push
+            caps[ai ^ 1] += push
+            w = heads[ai ^ 1]
+        amount -= push
+    return True
 
 
 def allocate_flows(

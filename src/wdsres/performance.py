@@ -11,8 +11,8 @@ Buffering capacity (k-resilience) comes three ways.  Under the
 connectivity criterion :func:`connectivity_buffering` computes it exactly
 in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
 supply criterion :func:`supply_buffering` walks the failure sets but
-solves only those whose smaller subsets' max flows push anything through
-the added pipe.  For any other criterion :func:`buffering_capacity`
+solves only those that neither a smaller subset's max flow nor a rerouting
+of the intact network's flow settles.  For any other criterion :func:`buffering_capacity`
 enumerates every failure set of pipes and pumps against a feasibility
 oracle; with :func:`connectivity_feasibility` and
 :func:`supply_feasibility` it is also the test oracle for the two fast
@@ -327,31 +327,46 @@ def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[st
 
 
 def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
-    """Buffering capacity under the supply criterion, pruned by max-flow support.
+    """Buffering capacity under the supply criterion, pruned by max-flow support
+    and rerouting certificates.
 
     Returns ``buffering_capacity(net, supply_feasibility(net, threshold), max_k)``,
-    with the same errors, from far fewer max-flow solves.  It rests on one
-    lemma: if some max flow of ``G - F'`` sends nothing through pipe ``q``,
-    that flow is still a max flow of ``G - F' - q``, so both deliver the
-    same total.
+    with the same errors, from far fewer max-flow solves.  Levels k =
+    1..``max_k`` are walked in the enumerator's order, and two rules, tried
+    in this order, settle a failure set without a solve of its own.
 
-    Levels k = 1..``max_k`` are walked in the enumerator's order.  Each
-    failure set of the previous level keeps one entry: its delivered total
-    and its support, the pipes whose net flow, summed from the kernel's
-    pushes, is not zero.  A set of level k reuses the entry object of a (k - 1)-subset
-    when the remaining component is outside that subset's support and the
-    subset's total clears the threshold by ``1e-9`` of the total demand,
-    since a fresh solve can differ from it in the last bits.  A pump
-    changes no capacity of the surrogate, so it is in no support and a set
-    with a pump always reuses the entry of the set without it.  Every other
-    set gets its own solve and the oracle's exact comparison; the first one
-    that fails ends the search.  Only the previous level's entries are
-    kept, and only the sets below ``max_k`` build one.
+    The support lemma: if some max flow of ``G - F'`` sends nothing through
+    pipe ``q``, that flow is still a max flow of ``G - F' - q``, so both
+    deliver the same total.  Each failure set of the previous level keeps
+    one entry: its delivered total and its support, the pipes whose net
+    flow, summed from the kernel's pushes, is not zero.  A set of level k
+    reuses the entry object of a (k - 1)-subset when the remaining
+    component is outside that subset's support and the subset's total
+    clears the threshold by ``1e-9`` of the total demand, since a fresh
+    solve can differ from it in the last bits.  A pump changes no capacity
+    of the surrogate, so it is in no support and a set with a pump always
+    reuses the entry of the set without it.
+
+    The rerouting certificate (Wollmer 1963; Ratliff, Sicilia & Lubore
+    1975): on the residuals of the intact network's max flow, zero both
+    arcs of every failed pipe, then push each failed pipe's net flow from
+    its upstream end to its downstream end (:func:`_reroutes`).  If every
+    push goes through, ``G - F`` carries the intact total, and the set
+    passes when that total clears the threshold by the same margin.  All
+    certified sets share one entry, whose support holds every pipe, as the
+    rerouted flow's support is not kept.
+
+    Every other set gets its own solve and the oracle's exact comparison;
+    the first one that fails ends the search.  Both rules only ever pass a
+    set, so that one always gets its solve.  Only the previous level's
+    entries are kept, and only the sets below ``max_k`` build one.
 
     Finding the fewest failures that cut the flow below the threshold is
     max-flow interdiction, NP-hard in general, so the search stays
-    exponential in ``max_k``; on a 5 x 5 torus at ``max_k=2`` it solves
-    351 of the 1486 failure sets.
+    exponential in ``max_k``: the rules make each failure set cheaper, not
+    fewer.  On a 5 x 5 torus at ``max_k=2`` the intact network's is the
+    only solve, where the enumeration makes 1486 and the support lemma
+    alone 351.
     """
     hydraulics._check_threshold(threshold)
     baseline = []
@@ -362,9 +377,16 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
         return baseline[0].total_delivered >= threshold * baseline[0].total_demand - 1e-12
 
     _check_buffering(net, max_k, baseline_feasible)
+    model = hydraulics._model(net)
+    # the baseline's flow, kept before any fresh solve replaces the memo
+    _, residual, sent = model.last_solve
     total_demand = baseline[0].total_demand
     needed = threshold * total_demand - 1e-12
     clears = needed + 1e-9 * total_demand
+    # the sets whose failed pipes' flow reroutes share one entry: the
+    # baseline total, with every pipe in its support
+    certified = (baseline[0].total_delivered, frozenset(net.pipe_ids))
+    rerouting = certified[0] >= clears
     pump_ids = frozenset(net.pump_ids)
 
     def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str]]:
@@ -383,15 +405,43 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                 ):
                     break
             else:
-                # a set reaches this solve only when it holds no pump
-                alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
-                if alloc.total_delivered < needed:
-                    return k - 1
-                parent = entry(alloc) if k < max_k else None  # the last level keeps none
+                # a set gets here only when it holds no pump
+                if rerouting and _reroutes(model, residual, sent, failed):
+                    parent = certified
+                else:
+                    alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
+                    if alloc.total_delivered < needed:
+                        return k - 1
+                    parent = entry(alloc) if k < max_k else None  # the last level keeps none
             if k < max_k:
                 current[failed] = parent
         previous = current
     return max_k
+
+
+def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
+              failed: tuple[str, ...]) -> bool:
+    """Whether the baseline flow of every pipe in ``failed`` reroutes around them all.
+
+    ``residual`` and ``sent`` are the residuals and per-arc pushes of the
+    baseline solve.  Both arcs of every failed pipe are zeroed first; then
+    each pipe's net flow, read from the pushes (a residual can swallow a
+    small one), is pushed from its upstream end to its downstream end.  If
+    every push goes through, the rerouted flow is a flow of the network
+    without ``failed`` that delivers the baseline total.
+    """
+    caps = list(residual)
+    arcs = [model.pipe_arcs[pipe_id] for pipe_id in failed]
+    for ai in arcs:
+        caps[ai] = caps[ai ^ 1] = 0.0
+    for ai in arcs:
+        flow = sent[ai] - sent[ai ^ 1]
+        tail, head = model.heads[ai ^ 1], model.heads[ai]
+        if flow < 0.0:
+            flow, tail, head = -flow, head, tail
+        if not hydraulics._push(caps, model.heads, model.adjacency, tail, head, flow):
+            return False
+    return True
 
 
 def _check_series_nodes(net: Network, series: HydraulicSeries) -> None:

@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import wdsres.cli  # noqa: F401  (see the profile below)
 from wdsres import hydraulics
 from wdsres.hydraulics import HydraulicSeries
 from wdsres.network import Junction, Network, Pipe, Pump, Source
 
+# even with no example database, hypothesis caches the constants it collects
+# from the checkout's modules under its home directory, which defaults to
+# .hypothesis/ in the working directory; the cache only saves reparsing, so a
+# temporary home, removed at exit, draws the same examples
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 # every property test draws the same examples in every run, keeps no
-# example database (no .hypothesis/ directory) and has no time limit per
-# example; a test sets only its own max_examples
+# example database and has no time limit per example; a test sets only its
+# own max_examples
 settings.register_profile("wdsres", derandomize=True, database=None, deadline=None)
 settings.load_profile("wdsres")
 # hypothesis mixes the constants of every loaded module of the checkout (test

@@ -531,6 +531,60 @@ class TestResumingKernel:
         assert sum(counted.reads.values()) == reads
 
 
+def _diamond():
+    """Residuals on nodes 0-3 with a min cut of 3.0 between 0 and 3.
+
+    Arcs 0->1 (2.0), 0->2 (1.5), 1->3 (1.0), 2->3 (2.0) and a pipe 1-2
+    (0.5 each way); every value is dyadic, so flows and sums are exact.
+    """
+    pairs = [(0, 1, 2.0, 0.0), (0, 2, 1.5, 0.0), (1, 3, 1.0, 0.0), (2, 3, 2.0, 0.0),
+             (1, 2, 0.5, 0.5)]
+    caps, heads = [], []
+    adjacency = [[] for _ in range(4)]
+    for a, b, forward, backward in pairs:
+        adjacency[a].append((len(heads), b))
+        adjacency[b].append((len(heads) + 1, a))
+        heads.extend((b, a))
+        caps.extend((forward, backward))
+    return caps, heads, adjacency
+
+
+def net_outflows(before, after, adjacency):
+    return [sum(before[ai] - after[ai] for ai, _ in arcs) for arcs in adjacency]
+
+
+class TestPush:
+    @pytest.mark.parametrize("amount, moved", [(0.0, 0.0), (0.75, 0.75), (2.5, 2.5),
+                                               (3.0, 3.0), (3.25, 3.0), (8.0, 3.0)])
+    def test_moves_the_amount_the_cut_allows(self, amount, moved):
+        before, heads, adjacency = _diamond()
+        caps = before.copy()
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, amount) == (moved == amount)
+        assert net_outflows(before, caps, adjacency) == [moved, 0.0, 0.0, -moved]
+        assert [caps[a] + caps[a ^ 1] for a in range(0, len(caps), 2)] == [
+            before[a] + before[a ^ 1] for a in range(0, len(caps), 2)]
+
+    def test_never_uses_a_zeroed_arc(self):
+        before, heads, adjacency = _diamond()
+        before[4] = before[5] = 0.0  # 1->3 is gone, so the cut is 2->3 alone
+        caps = before.copy()
+        assert not hydraulics._push(caps, heads, adjacency, 0, 3, 2.5)
+        assert caps[4] == caps[5] == 0.0
+        assert net_outflows(before, caps, adjacency) == [2.0, 0.0, 0.0, -2.0]
+        caps = before.copy()
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, 2.0)
+        assert caps[4] == caps[5] == 0.0
+
+    def test_pushes_back_along_reverse_residuals(self):
+        # 3 reaches 0 only through arcs that flow from 0 to 3 has opened
+        before, heads, adjacency = _diamond()
+        caps = before.copy()
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, 3.0)
+        assert not hydraulics._push(caps.copy(), heads, adjacency, 0, 3, 0.25)
+        assert hydraulics._push(caps, heads, adjacency, 3, 0, 3.0)
+        assert net_outflows(before, caps, adjacency) == [0.0] * 4
+
+
 class TestLastSolveMemo:
     def test_failure_window_runs_the_kernel_once_per_change_of_state(
         self, mesh_network, kernel_runs
