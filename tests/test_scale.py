@@ -4,7 +4,10 @@ The goldens elsewhere cover fixtures of about ten nodes and grids of up
 to 14x14.  These pin the reports of ``metric herrera``, connectivity and
 supply ``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
 wrap-around grid (seed 0), so a change that keeps the small answers but
-moves a bit at scale fails the suite.  The scenario fails 300 random
+moves a bit at scale fails the suite.  Supply buffering at ``--max-k 1``
+keeps nothing from one level to the next, so a second supply case runs
+at ``--max-k 2`` on the 14x14 grid (seed 0), where it takes about a
+second.  The scenario fails 300 random
 pipes, enough to cut junctions off in every replicate, so the four zhuang
 values differ and the digest pins the interpolated quantiles too.
 """
@@ -40,6 +43,8 @@ CASES = {
                    "--out", "{report}"], ("report",)),
     "supply": (["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
                 "--max-k", "1", "--out", "{report}"], ("report",)),
+    "supply_k2": (["metric", "buffering", "--network", "{net14}", "--threshold", "0.99",
+                   "--max-k", "2", "--out", "{report}"], ("report",)),
     "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
             "--metric", "zhuang", "--out", "{report}"], ("report",)),
     "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
@@ -58,6 +63,8 @@ GOLDEN = {
     "mc_hashimoto": {
         "report": "3b8c8c1332b88de161fe2292a4faac3be4a56722ad3845c9ff926ec027484039"},
     "supply": {"report": "973d7bf91922aa3b4e7501d374ba6078f5a82e70febba5ef00b59b9e36878766"},
+    "supply_k2": {
+        "report": "085ac8469d6a07ce64c425b920157a573b67c6a8bfa7ce474277b0e1978f5a61"},
     "run": {"series": "79c16657c0f27fc9ac26970db3e952b0cf5913f3bd3b820ae844c30839ac4550",
             "stdout": "b6484e101f555cfc6bde9cbf067a462c854effc7d11dfb6077a73496fd6b5ddf"},
 }
@@ -67,9 +74,10 @@ GOLDEN = {
 def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("scale")
     net = netgen.write_network(directory / "net.json", 30, 30, 0)
+    net14 = netgen.write_network(directory / "net14.json", 14, 14, 0)
     spec = directory / "spec.json"
     spec.write_text(json.dumps(SPEC))
-    return {"net": net, "spec": spec}
+    return {"net": net, "net14": net14, "spec": spec}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
