@@ -25,8 +25,9 @@ same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
 torus at design demand, all 196 pushes share one search.  Pipe flows are
 the kernel's per-arc sums of pushes, which no residual can round away.
 A second routine, :func:`_push`, moves a bounded amount between two
-nodes of a residual array; the supply buffering search uses it to reroute
-a failed pipe's flow around the failures.
+nodes of a residual array and records every arc it crosses; the supply
+buffering search uses it to reroute a failed pipe's flow around the
+failures, and the crossed pipes bound the rerouted flow's support.
 
 The model also remembers its most recent solve: the capacities the kernel
 was given, the residuals it left and its sums of pushes.  A solve with
@@ -437,7 +438,7 @@ def _edmonds_karp(caps: list[float], heads: list[int],
 
 
 def _push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, int]]],
-          u: int, v: int, amount: float) -> bool:
+          u: int, v: int, amount: float, crossed: set[int]) -> bool:
     """Push up to ``amount`` from ``u`` to ``v`` in place on the residuals ``caps``.
 
     Each augmenting path is a shortest one, found by a breadth-first search
@@ -447,6 +448,9 @@ def _push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, i
     path but the last closes an arc, and as in Edmonds & Karp (1972) there
     are at most O(V * E) pushes, each O(E).  It returns True only if the
     whole ``amount`` went through; on False, ``caps`` holds what was pushed.
+    Every arc a push crosses is added to ``crossed``: a push below half an
+    ulp of an arc's residual leaves the residual unchanged, so ``caps``
+    alone cannot show where the flow went.
     """
     eps = 1e-12
     n_nodes = len(adjacency)
@@ -475,6 +479,7 @@ def _push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, i
             ai = parent[w]
             caps[ai] -= push
             caps[ai ^ 1] += push
+            crossed.add(ai)
             w = heads[ai ^ 1]
         amount -= push
     return True

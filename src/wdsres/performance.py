@@ -11,12 +11,12 @@ Buffering capacity (k-resilience) comes three ways.  Under the
 connectivity criterion :func:`connectivity_buffering` computes it exactly
 in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
 supply criterion :func:`supply_buffering` walks the failure sets but
-solves only those that neither a smaller subset's max flow nor a rerouting
-of the intact network's flow settles.  For any other criterion :func:`buffering_capacity`
-enumerates every failure set of pipes and pumps against a feasibility
-oracle; with :func:`connectivity_feasibility` and
-:func:`supply_feasibility` it is also the test oracle for the two fast
-paths.  All three run the same argument and baseline checks, in the same
+solves only those that neither a smaller subset's flow, solved or
+rerouted, nor a rerouting of the intact network's flow settles.  For any
+other criterion :func:`buffering_capacity` enumerates every failure set
+of pipes and pumps against a feasibility oracle; with
+:func:`connectivity_feasibility` and :func:`supply_feasibility` it is also
+the test oracle for the two fast paths.  All three run the same argument and baseline checks, in the same
 order and with the same messages.
 """
 
@@ -338,23 +338,28 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     The support lemma: if some max flow of ``G - F'`` sends nothing through
     pipe ``q``, that flow is still a max flow of ``G - F' - q``, so both
     deliver the same total.  Each failure set of the previous level keeps
-    one entry: its delivered total and its support, the pipes whose net
-    flow, summed from the kernel's pushes, is not zero.  A set of level k
-    reuses the entry object of a (k - 1)-subset when the remaining
-    component is outside that subset's support and the subset's total
-    clears the threshold by ``1e-9`` of the total demand, since a fresh
-    solve can differ from it in the last bits.  A pump changes no capacity
-    of the surrogate, so it is in no support and a set with a pump always
-    reuses the entry of the set without it.
+    one entry: its delivered total and its support, which for a solved set
+    are the pipes whose net flow, summed from the kernel's pushes, is not
+    zero.  A set of level k reuses the entry object of a (k - 1)-subset
+    when the remaining component is outside that subset's support and the
+    subset's total clears the threshold by ``1e-9`` of the total demand,
+    since a fresh solve can differ from it in the last bits.  A pump
+    changes no capacity of the surrogate, so it is in no support and a set
+    with a pump always reuses the entry of the set without it.
 
     The rerouting certificate (Wollmer 1963; Ratliff, Sicilia & Lubore
     1975): on the residuals of the intact network's max flow, zero both
     arcs of every failed pipe, then push each failed pipe's net flow from
     its upstream end to its downstream end (:func:`_reroutes`).  If every
     push goes through, ``G - F`` carries the intact total, and the set
-    passes when that total clears the threshold by the same margin.  All
-    certified sets share one entry, whose support holds every pipe, as the
-    rerouted flow's support is not kept.
+    passes when that total clears the threshold by the same margin.  The
+    rerouted flow is the intact flow but on the failed pipes and the pipes
+    the pushes crossed, so a pipe ``q`` outside the intact support and
+    those pipes carries no net flow in it, and the support lemma settles
+    ``F + q`` as it would from a solved set.  A certified set's entry
+    holds the intact total and, as its support, the intact support, shared
+    by every certified set, plus a tuple of the pipes its rerouting
+    touched: the failed ones and those the pushes crossed.
 
     Every other set gets its own solve and the oracle's exact comparison;
     the first one that fails ends the search.  Both rules only ever pass a
@@ -366,7 +371,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     exponential in ``max_k``: the rules make each failure set cheaper, not
     fewer.  On a 5 x 5 torus at ``max_k=2`` the intact network's is the
     only solve, where the enumeration makes 1486 and the support lemma
-    alone 351.
+    alone 351, and the certificates take 701 pushes.
     """
     hydraulics._check_threshold(threshold)
     baseline = []
@@ -383,18 +388,24 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     total_demand = baseline[0].total_demand
     needed = threshold * total_demand - 1e-12
     clears = needed + 1e-9 * total_demand
-    # the sets whose failed pipes' flow reroutes share one entry: the
-    # baseline total, with every pipe in its support
-    certified = (baseline[0].total_delivered, frozenset(net.pipe_ids))
-    rerouting = certified[0] >= clears
     pump_ids = frozenset(net.pump_ids)
+    # pipe arcs follow the source arcs, one pair per pipe in pipe order
+    first_pipe_arc = 2 * len(model.sources)
 
-    def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str]]:
+    def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str], tuple[str, ...]]:
         support = frozenset(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
-        return alloc.total_delivered, support
+        return alloc.total_delivered, support, ()
+
+    def rerouted_entry(arcs: set[int]) -> tuple[float, frozenset[str], tuple[str, ...]]:
+        return intact_total, intact_support, tuple({
+            model.pipe_ids[(ai - first_pipe_arc) >> 1] for ai in arcs
+            if first_pipe_arc <= ai < model.first_demand_arc
+        })
 
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
     previous = {(): entry(baseline[0])}
+    intact_total, intact_support, _ = previous[()]
+    rerouting = intact_total >= clears
     for k in range(1, max_k + 1):
         current = {}
         for failed in combinations(pool, k):
@@ -402,12 +413,14 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                 parent = previous[failed[:i] + failed[i + 1:]]
                 if component in pump_ids or (
                     parent[0] >= clears and component not in parent[1]
+                    and component not in parent[2]
                 ):
                     break
             else:
                 # a set gets here only when it holds no pump
-                if rerouting and _reroutes(model, residual, sent, failed):
-                    parent = certified
+                touched = _reroutes(model, residual, sent, failed) if rerouting else None
+                if touched is not None:
+                    parent = rerouted_entry(touched) if k < max_k else None
                 else:
                     alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
                     if alloc.total_delivered < needed:
@@ -420,28 +433,33 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
 
 
 def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
-              failed: tuple[str, ...]) -> bool:
-    """Whether the baseline flow of every pipe in ``failed`` reroutes around them all.
+              failed: tuple[str, ...]) -> set[int] | None:
+    """The arcs whose flow a rerouting around ``failed`` changes, or None if
+    the baseline flow of some pipe in ``failed`` does not reroute around them all.
 
     ``residual`` and ``sent`` are the residuals and per-arc pushes of the
     baseline solve.  Both arcs of every failed pipe are zeroed first; then
     each pipe's net flow, read from the pushes (a residual can swallow a
     small one), is pushed from its upstream end to its downstream end.  If
     every push goes through, the rerouted flow is a flow of the network
-    without ``failed`` that delivers the baseline total.
+    without ``failed`` that delivers the baseline total.  It equals the
+    baseline flow but on the failed pipes' arcs and the arcs the pushes
+    crossed, which :func:`hydraulics._push` records, so those are returned.
     """
     caps = list(residual)
     arcs = [model.pipe_arcs[pipe_id] for pipe_id in failed]
+    touched: set[int] = set()
     for ai in arcs:
         caps[ai] = caps[ai ^ 1] = 0.0
+        touched.update((ai, ai ^ 1))
     for ai in arcs:
         flow = sent[ai] - sent[ai ^ 1]
         tail, head = model.heads[ai ^ 1], model.heads[ai]
         if flow < 0.0:
             flow, tail, head = -flow, head, tail
-        if not hydraulics._push(caps, model.heads, model.adjacency, tail, head, flow):
-            return False
-    return True
+        if not hydraulics._push(caps, model.heads, model.adjacency, tail, head, flow, touched):
+            return None
+    return touched
 
 
 def _check_series_nodes(net: Network, series: HydraulicSeries) -> None:

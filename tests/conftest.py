@@ -214,3 +214,17 @@ def kernel_runs(monkeypatch):
 
     monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
     return runs
+
+
+@pytest.fixture
+def push_calls(monkeypatch):
+    """A list that grows by one on each call of the capped push routine."""
+    calls = []
+    push = hydraulics._push
+
+    def counted(*args):
+        calls.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(hydraulics, "_push", counted)
+    return calls

@@ -559,7 +559,7 @@ class TestPush:
     def test_moves_the_amount_the_cut_allows(self, amount, moved):
         before, heads, adjacency = _diamond()
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, amount) == (moved == amount)
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, amount, set()) == (moved == amount)
         assert net_outflows(before, caps, adjacency) == [moved, 0.0, 0.0, -moved]
         assert [caps[a] + caps[a ^ 1] for a in range(0, len(caps), 2)] == [
             before[a] + before[a ^ 1] for a in range(0, len(caps), 2)]
@@ -568,21 +568,41 @@ class TestPush:
         before, heads, adjacency = _diamond()
         before[4] = before[5] = 0.0  # 1->3 is gone, so the cut is 2->3 alone
         caps = before.copy()
-        assert not hydraulics._push(caps, heads, adjacency, 0, 3, 2.5)
+        assert not hydraulics._push(caps, heads, adjacency, 0, 3, 2.5, set())
         assert caps[4] == caps[5] == 0.0
         assert net_outflows(before, caps, adjacency) == [2.0, 0.0, 0.0, -2.0]
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, 2.0)
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, 2.0, set())
         assert caps[4] == caps[5] == 0.0
 
     def test_pushes_back_along_reverse_residuals(self):
         # 3 reaches 0 only through arcs that flow from 0 to 3 has opened
         before, heads, adjacency = _diamond()
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, 3.0)
-        assert not hydraulics._push(caps.copy(), heads, adjacency, 0, 3, 0.25)
-        assert hydraulics._push(caps, heads, adjacency, 3, 0, 3.0)
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, 3.0, set())
+        assert not hydraulics._push(caps.copy(), heads, adjacency, 0, 3, 0.25, set())
+        assert hydraulics._push(caps, heads, adjacency, 3, 0, 3.0, set())
         assert net_outflows(before, caps, adjacency) == [0.0] * 4
+
+    @pytest.mark.parametrize("amount, arcs", [
+        (0.0, set()),
+        (0.75, {0, 4}),                # 0->1->3
+        (2.5, {0, 4, 2, 6}),           # then 0->2->3
+        (8.0, {0, 4, 2, 6, 8}),        # then 0->1->2->3, and the cut is closed
+    ])
+    def test_records_every_arc_it_crosses(self, amount, arcs):
+        before, heads, adjacency = _diamond()
+        crossed = set()
+        hydraulics._push(before.copy(), heads, adjacency, 0, 3, amount, crossed)
+        assert crossed == arcs
+
+    def test_records_an_arc_whose_residual_swallows_the_push(self):
+        before, heads, adjacency = _diamond()
+        before[4] = 1e5  # 1->3: a push of 1e-12 leaves its residual as it was
+        caps, crossed = before.copy(), set()
+        assert hydraulics._push(caps, heads, adjacency, 0, 3, 1e-12, crossed)
+        assert caps[4] == before[4] and caps[0] != before[0]
+        assert crossed == {0, 4}
 
 
 class TestLastSolveMemo:

@@ -507,12 +507,48 @@ def _rounded_short():
     )
 
 
+def _swallowed_detour():
+    """R1 feeds the demand of 1.5e-12 over p1; p2, parallel and 1e5 wide,
+    and a1, a pipe to a second source R2 with no other pipe, carry nothing.
+
+    Without p1 the flow detours over p2, whose residual the push leaves
+    unchanged, so only the recorded path shows p2 in {p1}'s rerouted
+    support.  At ``max_k=2`` that support settles {a1, p1}; the first
+    failing set, {p1, p2}, comes after it, and the answer is 1.
+    """
+    return make_network(
+        [Junction("J1", 0.0, 1.5e-12, 30.0)],
+        [Source("R1", 100.0, 2e-12), Source("R2", 100.0, 2e-12)],
+        [make_pipe("a1", "R1", "R2"), make_pipe("p1", "R1", "J1"),
+         make_pipe("p2", "R1", "J1", capacity=1e5)],
+    )
+
+
+def _detour_past_a_used_pipe():
+    """R0 feeds J1 (demand 0.01) over p0 and J0 (0.02) over p1; p3 (0.01)
+    joins R0 to J0 as well, and p2 joins J0 to J1.
+
+    {p0}'s flow reroutes over p3 and p2, past p1, which carries the intact
+    flow.  Without p0 and p1 only 0.01 of the 0.03 demand arrives, so at
+    threshold 0.6 the answer is 1: p1 is in {p0}'s support through the
+    intact flow alone.
+    """
+    return make_network(
+        [Junction("J0", 0.0, 0.02, 30.0), Junction("J1", 0.0, 0.01, 30.0)],
+        [Source("R0", 100.0, 0.05)],
+        [make_pipe("p0", "R0", "J1"), make_pipe("p1", "J0", "R0", capacity=0.02),
+         make_pipe("p2", "J1", "J0"), make_pipe("p3", "J0", "R0", capacity=0.01)],
+    )
+
+
 class TestSupplyBuffering:
     @given(problem=supply_problems())
     @settings(max_examples=400)
     # pinned: which examples a derandomized run draws depends on the loaded modules
     @example(problem=(_swallowing(), 1.0, 2))
     @example(problem=(_widened(torus_network(4, 4), 1e4), 0.99, 2))
+    @example(problem=(_swallowed_detour(), 1.0, 2))
+    @example(problem=(_detour_past_a_used_pipe(), 0.6, 2))
     def test_equals_the_subset_enumeration(self, problem):
         net, threshold, max_k = problem
         assert _outcome(lambda: supply_buffering(net, threshold, max_k)) == (
@@ -550,6 +586,37 @@ class TestSupplyBuffering:
             for failed in itertools.combinations(net.pipe_ids, k):
                 if performance._reroutes(model, residual, sent, failed):
                     assert feasible(frozenset(failed)), failed
+
+    @given(problem=supply_problems())
+    @settings(max_examples=400)
+    @example(problem=(_swallowing(), 1.0, 2))
+    @example(problem=(_widened(torus_network(4, 4), 1e4), 0.99, 2))
+    @example(problem=(_swallowed_detour(), 1.0, 2))
+    def test_a_rerouted_sets_support_passes_one_more_pipe(self, problem):
+        # a set of the next level that the support lemma settles from a
+        # rerouted set gets no solve, and the search stops at the first
+        # failing set, so its verdict alone would not show an unsound reuse
+        net, threshold, max_k = problem
+        try:
+            feasible = supply_feasibility(net, threshold)
+            baseline = hydraulics.allocate_flows(net)
+        except ValidationError:
+            return  # a threshold outside (0, 1] or a pipe that overflows when doubled
+        demand = baseline.total_demand
+        if baseline.total_delivered < threshold * demand - 1e-12 + 1e-9 * demand:
+            return  # the search tries a certificate only past this margin
+        model = hydraulics._model(net)
+        _, residual, sent = model.last_solve
+        support = {p for p, flow in baseline.pipe_flows.items() if flow != 0.0}
+        # only the sets below max_k keep an entry
+        for k in range(1, max_k):
+            for failed in itertools.combinations(net.pipe_ids, k):
+                arcs = performance._reroutes(model, residual, sent, failed)
+                if arcs is None:
+                    continue
+                touched = {p for p, ai in model.pipe_arcs.items() if {ai, ai ^ 1} & arcs}
+                for pipe_id in sorted(set(net.pipe_ids) - support - touched):
+                    assert feasible(frozenset((*failed, pipe_id))), (failed, pipe_id)
 
     def test_hand_values(self, ring_network, tree_network, mesh_network):
         # any one ring pipe may fail; losing p1 and p4 cuts every junction off
@@ -613,6 +680,17 @@ class TestSupplyBuffering:
         n = len(net.pipes) + len(net.pumps)
         assert len(kernel_runs) == solves < 1 + n + math.comb(n, 2)
 
+    @pytest.mark.parametrize("make, threshold, value, pushes", [
+        ("mesh", 0.2, 2, 19),
+        ("torus", 0.99, 2, 701),
+    ])
+    def test_push_count(self, mesh_network, push_calls, make, threshold, value, pushes):
+        # a rerouted set's support settles sets of the next level, which
+        # with one shared all-pipe entry took 29 and 2075 pushes
+        net = mesh_network if make == "mesh" else torus_network(5, 5)
+        assert supply_buffering(net, threshold, max_k=2) == value
+        assert len(push_calls) == pushes
+
     def test_pumps_never_need_a_solve(self, ring_network, kernel_runs):
         pumped = make_network(ring_network.junctions, ring_network.sources,
                               ring_network.pipes, [Pump("b1", 1.0), Pump("b2", 1.0)])
@@ -623,8 +701,10 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves
 
     def test_memory_holds_one_level_of_shared_entries(self):
-        # about 0.2 MiB; a copied support per set takes about 0.9 MiB and
-        # keeping every level's entries about 1.8 MiB
+        # about 82 KiB when every rerouted set shared one entry, and about
+        # 106 KiB with each rerouted set's touched pipes kept as a tuple
+        # (both run alone; 66 and 83 KiB in the full file); a copy of the
+        # intact support per rerouted set takes about 293 KiB
         net = torus_network(4, 4)
         supply_buffering(net, 0.99, max_k=1)  # compile the flow model outside the trace
         tracemalloc.start()
