@@ -24,10 +24,11 @@ fresh search would label the same nodes in the same order and find the
 same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
 torus at design demand, all 196 pushes share one search.  Pipe flows are
 the kernel's per-arc sums of pushes, which no residual can round away.
-A second routine, :func:`_push`, moves a bounded amount between two
-nodes of a residual array and records every arc it crosses; the supply
-buffering search uses it to reroute a failed pipe's flow around the
-failures, and the crossed pipes bound the rerouted flow's support.
+The same kernel, given a finite amount, moves it between any two nodes of
+a residual array: connectivity buffering stops it at the bound it needs,
+and the supply buffering search uses it to reroute a failed pipe's flow
+around the failures, where the arcs it records bound the rerouted flow's
+support.
 
 The model also remembers its most recent solve: the capacities the kernel
 was given, the residuals it left and its sums of pushes.  A solve with
@@ -363,33 +364,46 @@ def _model(net: Network) -> _Model:
 
 
 def _edmonds_karp(caps: list[float], heads: list[int],
-                  adjacency: list[list[tuple[int, int]]], s: int, t: int):
-    """Max flow in place on ``caps``, where arc ``i ^ 1`` is the residual of arc ``i``.
+                  adjacency: list[list[tuple[int, int]]], s: int, t: int,
+                  amount: float, sent: list[float] | dict[int, float]) -> bool:
+    """Push up to ``amount`` from ``s`` to ``t`` in place on ``caps``, where arc
+    ``i ^ 1`` is the residual of arc ``i``.
 
-    BFS scans each adjacency in insertion order, which the model keeps
-    sorted, so the augmenting-path choice (and therefore the full
-    allocation) is deterministic.  Arcs with residual at most ``eps``, such
-    as a failed pipe's at 0, are skipped exactly as if they were absent.
-    It returns, per arc, the sum of the pushes across it.
+    Each augmenting path is a shortest one (Edmonds & Karp 1972), found by
+    a breadth-first search that scans each adjacency in insertion order,
+    which the model keeps sorted, so the paths (and therefore the full
+    allocation) are deterministic.  Arcs with residual at most ``eps``,
+    such as a failed pipe's at 0, are skipped exactly as if they were
+    absent.  A push is the path's smallest residual or what is left of
+    ``amount``, so every path but the last closes an arc, and there are at
+    most O(V * E) pushes, each O(E); with ``amount`` infinite this is a
+    max flow.  It returns True only if the whole ``amount`` went through;
+    on False, ``caps`` holds what was pushed.  Each push is added to ``sent[arc]`` for every arc it crosses, a list
+    indexed by arc or a ``defaultdict(float)`` whose keys are then the
+    crossed arcs: a push below half an ulp of a residual leaves the
+    residual unchanged, so ``caps`` alone cannot show where the flow went.
 
     After a push that closes no arc on the path but its last, into ``t``,
-    the search resumes where it stopped instead of starting again from
-    ``s``.  Every node labelled so far was labelled through an arc that is
-    still open; the only arcs the push opens are reverse arcs, each from a
-    path node to its BFS parent, which was labelled before it; and the
-    search stopped on the scan of the node ``u`` whose arc into ``t`` is
-    now closed, with ``t`` the last node that scan labelled (on the
-    compiled model a junction's demand arc comes last).  A fresh BFS would
-    therefore label the same nodes in the same order, reach ``u``, not stop
-    there and go on as the resumed one does, so the augmenting paths are
-    exactly those of the restarting Edmonds-Karp.  A push that closes any
-    other arc, such as a pipe or a source arc, starts a fresh search.
+    when that arc is the last entry in its tail's adjacency, the search
+    resumes where it stopped instead of starting again from ``s``.  Every
+    node labelled so far was labelled through an arc that is still open;
+    the only arcs the push opens are reverse arcs, each from a path node to
+    its BFS parent, which was labelled before it; and the search stopped
+    after the scan of the tail ``u`` of the closed arc, which labelled
+    ``t`` last, since no arc follows that one in ``u``'s adjacency.  A
+    fresh BFS would therefore label the same nodes in the same order, scan
+    ``u`` without reaching ``t`` and go on as the resumed one does, so the
+    augmenting paths are exactly those of the restarting search.  Another
+    arc of ``u`` after the closed one could reach ``t`` in the fresh BFS
+    (a parallel pipe), so then, as after a push that closes any other
+    arc, the search starts afresh.  On the compiled model every arc into
+    the sink is a junction's demand arc, which comes last, so a max flow
+    resumes after every push that fills a demand and nothing else.
     """
     eps = 1e-12
     n_nodes = len(adjacency)
-    sent = [0.0] * len(caps)
     resume = False
-    while True:
+    while amount > 0.0:
         if not resume:
             parent = [-1] * n_nodes
             parent[s] = -2
@@ -402,27 +416,26 @@ def _edmonds_karp(caps: list[float], heads: list[int],
                 if parent[to] == -1 and caps[ai] > eps:
                     parent[to] = ai
                     queue.append(to)
-            # a junction's demand arc comes last in its adjacency, so this
-            # stops the search on the scan that reaches the sink
             if parent[t] != -1:
                 break
         else:
-            return sent
-        push = inf
+            return False
+        # the scan that labelled t ended on ai, the last arc of its node; the
+        # push is the path's smallest residual unless it uses up the amount,
+        # so the last arc closes whenever no other arc does
+        resume = parent[t] == ai
+        push = amount
         v = t
         while v != s:
             ai = parent[v]
             if caps[ai] < push:
                 push = caps[ai]
             v = heads[ai ^ 1]
+        amount -= push
         ai = parent[t]
         caps[ai] -= push
         caps[ai ^ 1] += push
         sent[ai] += push
-        # the push is the path's smallest residual, so the last arc closes
-        # whenever no other arc does; t is the last node labelled because
-        # the arc into it comes last in its tail's adjacency
-        resume = queue[-1] == t
         v = heads[ai ^ 1]
         while v != s:
             ai = parent[v]
@@ -435,53 +448,6 @@ def _edmonds_karp(caps: list[float], heads: list[int],
         if resume:
             queue.pop()
             parent[t] = -1
-
-
-def _push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, int]]],
-          u: int, v: int, amount: float, crossed: set[int]) -> bool:
-    """Push up to ``amount`` from ``u`` to ``v`` in place on the residuals ``caps``.
-
-    Each augmenting path is a shortest one, found by a breadth-first search
-    that stops as soon as it labels ``v``; arcs with residual at most the
-    kernel's ``eps`` are skipped, so a zeroed arc carries nothing.  A push
-    is the path's smallest residual or what is left of ``amount``, so every
-    path but the last closes an arc, and as in Edmonds & Karp (1972) there
-    are at most O(V * E) pushes, each O(E).  It returns True only if the
-    whole ``amount`` went through; on False, ``caps`` holds what was pushed.
-    Every arc a push crosses is added to ``crossed``: a push below half an
-    ulp of an arc's residual leaves the residual unchanged, so ``caps``
-    alone cannot show where the flow went.
-    """
-    eps = 1e-12
-    n_nodes = len(adjacency)
-    while amount > 0.0:
-        parent = [-1] * n_nodes
-        parent[u] = -2
-        queue = [u]
-        for w in queue:
-            for ai, to in adjacency[w]:
-                if parent[to] == -1 and caps[ai] > eps:
-                    parent[to] = ai
-                    queue.append(to)
-            if parent[v] != -1:
-                break
-        else:
-            return False
-        push = amount
-        w = v
-        while w != u:
-            ai = parent[w]
-            if caps[ai] < push:
-                push = caps[ai]
-            w = heads[ai ^ 1]
-        w = v
-        while w != u:
-            ai = parent[w]
-            caps[ai] -= push
-            caps[ai ^ 1] += push
-            crossed.add(ai)
-            w = heads[ai ^ 1]
-        amount -= push
     return True
 
 
@@ -548,8 +514,9 @@ def allocate_flows(
 
     key = tuple(caps)
     if model.last_solve is None or model.last_solve[0] != key:
-        sent = _edmonds_karp(caps, model.heads, model.adjacency,
-                             model.super_source, model.super_sink)
+        sent = [0.0] * len(caps)
+        _edmonds_karp(caps, model.heads, model.adjacency,
+                      model.super_source, model.super_sink, inf, sent)
         model.last_solve = (key, tuple(caps), sent)
     _, residual, sent = model.last_solve
 

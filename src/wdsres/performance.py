@@ -23,6 +23,7 @@ order and with the same messages.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -261,10 +262,12 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
     connected iff k < lambda = min_j lambda_j, so the answer is
     ``min(max_k, lambda - 1)``.
 
-    Each ``lambda_j`` is a max flow on the network's compiled flow model
-    with unit pipe capacities, in which only ``j``'s demand arc is open.
-    That arc's capacity is the smallest ``lambda_j`` found so far, at most
-    ``max_k + 1``, so a junction costs at most that many augmenting paths.
+    Each ``lambda_j`` is a flow on the network's compiled flow model with
+    unit pipe capacities, in which only ``j``'s demand arc is open.  The
+    kernel pushes at most the smallest ``lambda_j`` found so far, at most
+    ``max_k + 1``, into that arc, so a junction costs at most that many
+    augmenting paths, and one that takes them all ends without the search
+    that would find no more.
     """
     _check_buffering(
         net, max_k, lambda: net.reachable_from_sources().issuperset(net.junction_ids)
@@ -280,12 +283,13 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
         base[2 * k] = float(lam)
     for ai in model.pipe_arcs.values():
         base[ai] = base[ai ^ 1] = 1.0
+    unread = [0.0] * len(base)
     for k in range(len(model.junctions)):
         caps = base.copy()
         demand_arc = model.first_demand_arc + 2 * k
         caps[demand_arc] = float(lam)
         hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
-                                 model.super_source, model.super_sink)
+                                 model.super_source, model.super_sink, lam, unread)
         # unit capacities keep every residual an exact integer
         lam -= int(caps[demand_arc])
         if lam == 1:
@@ -358,8 +362,11 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     those pipes carries no net flow in it, and the support lemma settles
     ``F + q`` as it would from a solved set.  A certified set's entry
     holds the intact total and, as its support, the intact support, shared
-    by every certified set, plus a tuple of the pipes its rerouting
-    touched: the failed ones and those the pushes crossed.
+    by every certified set, plus a tuple of the pipes the pushes crossed;
+    its failed pipes need no place there, since a set of the next level
+    adds a pipe outside them.  Below ``max_k`` each set's pushes go to a
+    fresh ``defaultdict`` whose keys are the crossed arcs; at ``max_k``,
+    where no entry is kept, they go to one list that nothing reads.
 
     Every other set gets its own solve and the oracle's exact comparison;
     the first one that fails ends the search.  Both rules only ever pass a
@@ -396,7 +403,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
         support = frozenset(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
         return alloc.total_delivered, support, ()
 
-    def rerouted_entry(arcs: set[int]) -> tuple[float, frozenset[str], tuple[str, ...]]:
+    def rerouted_entry(arcs: dict[int, float]) -> tuple[float, frozenset[str], tuple[str, ...]]:
         return intact_total, intact_support, tuple({
             model.pipe_ids[(ai - first_pipe_arc) >> 1] for ai in arcs
             if first_pipe_arc <= ai < model.first_demand_arc
@@ -406,6 +413,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     previous = {(): entry(baseline[0])}
     intact_total, intact_support, _ = previous[()]
     rerouting = intact_total >= clears
+    unread = [0.0] * len(residual)
     for k in range(1, max_k + 1):
         current = {}
         for failed in combinations(pool, k):
@@ -418,9 +426,9 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                     break
             else:
                 # a set gets here only when it holds no pump
-                touched = _reroutes(model, residual, sent, failed) if rerouting else None
-                if touched is not None:
-                    parent = rerouted_entry(touched) if k < max_k else None
+                pushes = defaultdict(float) if k < max_k else unread
+                if rerouting and _reroutes(model, residual, sent, failed, pushes):
+                    parent = rerouted_entry(pushes) if k < max_k else None
                 else:
                     alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
                     if alloc.total_delivered < needed:
@@ -433,9 +441,8 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
 
 
 def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
-              failed: tuple[str, ...]) -> set[int] | None:
-    """The arcs whose flow a rerouting around ``failed`` changes, or None if
-    the baseline flow of some pipe in ``failed`` does not reroute around them all.
+              failed: tuple[str, ...], pushes: list[float] | dict[int, float]) -> bool:
+    """Whether the baseline flow of every pipe in ``failed`` reroutes around them all.
 
     ``residual`` and ``sent`` are the residuals and per-arc pushes of the
     baseline solve.  Both arcs of every failed pipe are zeroed first; then
@@ -444,22 +451,21 @@ def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
     every push goes through, the rerouted flow is a flow of the network
     without ``failed`` that delivers the baseline total.  It equals the
     baseline flow but on the failed pipes' arcs and the arcs the pushes
-    crossed, which :func:`hydraulics._push` records, so those are returned.
+    crossed, which :func:`hydraulics._edmonds_karp` adds to ``pushes``.
     """
     caps = list(residual)
     arcs = [model.pipe_arcs[pipe_id] for pipe_id in failed]
-    touched: set[int] = set()
     for ai in arcs:
         caps[ai] = caps[ai ^ 1] = 0.0
-        touched.update((ai, ai ^ 1))
     for ai in arcs:
         flow = sent[ai] - sent[ai ^ 1]
         tail, head = model.heads[ai ^ 1], model.heads[ai]
         if flow < 0.0:
             flow, tail, head = -flow, head, tail
-        if not hydraulics._push(caps, model.heads, model.adjacency, tail, head, flow, touched):
-            return None
-    return touched
+        if not hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
+                                        tail, head, flow, pushes):
+            return False
+    return True
 
 
 def _check_series_nodes(net: Network, series: HydraulicSeries) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -204,12 +205,13 @@ def hashimoto_series():
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """A list that grows by one on each run of the max-flow kernel."""
+    """A list that grows by one on each max-flow run of the kernel."""
     runs = []
     kernel = hydraulics._edmonds_karp
 
     def counted(*args):
-        runs.append(args)
+        if args[5] == inf:
+            runs.append(args)
         return kernel(*args)
 
     monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
@@ -218,13 +220,14 @@ def kernel_runs(monkeypatch):
 
 @pytest.fixture
 def push_calls(monkeypatch):
-    """A list that grows by one on each call of the capped push routine."""
+    """A list that grows by one on each capped push of the kernel."""
     calls = []
-    push = hydraulics._push
+    kernel = hydraulics._edmonds_karp
 
     def counted(*args):
-        calls.append(args)
-        return push(*args)
+        if args[5] != inf:
+            calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(hydraulics, "_push", counted)
+    monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
     return calls

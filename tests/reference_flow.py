@@ -11,7 +11,11 @@ zeroing their capacities, so agreement with
 kernel and the capacity writes together.  ``restarting_edmonds_karp`` is
 the compiled model's kernel as it was before it resumed its search, so
 agreement with ``wdsres.hydraulics._edmonds_karp`` on the same arrays
-checks the resume rule alone.
+checks the resume rule alone.  ``restarting_push`` is the capped push that
+the supply buffering search used before that kernel took a cap: it starts
+every search afresh and records the arcs it crosses, so agreement with the
+capped kernel between any two nodes checks the resume rule on targets
+other than the sink.
 """
 
 from __future__ import annotations
@@ -88,6 +92,54 @@ def restarting_edmonds_karp(caps: list[float], heads: list[int],
             caps[ai] -= push
             caps[ai ^ 1] += push
             v = heads[ai ^ 1]
+
+
+def restarting_push(caps: list[float], heads: list[int], adjacency: list[list[tuple[int, int]]],
+                    u: int, v: int, amount: float, crossed: set[int]) -> bool:
+    """Push up to ``amount`` from ``u`` to ``v`` in place on the residuals ``caps``.
+
+    Each augmenting path is a shortest one, found by a breadth-first search
+    that stops as soon as it labels ``v``; arcs with residual at most the
+    kernel's ``eps`` are skipped, so a zeroed arc carries nothing.  A push
+    is the path's smallest residual or what is left of ``amount``, so every
+    path but the last closes an arc, and as in Edmonds & Karp (1972) there
+    are at most O(V * E) pushes, each O(E).  It returns True only if the
+    whole ``amount`` went through; on False, ``caps`` holds what was pushed.
+    Every arc a push crosses is added to ``crossed``: a push below half an
+    ulp of an arc's residual leaves the residual unchanged, so ``caps``
+    alone cannot show where the flow went.
+    """
+    eps = 1e-12
+    n_nodes = len(adjacency)
+    while amount > 0.0:
+        parent = [-1] * n_nodes
+        parent[u] = -2
+        queue = [u]
+        for w in queue:
+            for ai, to in adjacency[w]:
+                if parent[to] == -1 and caps[ai] > eps:
+                    parent[to] = ai
+                    queue.append(to)
+            if parent[v] != -1:
+                break
+        else:
+            return False
+        push = amount
+        w = v
+        while w != u:
+            ai = parent[w]
+            if caps[ai] < push:
+                push = caps[ai]
+            w = heads[ai ^ 1]
+        w = v
+        while w != u:
+            ai = parent[w]
+            caps[ai] -= push
+            caps[ai ^ 1] += push
+            crossed.add(ai)
+            w = heads[ai ^ 1]
+        amount -= push
+    return True
 
 
 def reference_allocate_flows(

@@ -32,7 +32,7 @@ from wdsres.performance import (
 )
 from wdsres.scenario import Event, ScenarioSpec, apply_scenario, monte_carlo
 from .conftest import make_network, make_pipe, make_series, torus_network
-from .reference_flow import reference_allocate_flows, restarting_edmonds_karp
+from .reference_flow import reference_allocate_flows, restarting_edmonds_karp, restarting_push
 
 
 def surged(net, factor, **kwargs):
@@ -396,8 +396,8 @@ class TestCompiledModel:
 
 
 def kernel_inputs(solve):
-    """Every max-flow kernel input that ``solve()`` builds, as ``(caps, heads,
-    adjacency, s, t, residuals)`` with the restarting kernel's residuals.
+    """Every kernel input that ``solve()`` builds, as ``(caps, heads,
+    adjacency, s, t, amount, residuals)`` with the restarting kernel's residuals.
 
     ``solve`` runs on the restarting kernel, so it takes the same steps as
     it did before the kernel learned to resume.  That kernel records no
@@ -407,11 +407,11 @@ def kernel_inputs(solve):
     runs = []
     kernel = hydraulics._edmonds_karp
 
-    def restarting(caps, heads, adjacency, s, t):
+    def restarting(caps, heads, adjacency, s, t, amount, sent):
         given = caps.copy()
         restarting_edmonds_karp(caps, heads, adjacency, s, t)
-        runs.append((given, heads, adjacency, s, t, caps.copy()))
-        return kernel(given.copy(), heads, adjacency, s, t)
+        runs.append((given, heads, adjacency, s, t, amount, caps.copy()))
+        return kernel(given.copy(), heads, adjacency, s, t, amount, sent)
 
     with mock.patch.object(hydraulics, "_edmonds_karp", restarting):
         try:
@@ -487,6 +487,37 @@ def _supply_bound():
     )
 
 
+def _parallel_pipes():
+    """Two pipes join S1 to J1; the first, a, closes under a push of 1.0."""
+    return _pipe_network({"J1": 0.01}, [("a", "S1", "J1", 0.25), ("b", "S1", "J1", 1.0)])
+
+
+def capped_push(net, u, v, amount, **kwargs):
+    """A push of ``amount`` between nodes ``u`` and ``v`` of ``net``'s compiled
+    model, on the residuals of an allocation with ``kwargs``."""
+    allocate_flows(net, **kwargs)
+    model = net._model
+    index = {**model.index, "super source": model.super_source, "super sink": model.super_sink}
+    caps = list(model.last_solve[1])
+    return caps, model.heads, model.adjacency, index[u], index[v], amount
+
+
+@st.composite
+def push_problems(draw):
+    """A capped push between two nodes of a small compiled model, often the
+    ends of a pipe, which may have a parallel pipe."""
+    net = draw(flow_networks())
+    if net.pipes and draw(st.booleans()):
+        u, v = net.pipe(draw(st.sampled_from(net.pipe_ids))).endpoints
+        if draw(st.booleans()):
+            u, v = v, u
+    else:
+        nodes = [*net.node_ids, "super source", "super sink"]
+        u, v = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    amount = draw(st.one_of(_flows, st.floats(min_value=0.0, max_value=0.2)))
+    return capped_push(net, u, v, amount, **draw(allocation_arguments(net)))
+
+
 class CountingAdjacency(list):
     """An adjacency list that counts the reads of each node's arcs."""
 
@@ -510,9 +541,9 @@ class TestResumingKernel:
     @example(runs=kernel_inputs(lambda: surged(torus_network(4, 4), 2.5, failed_pipes={"h0_0"})))
     @example(runs=kernel_inputs(lambda: connectivity_buffering(torus_network(3, 3), 3)))
     def test_residuals_equal_the_restarting_kernel(self, runs):
-        for caps, heads, adjacency, s, t, want in runs:
+        for caps, heads, adjacency, s, t, amount, want in runs:
             got = caps.copy()
-            hydraulics._edmonds_karp(got, heads, adjacency, s, t)
+            hydraulics._edmonds_karp(got, heads, adjacency, s, t, amount, [0.0] * len(got))
             assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     # the restarting kernel reads 20093 arc lists in 197 searches and, under
@@ -520,15 +551,41 @@ class TestResumingKernel:
     @pytest.mark.parametrize("factor, reads, searches", [(1.0, 199, 1), (2.5, 112, 3)])
     def test_work_on_the_torus(self, factor, reads, searches):
         net = torus_network(14, 14)
-        [(caps, heads, adjacency, s, t, want)] = kernel_inputs(lambda: surged(net, factor))
+        [(caps, heads, adjacency, s, t, amount, want)] = kernel_inputs(lambda: surged(net, factor))
         counted = CountingAdjacency(adjacency)
-        hydraulics._edmonds_karp(caps, heads, counted, s, t)
+        hydraulics._edmonds_karp(caps, heads, counted, s, t, amount, [0.0] * len(caps))
         assert caps == want
         # a search scans each node at most once, however often it resumes
         assert counted.reads[s] == searches
         most_read = max(counted.reads.values())
         assert most_read <= searches
         assert sum(counted.reads.values()) == reads
+
+    @given(problem=push_problems())
+    @settings(max_examples=300)
+    # the search that labels J1 through a would label it through b afresh,
+    # so it must not resume although J1 was the last node it labelled
+    @example(problem=capped_push(_parallel_pipes(), "S1", "J1", 1.0))
+    @example(problem=capped_push(_parallel_pipes(), "super source", "J1", 1.0,
+                                 demand_factors={"J1": 0.5}))
+    def test_capped_pushes_equal_the_restarting_push(self, problem):
+        caps, heads, adjacency, u, v, amount = problem
+        want, crossed = caps.copy(), set()
+        got, sent = caps.copy(), collections.defaultdict(float)
+        assert hydraulics._edmonds_karp(got, heads, adjacency, u, v, amount, sent) == (
+            restarting_push(want, heads, adjacency, u, v, amount, crossed))
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert set(sent) == crossed
+
+    def test_connectivity_work_on_the_torus(self):
+        # every junction takes its 3 paths and then stops; running on to a
+        # max flow took a fourth, failed search each (784 searches, 124852 reads)
+        net = torus_network(14, 14)
+        model = hydraulics._model(net)
+        counted = model.adjacency = CountingAdjacency(model.adjacency)
+        assert connectivity_buffering(net, 2) == 2
+        assert counted.reads[model.super_source] == 3 * 196
+        assert sum(counted.reads.values()) == 85848
 
 
 def _diamond():
@@ -549,6 +606,12 @@ def _diamond():
     return caps, heads, adjacency
 
 
+def push(caps, heads, adjacency, u, v, amount, crossed=None):
+    """The kernel capped at ``amount``, recording its pushes in ``crossed``."""
+    sent = collections.defaultdict(float) if crossed is None else crossed
+    return hydraulics._edmonds_karp(caps, heads, adjacency, u, v, amount, sent)
+
+
 def net_outflows(before, after, adjacency):
     return [sum(before[ai] - after[ai] for ai, _ in arcs) for arcs in adjacency]
 
@@ -559,7 +622,7 @@ class TestPush:
     def test_moves_the_amount_the_cut_allows(self, amount, moved):
         before, heads, adjacency = _diamond()
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, amount, set()) == (moved == amount)
+        assert push(caps, heads, adjacency, 0, 3, amount) == (moved == amount)
         assert net_outflows(before, caps, adjacency) == [moved, 0.0, 0.0, -moved]
         assert [caps[a] + caps[a ^ 1] for a in range(0, len(caps), 2)] == [
             before[a] + before[a ^ 1] for a in range(0, len(caps), 2)]
@@ -568,20 +631,20 @@ class TestPush:
         before, heads, adjacency = _diamond()
         before[4] = before[5] = 0.0  # 1->3 is gone, so the cut is 2->3 alone
         caps = before.copy()
-        assert not hydraulics._push(caps, heads, adjacency, 0, 3, 2.5, set())
+        assert not push(caps, heads, adjacency, 0, 3, 2.5)
         assert caps[4] == caps[5] == 0.0
         assert net_outflows(before, caps, adjacency) == [2.0, 0.0, 0.0, -2.0]
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, 2.0, set())
+        assert push(caps, heads, adjacency, 0, 3, 2.0)
         assert caps[4] == caps[5] == 0.0
 
     def test_pushes_back_along_reverse_residuals(self):
         # 3 reaches 0 only through arcs that flow from 0 to 3 has opened
         before, heads, adjacency = _diamond()
         caps = before.copy()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, 3.0, set())
-        assert not hydraulics._push(caps.copy(), heads, adjacency, 0, 3, 0.25, set())
-        assert hydraulics._push(caps, heads, adjacency, 3, 0, 3.0, set())
+        assert push(caps, heads, adjacency, 0, 3, 3.0)
+        assert not push(caps.copy(), heads, adjacency, 0, 3, 0.25)
+        assert push(caps, heads, adjacency, 3, 0, 3.0)
         assert net_outflows(before, caps, adjacency) == [0.0] * 4
 
     @pytest.mark.parametrize("amount, arcs", [
@@ -592,17 +655,17 @@ class TestPush:
     ])
     def test_records_every_arc_it_crosses(self, amount, arcs):
         before, heads, adjacency = _diamond()
-        crossed = set()
-        hydraulics._push(before.copy(), heads, adjacency, 0, 3, amount, crossed)
-        assert crossed == arcs
+        crossed = collections.defaultdict(float)
+        push(before.copy(), heads, adjacency, 0, 3, amount, crossed)
+        assert set(crossed) == arcs
 
     def test_records_an_arc_whose_residual_swallows_the_push(self):
         before, heads, adjacency = _diamond()
         before[4] = 1e5  # 1->3: a push of 1e-12 leaves its residual as it was
-        caps, crossed = before.copy(), set()
-        assert hydraulics._push(caps, heads, adjacency, 0, 3, 1e-12, crossed)
+        caps, crossed = before.copy(), collections.defaultdict(float)
+        assert push(caps, heads, adjacency, 0, 3, 1e-12, crossed)
         assert caps[4] == before[4] and caps[0] != before[0]
-        assert crossed == {0, 4}
+        assert set(crossed) == {0, 4}
 
 
 class TestLastSolveMemo:

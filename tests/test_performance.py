@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -584,7 +585,7 @@ class TestSupplyBuffering:
         _, residual, sent = model.last_solve
         for k in range(1, max_k + 1):
             for failed in itertools.combinations(net.pipe_ids, k):
-                if performance._reroutes(model, residual, sent, failed):
+                if performance._reroutes(model, residual, sent, failed, defaultdict(float)):
                     assert feasible(frozenset(failed)), failed
 
     @given(problem=supply_problems())
@@ -611,10 +612,11 @@ class TestSupplyBuffering:
         # only the sets below max_k keep an entry
         for k in range(1, max_k):
             for failed in itertools.combinations(net.pipe_ids, k):
-                arcs = performance._reroutes(model, residual, sent, failed)
-                if arcs is None:
+                arcs = defaultdict(float)
+                if not performance._reroutes(model, residual, sent, failed, arcs):
                     continue
-                touched = {p for p, ai in model.pipe_arcs.items() if {ai, ai ^ 1} & arcs}
+                touched = {*failed, *(p for p, ai in model.pipe_arcs.items()
+                                      if {ai, ai ^ 1} & arcs.keys())}
                 for pipe_id in sorted(set(net.pipe_ids) - support - touched):
                     assert feasible(frozenset((*failed, pipe_id))), (failed, pipe_id)
 
@@ -648,7 +650,7 @@ class TestSupplyBuffering:
         _, residual, sent = model.last_solve
         threshold = baseline.total_delivered / baseline.total_demand
         for pipe_id in ("p1", "p2"):
-            assert performance._reroutes(model, residual, sent, (pipe_id,))
+            assert performance._reroutes(model, residual, sent, (pipe_id,), defaultdict(float))
             assert not supply_feasibility(net, threshold)(frozenset({pipe_id}))
         assert supply_buffering(net, threshold, max_k=1) == 0
         assert _supply_enumerated(net, threshold, 1) == 0
@@ -701,10 +703,10 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves
 
     def test_memory_holds_one_level_of_shared_entries(self):
-        # about 82 KiB when every rerouted set shared one entry, and about
-        # 106 KiB with each rerouted set's touched pipes kept as a tuple
-        # (both run alone; 66 and 83 KiB in the full file); a copy of the
-        # intact support per rerouted set takes about 293 KiB
+        # about 71 KiB run alone and 87 KiB in the full file, with each
+        # rerouted set's crossed pipes kept as a tuple beside the shared
+        # intact support; a copy of that support per rerouted set takes
+        # 255 to 282 KiB, so 2**18 would not always tell the two apart
         net = torus_network(4, 4)
         supply_buffering(net, 0.99, max_k=1)  # compile the flow model outside the trace
         tracemalloc.start()
@@ -713,7 +715,7 @@ class TestSupplyBuffering:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**19
+        assert peak < 2**17
 
 
 def _random_net_state(rng):
