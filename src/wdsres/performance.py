@@ -12,12 +12,14 @@ connectivity criterion :func:`connectivity_buffering` computes it exactly
 in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
 supply criterion :func:`supply_buffering` walks the failure sets but
 solves only those that neither a smaller subset's flow, solved or
-rerouted, nor a rerouting of the intact network's flow settles.  For any
-other criterion :func:`buffering_capacity` enumerates every failure set
-of pipes and pumps against a feasibility oracle; with
-:func:`connectivity_feasibility` and :func:`supply_feasibility` it is also
-the test oracle for the two fast paths.  All three run the same argument and baseline checks, in the same
-order and with the same messages.
+rerouted, nor a rerouting of the intact network's flow settles; most
+reroutes need no push, since two that share no arc and cross neither's
+failed pipes compose into one.  For any other criterion
+:func:`buffering_capacity` enumerates every failure set of pipes and
+pumps against a feasibility oracle; with :func:`connectivity_feasibility`
+and :func:`supply_feasibility` it is also the test oracle for the two
+fast paths.  All three run the same argument and baseline checks, in the
+same order and with the same messages.
 """
 
 from __future__ import annotations
@@ -336,8 +338,8 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
 
     Returns ``buffering_capacity(net, supply_feasibility(net, threshold), max_k)``,
     with the same errors, from far fewer max-flow solves.  Levels k =
-    1..``max_k`` are walked in the enumerator's order, and two rules, tried
-    in this order, settle a failure set without a solve of its own.
+    1..``max_k`` are walked in the enumerator's order, and three rules,
+    tried in this order, settle a failure set without a solve of its own.
 
     The support lemma: if some max flow of ``G - F'`` sends nothing through
     pipe ``q``, that flow is still a max flow of ``G - F' - q``, so both
@@ -351,6 +353,17 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     changes no capacity of the surrogate, so it is in no support and a set
     with a pump always reuses the entry of the set without it.
 
+    Composition: each certificate below is a flow on the intact network's
+    residuals, so two of them that cross no arc in common add up to one,
+    and if neither crosses a pipe that the other fails, the sum is a flow
+    of the network without both sets that delivers the intact total
+    (:func:`_composes`).  A set ``F`` is certified with no push when, for
+    a component ``c`` tried in ascending order, ``F - c`` holds a
+    certificate, ``c`` alone was certified by its pushes at level 1, and
+    the two compose.
+    The composed entry crossed the arcs of both and touched the pipes of
+    both.
+
     The rerouting certificate (Wollmer 1963; Ratliff, Sicilia & Lubore
     1975): on the residuals of the intact network's max flow, zero both
     arcs of every failed pipe, then push each failed pipe's net flow from
@@ -362,23 +375,29 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     those pipes carries no net flow in it, and the support lemma settles
     ``F + q`` as it would from a solved set.  A certified set's entry
     holds the intact total and, as its support, the intact support, shared
-    by every certified set, plus a tuple of the pipes the pushes crossed;
-    its failed pipes need no place there, since a set of the next level
-    adds a pipe outside them.  Below ``max_k`` each set's pushes go to a
-    fresh ``defaultdict`` whose keys are the crossed arcs; at ``max_k``,
-    where no entry is kept, they go to one list that nothing reads.
+    by every certified set, plus a tuple of the pipes the pushes crossed
+    and a tuple of the crossed arcs; its failed pipes need no place there,
+    since a set of the next level adds a pipe outside them.  The pushes of
+    every search run on one list of residuals, which :func:`_reroutes`
+    sets back after each set.
 
     Every other set gets its own solve and the oracle's exact comparison;
-    the first one that fails ends the search.  Both rules only ever pass a
+    the first one that fails ends the search.  The rules only ever pass a
     set, so that one always gets its solve.  Only the previous level's
-    entries are kept, and only the sets below ``max_k`` build one.
+    entries are kept, and only the sets below ``max_k`` build one.  Each
+    set ``S + (q,)`` of a level is built from an entry ``S`` of the level
+    before, with ``q`` after ``S``'s last component in pool order, which is
+    the enumerator's order.  At ``max_k`` no entry is kept, so where ``S``'s
+    total clears the margin only its support and touched pipes are tried as
+    ``q``: the support lemma settles every other ``q`` from ``S``.
 
     Finding the fewest failures that cut the flow below the threshold is
     max-flow interdiction, NP-hard in general, so the search stays
     exponential in ``max_k``: the rules make each failure set cheaper, not
     fewer.  On a 5 x 5 torus at ``max_k=2`` the intact network's is the
     only solve, where the enumeration makes 1486 and the support lemma
-    alone 351, and the certificates take 701 pushes.
+    alone 351, and the certificates take 209 pushes, 701 without
+    composition.
     """
     hydraulics._check_threshold(threshold)
     baseline = []
@@ -399,64 +418,125 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     # pipe arcs follow the source arcs, one pair per pipe in pipe order
     first_pipe_arc = 2 * len(model.sources)
 
-    def entry(alloc: hydraulics.FlowAllocation) -> tuple[float, frozenset[str], tuple[str, ...]]:
+    # an entry is (total, support, touched pipes, crossed arcs), with None
+    # for the arcs of a solved set
+    def entry(alloc: hydraulics.FlowAllocation) -> tuple:
         support = frozenset(p for p, flow in alloc.pipe_flows.items() if flow != 0.0)
-        return alloc.total_delivered, support, ()
+        return alloc.total_delivered, support, (), None
 
-    def rerouted_entry(arcs: dict[int, float]) -> tuple[float, frozenset[str], tuple[str, ...]]:
+    def rerouted_entry(arcs: tuple[int, ...]) -> tuple:
         return intact_total, intact_support, tuple({
             model.pipe_ids[(ai - first_pipe_arc) >> 1] for ai in arcs
             if first_pipe_arc <= ai < model.first_demand_arc
-        })
+        }), arcs
+
+    def composition(failed: tuple[str, ...]) -> tuple | None:
+        # the entries of a subset and of the remaining pipe alone whose
+        # certificates add up to one of failed
+        for i, component in enumerate(failed):
+            if component in singles:
+                rest = failed[:i] + failed[i + 1:]
+                rest_entry = previous[rest]
+                crossed, single = singles[component]
+                if rest_entry[3] is not None and _composes(model, rest, rest_entry[3],
+                                                           component, crossed):
+                    return rest_entry, single
+        return None
 
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
+    rank = {component: j for j, component in enumerate(pool)}
     previous = {(): entry(baseline[0])}
-    intact_total, intact_support, _ = previous[()]
+    intact_total, intact_support, _, _ = previous[()]
     rerouting = intact_total >= clears
-    unread = [0.0] * len(residual)
+    caps = list(residual)
+    singles = {}  # the level-1 certificates, by pipe: crossed arcs and entry
     for k in range(1, max_k + 1):
+        last = k == max_k
         current = {}
-        for failed in combinations(pool, k):
-            for i, component in enumerate(failed):
-                parent = previous[failed[:i] + failed[i + 1:]]
-                if component in pump_ids or (
-                    parent[0] >= clears and component not in parent[1]
-                    and component not in parent[2]
-                ):
-                    break
+        for base, base_entry in previous.items():
+            start = rank[base[-1]] + 1 if base else 0
+            if last and base_entry[0] >= clears:
+                # base settles every set that adds a component outside its support
+                tails = sorted(j for j in map(rank.__getitem__, {*base_entry[1], *base_entry[2]})
+                               if j >= start)
             else:
-                # a set gets here only when it holds no pump
-                pushes = defaultdict(float) if k < max_k else unread
-                if rerouting and _reroutes(model, residual, sent, failed, pushes):
-                    parent = rerouted_entry(pushes) if k < max_k else None
+                tails = range(start, len(pool))
+            for j in tails:
+                failed = base + (pool[j],)
+                for i, component in enumerate(failed):
+                    parent = previous[failed[:i] + failed[i + 1:]]
+                    if component in pump_ids or (
+                        parent[0] >= clears and component not in parent[1]
+                        and component not in parent[2]
+                    ):
+                        break
                 else:
-                    alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
-                    if alloc.total_delivered < needed:
-                        return k - 1
-                    parent = entry(alloc) if k < max_k else None  # the last level keeps none
-            if k < max_k:
-                current[failed] = parent
+                    # a set gets here only when it holds no pump
+                    pair = composition(failed)
+                    if pair is not None:
+                        rest_entry, single = pair
+                        parent = None if last else (
+                            intact_total, intact_support, tuple({*rest_entry[2], *single[2]}),
+                            rest_entry[3] + single[3])
+                    else:
+                        pushes = defaultdict(float)
+                        if rerouting and _reroutes(model, caps, residual, sent, failed, pushes):
+                            parent = rerouted_entry(tuple(pushes))
+                            if k == 1 and not last:
+                                singles[failed[0]] = frozenset(pushes), parent
+                        else:
+                            alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
+                            if alloc.total_delivered < needed:
+                                return k - 1
+                            parent = entry(alloc)
+                if not last:  # the last level keeps no entry
+                    current[failed] = parent
         previous = current
     return max_k
 
 
-def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
-              failed: tuple[str, ...], pushes: list[float] | dict[int, float]) -> bool:
+def _composes(model: hydraulics._Model, rest: tuple[str, ...], arcs: tuple[int, ...],
+              pipe_id: str, single: frozenset[int]) -> bool:
+    """Whether a certificate of ``rest`` that crossed ``arcs`` and ``pipe_id``'s
+    own certificate, which crossed ``single``, add up to one of ``rest`` and
+    ``pipe_id`` together.
+
+    Each rerouting is a flow on the intact network's residuals.  If they
+    cross no arc in common, their sum respects every residual, and if
+    neither crosses a pipe that the other fails, it is a flow of the
+    network without both that delivers the intact total.
+    """
+    ai = model.pipe_arcs[pipe_id]
+    if ai in arcs or ai ^ 1 in arcs or not single.isdisjoint(arcs):
+        return False
+    for other in rest:
+        bi = model.pipe_arcs[other]
+        if bi in single or bi ^ 1 in single:
+            return False
+    return True
+
+
+def _reroutes(model: hydraulics._Model, caps: list[float], residual: tuple,
+              sent: list[float], failed: tuple[str, ...], pushes: dict[int, float]) -> bool:
     """Whether the baseline flow of every pipe in ``failed`` reroutes around them all.
 
     ``residual`` and ``sent`` are the residuals and per-arc pushes of the
-    baseline solve.  Both arcs of every failed pipe are zeroed first; then
+    baseline solve, and ``caps`` is a list equal to ``residual`` that the
+    pushes run on.  Both arcs of every failed pipe are zeroed first; then
     each pipe's net flow, read from the pushes (a residual can swallow a
     small one), is pushed from its upstream end to its downstream end.  If
     every push goes through, the rerouted flow is a flow of the network
     without ``failed`` that delivers the baseline total.  It equals the
     baseline flow but on the failed pipes' arcs and the arcs the pushes
-    crossed, which :func:`hydraulics._edmonds_karp` adds to ``pushes``.
+    crossed, which :func:`hydraulics._edmonds_karp` keeps as the keys of
+    ``pushes``.  Those arcs, their reverses and the failed pipes' arcs are
+    the only entries of ``caps`` a push changes, so before it returns, it
+    sets them back from ``residual`` and ``caps`` equals it again.
     """
-    caps = list(residual)
     arcs = [model.pipe_arcs[pipe_id] for pipe_id in failed]
     for ai in arcs:
         caps[ai] = caps[ai ^ 1] = 0.0
+    rerouted = True
     for ai in arcs:
         flow = sent[ai] - sent[ai ^ 1]
         tail, head = model.heads[ai ^ 1], model.heads[ai]
@@ -464,8 +544,12 @@ def _reroutes(model: hydraulics._Model, residual: tuple, sent: list[float],
             flow, tail, head = -flow, head, tail
         if not hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
                                         tail, head, flow, pushes):
-            return False
-    return True
+            rerouted = False
+            break
+    for ai in (*arcs, *pushes):
+        caps[ai] = residual[ai]
+        caps[ai ^ 1] = residual[ai ^ 1]
+    return rerouted
 
 
 def _check_series_nodes(net: Network, series: HydraulicSeries) -> None:

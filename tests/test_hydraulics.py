@@ -505,16 +505,31 @@ def capped_push(net, u, v, amount, **kwargs):
 @st.composite
 def push_problems(draw):
     """A capped push between two nodes of a small compiled model, often the
-    ends of a pipe, which may have a parallel pipe."""
+    ends of a pipe, which may have a parallel pipe.
+
+    A third of the pushes start at a source that gets two parallel pipes to
+    another node, last in pipe order, the first narrower than the push and
+    the second as wide as it.  The push can then close the first pipe's arc
+    while the second's, from the same tail, still reaches the target, and
+    no arc of the source after them labels a node.
+    """
     net = draw(flow_networks())
-    if net.pipes and draw(st.booleans()):
+    amount = draw(st.one_of(_flows, st.floats(min_value=0.0, max_value=0.2)))
+    kind = draw(st.sampled_from(["pipe", "twins", "nodes"]))
+    if kind == "twins":
+        u = draw(st.sampled_from(net.source_ids))
+        v = draw(st.sampled_from([node for node in net.node_ids if node != u]))
+        narrow = draw(st.floats(min_value=0.0, max_value=1.0)) * amount
+        net = make_network(net.junctions, net.sources,
+                           (*net.pipes, make_pipe("x0", u, v, capacity=narrow),
+                            make_pipe("x1", u, v, capacity=amount)))
+    elif kind == "pipe" and net.pipes:
         u, v = net.pipe(draw(st.sampled_from(net.pipe_ids))).endpoints
         if draw(st.booleans()):
             u, v = v, u
     else:
         nodes = [*net.node_ids, "super source", "super sink"]
         u, v = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
-    amount = draw(st.one_of(_flows, st.floats(min_value=0.0, max_value=0.2)))
     return capped_push(net, u, v, amount, **draw(allocation_arguments(net)))
 
 

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -542,6 +543,48 @@ def _detour_past_a_used_pipe():
     )
 
 
+def _parallel_to(capacities, outflow):
+    """Source R with ``outflow`` feeds junction J (demand 1.0) over parallel
+    pipes of the given capacities, in pipe order."""
+    return make_network(
+        [Junction("J", 0.0, 1.0, 30.0)], [Source("R", 100.0, outflow)],
+        [make_pipe(pid, "R", "J", capacity=cap) for pid, cap in capacities.items()],
+    )
+
+
+def _shared_detour():
+    """a1 and a2 carry the demand; the flow of either reroutes over d1 and
+    d2, so the two reroutes cross the same arcs.  Without both only 0.5 of
+    the 1.0 demand arrives, so at threshold 0.6 {a1, a2} is the one failing
+    pair and the answer at ``max_k=2`` is 1."""
+    return _parallel_to({"a1": 0.5, "a2": 0.5, "d1": 0.25, "d2": 0.25}, 1.0)
+
+
+def _detour_over_the_other():
+    """a and b carry 0.5 each; a's flow reroutes over b, which has room,
+    and b's over d1 and d2, which cross neither.  Without a and b only 0.5
+    of the 1.0 demand arrives, so at threshold 0.6 {a, b} is the one
+    failing pair and the answer at ``max_k=2`` is 1."""
+    return _parallel_to({"a": 0.5, "b": 1.5, "d1": 0.25, "d2": 0.25}, 2.0)
+
+
+def _certificates(net):
+    """The baseline's residuals and pushes on ``net``'s model, and a function
+    from a failure set to the arcs its rerouting crossed, or None."""
+    hydraulics.allocate_flows(net)
+    model = hydraulics._model(net)
+    _, residual, sent = model.last_solve
+    caps = list(residual)
+
+    def certificate(failed):
+        arcs = defaultdict(float)
+        if performance._reroutes(model, caps, residual, sent, failed, arcs):
+            return tuple(arcs)
+        return None
+
+    return model, residual, caps, certificate
+
+
 class TestSupplyBuffering:
     @given(problem=supply_problems())
     @settings(max_examples=400)
@@ -583,9 +626,11 @@ class TestSupplyBuffering:
             return  # the search tries a certificate only past this margin
         model = hydraulics._model(net)
         _, residual, sent = model.last_solve
+        caps = list(residual)
         for k in range(1, max_k + 1):
             for failed in itertools.combinations(net.pipe_ids, k):
-                if performance._reroutes(model, residual, sent, failed, defaultdict(float)):
+                if performance._reroutes(model, caps, residual, sent, failed,
+                                         defaultdict(float)):
                     assert feasible(frozenset(failed)), failed
 
     @given(problem=supply_problems())
@@ -608,12 +653,13 @@ class TestSupplyBuffering:
             return  # the search tries a certificate only past this margin
         model = hydraulics._model(net)
         _, residual, sent = model.last_solve
+        caps = list(residual)
         support = {p for p, flow in baseline.pipe_flows.items() if flow != 0.0}
         # only the sets below max_k keep an entry
         for k in range(1, max_k):
             for failed in itertools.combinations(net.pipe_ids, k):
                 arcs = defaultdict(float)
-                if not performance._reroutes(model, residual, sent, failed, arcs):
+                if not performance._reroutes(model, caps, residual, sent, failed, arcs):
                     continue
                 touched = {*failed, *(p for p, ai in model.pipe_arcs.items()
                                       if {ai, ai ^ 1} & arcs.keys())}
@@ -648,9 +694,11 @@ class TestSupplyBuffering:
         baseline = hydraulics.allocate_flows(net)
         model = hydraulics._model(net)
         _, residual, sent = model.last_solve
+        caps = list(residual)
         threshold = baseline.total_delivered / baseline.total_demand
         for pipe_id in ("p1", "p2"):
-            assert performance._reroutes(model, residual, sent, (pipe_id,), defaultdict(float))
+            assert performance._reroutes(model, caps, residual, sent, (pipe_id,),
+                                         defaultdict(float))
             assert not supply_feasibility(net, threshold)(frozenset({pipe_id}))
         assert supply_buffering(net, threshold, max_k=1) == 0
         assert _supply_enumerated(net, threshold, 1) == 0
@@ -683,13 +731,15 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves < 1 + n + math.comb(n, 2)
 
     @pytest.mark.parametrize("make, threshold, value, pushes", [
-        ("mesh", 0.2, 2, 19),
-        ("torus", 0.99, 2, 701),
+        ("mesh", 0.2, 2, 17),
+        ("torus", 0.99, 2, 209),
+        ("14x14 torus", 0.99, 1, 1117),
     ])
     def test_push_count(self, mesh_network, push_calls, make, threshold, value, pushes):
-        # a rerouted set's support settles sets of the next level, which
-        # with one shared all-pipe entry took 29 and 2075 pushes
-        net = mesh_network if make == "mesh" else torus_network(5, 5)
+        # composed certificates need no push; without composition these
+        # took 19, 701 and 9649 pushes
+        net = {"mesh": mesh_network, "torus": torus_network(5, 5),
+               "14x14 torus": torus_network(14, 14)}[make]
         assert supply_buffering(net, threshold, max_k=2) == value
         assert len(push_calls) == pushes
 
@@ -703,10 +753,11 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves
 
     def test_memory_holds_one_level_of_shared_entries(self):
-        # about 71 KiB run alone and 87 KiB in the full file, with each
-        # rerouted set's crossed pipes kept as a tuple beside the shared
-        # intact support; a copy of that support per rerouted set takes
-        # 255 to 282 KiB, so 2**18 would not always tell the two apart
+        # about 87 KiB run alone and 67 KiB in the full file, with each
+        # certified set's crossed pipes and arcs kept as tuples beside the
+        # shared intact support (72 and 87 KiB before the arcs were kept);
+        # a copy of that support per rerouted set takes 255 to 282 KiB, so
+        # 2**18 would not always tell the two apart
         net = torus_network(4, 4)
         supply_buffering(net, 0.99, max_k=1)  # compile the flow model outside the trace
         tracemalloc.start()
@@ -716,6 +767,98 @@ class TestSupplyBuffering:
         finally:
             tracemalloc.stop()
         assert peak < 2**17
+
+    @given(problem=supply_problems())
+    @settings(max_examples=400)
+    @example(problem=(_shared_detour(), 0.6, 2))
+    @example(problem=(_detour_over_the_other(), 0.6, 2))
+    @example(problem=(_widened(torus_network(3, 3), 1e4), 0.99, 2))
+    def test_every_composed_pair_passes_the_oracle(self, problem):
+        # the search composes a set's certificate from a certified subset
+        # one smaller and the remaining pipe's own, and stops at the first
+        # failing set, so its verdict alone would not show an unsound rule
+        net, threshold, max_k = problem
+        try:
+            feasible = supply_feasibility(net, threshold)
+            baseline = hydraulics.allocate_flows(net)
+        except ValidationError:
+            return  # a threshold outside (0, 1] or a pipe that overflows when doubled
+        demand = baseline.total_demand
+        if baseline.total_delivered < threshold * demand - 1e-12 + 1e-9 * demand:
+            return  # the search tries a certificate only past this margin
+        model, _, _, certificate = _certificates(net)
+        singles = {p: frozenset(arcs) for p in net.pipe_ids
+                   if (arcs := certificate((p,))) is not None}
+        for k in range(1, max_k):
+            for rest in itertools.combinations(net.pipe_ids, k):
+                arcs = certificate(rest)
+                if arcs is None:
+                    continue
+                for pipe_id in sorted(singles.keys() - set(rest)):
+                    if performance._composes(model, rest, arcs, pipe_id, singles[pipe_id]):
+                        assert feasible(frozenset((*rest, pipe_id))), (rest, pipe_id)
+
+    @pytest.mark.parametrize("make, rest, pipe_id", [
+        (_shared_detour, ("a2",), "a1"),
+        (_shared_detour, ("a1",), "a2"),
+        (_detour_over_the_other, ("b",), "a"),
+        (_detour_over_the_other, ("a",), "b"),
+    ])
+    def test_composition_refuses_reroutes_that_collide(self, make, rest, pipe_id):
+        # shared detour: both reroutes cross d1 and d2.  Detour over the
+        # other: a's reroute crosses b, so with rest ("b",) a's own
+        # certificate crosses a failed pipe, and with rest ("a",) the
+        # subset's certificate crosses b
+        net = make()
+        model, _, _, certificate = _certificates(net)
+        arcs, single = certificate(rest), certificate((pipe_id,))
+        assert arcs and single
+        assert not performance._composes(model, rest, arcs, pipe_id, frozenset(single))
+        assert not supply_feasibility(net, 0.6)(frozenset((*rest, pipe_id)))
+        assert supply_buffering(net, 0.6, max_k=2) == 1 == _supply_enumerated(net, 0.6, 2)
+
+    @pytest.mark.parametrize("make", [_shared_detour, _detour_over_the_other])
+    def test_reroutes_restores_the_residuals(self, make):
+        net = make()
+        _, residual, caps, certificate = _certificates(net)
+        outcomes = set()
+        for k in (1, 2, 3):
+            for failed in itertools.combinations(net.pipe_ids, k):
+                outcomes.add(certificate(failed) is not None)
+                assert list(map(float.hex, caps)) == list(map(float.hex, residual)), failed
+        # some pushes went through and some could not
+        assert outcomes == {True, False}
+
+    @given(problem=supply_problems())
+    @settings(max_examples=400)
+    @example(problem=(_shared_detour(), 0.6, 2))
+    @example(problem=(_detour_over_the_other(), 0.6, 2))
+    @example(problem=(_detour_past_a_used_pipe(), 0.6, 2))
+    # narrow tori that first fail at the third and the second level
+    @example(problem=(_widened(torus_network(3, 3), 0.05), 0.99, 3))
+    @example(problem=(_widened(torus_network(4, 4), 0.05), 0.9, 3))
+    def test_the_last_solve_is_the_enumerations_first_failing_set(self, problem):
+        net, threshold, max_k = problem
+        solved = []
+        allocate = hydraulics.allocate_flows
+
+        def recording(net, failed_pipes=(), **kwargs):
+            solved.append(frozenset(failed_pipes))
+            return allocate(net, failed_pipes, **kwargs)
+
+        with mock.patch.object(hydraulics, "allocate_flows", recording):
+            value = _outcome(lambda: supply_buffering(net, threshold, max_k))
+        if not isinstance(value, int) or value == max_k:
+            return
+        feasible = supply_feasibility(net, threshold)
+        checked = []
+
+        def oracle(failed):
+            checked.append(failed)
+            return feasible(failed)
+
+        assert buffering_capacity(net, oracle, max_k) == value
+        assert solved[-1] == checked[-1]
 
 
 def _random_net_state(rng):

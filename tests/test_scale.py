@@ -6,10 +6,10 @@ supply ``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
 wrap-around grid (seed 0), so a change that keeps the small answers but
 moves a bit at scale fails the suite.  Supply buffering at ``--max-k 1``
 keeps nothing from one level to the next, so a second supply case runs
-at ``--max-k 2`` on the 14x14 grid (seed 0), where it takes about a
-second.  The scenario fails 300 random
-pipes, enough to cut junctions off in every replicate, so the four zhuang
-values differ and the digest pins the interpolated quantiles too.
+at ``--max-k 2`` on the 14x14 grid (seed 0), where its search takes about
+a tenth of a second.  The scenario fails 300 random pipes, enough to cut
+junctions off in every replicate, so the four zhuang values differ and
+the digest pins the interpolated quantiles too.
 """
 
 import hashlib
