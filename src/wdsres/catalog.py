@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so importing
+# wdsres and `catalog counts` do not load it
 
 from .errors import ValidationError
 from .inputs import bundled, read_csv, read_json
@@ -165,6 +166,8 @@ class CorrelationMatrix:
     undefined_labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -177,6 +180,8 @@ class CorrelationMatrix:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
 
     def to_csv(self) -> str:
+        import numpy as np
+
         lines = ["," + ",".join(self.labels)]
         for label, row in zip(self.labels, self.values):
             cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
@@ -189,6 +194,8 @@ def pearson_matrix(
     columns: Sequence[str] = CORRELATION_COLUMNS,
 ) -> CorrelationMatrix:
     """Pairwise Pearson coefficients of the selected flag columns."""
+    import numpy as np
+
     if len(records) < 2:
         raise ValidationError("correlation needs at least two records")
     if not columns:

@@ -49,7 +49,8 @@ from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import numpy as np
+# numpy is imported inside each function that builds an array: importing it
+# takes longer than a structural metric runs, and those metrics build none
 
 from .errors import ValidationError
 from .inputs import read_csv
@@ -78,6 +79,8 @@ class HydraulicSeries:
     required_head: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
         for name in ("delivered", "demand", "head", "required_head"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -121,6 +124,8 @@ class HydraulicSeries:
         return float(self.delivered[t].sum()) / total_demand
 
     def digest(self) -> str:
+        import numpy as np
+
         h = hashlib.sha256()
         h.update(",".join(self.node_ids).encode())
         # a 3600 s step and an all-steps window, hashed so that every
@@ -164,6 +169,8 @@ def load_series(path: str | Path) -> HydraulicSeries:
     must be the contiguous integers 0..T-1 and every timestep must carry
     the same node set.
     """
+    import numpy as np
+
     cells: dict[int, dict[str, tuple[float, float, float, float]]] = {}
     for lineno, row in read_csv(path, _SERIES_COLUMNS, "series"):
         try:
@@ -230,6 +237,8 @@ def classify_states(
     demanded >= threshold.  Per-node mode: S iff every node with demand
     individually meets the threshold.  A step with zero demand is S.
     """
+    import numpy as np
+
     _check_threshold(threshold)
     states = []
     for t in range(series.n_steps):
@@ -547,6 +556,8 @@ def surrogate_allocation(
     Heads are a declared fiction: ``h = h*`` for nodes receiving any flow
     (or demanding none), ``h = 0`` for unsupplied nodes.
     """
+    import numpy as np
+
     alloc = allocate_flows(net, failed_pipes, demand_factors, supply_factors)
     # the maps follow the compiled model's junctions, which are sorted by id
     node_ids = tuple(alloc.demands)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-import numpy as np
+# numpy is imported inside the one function that builds an array, so the
+# structural metrics and the buffering searches run without loading it
 
 from . import hydraulics
 from .errors import (
@@ -136,6 +137,8 @@ def flow_based_resilience(net: Network, series: HydraulicSeries) -> MetricValue:
     carries a fixed factor of 4 on the demand-head product.  Both sums run
     over every node and step.
     """
+    import numpy as np
+
     _check_series_nodes(net, series)
     reliability = {
         j.id: sum(1.0 - pipe_fragility(net.pipe(pid)) for pid in net.incident_pipes(j.id))

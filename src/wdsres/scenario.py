@@ -19,7 +19,8 @@ from math import comb, floor
 from pathlib import Path
 from typing import Callable, Mapping
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so importing
+# wdsres does not load it
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
@@ -216,6 +217,8 @@ def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
     validated against the network's pumps but change no step, since the
     surrogate has no pump model.
     """
+    import numpy as np
+
     if spec.horizon is None:
         raise ValidationError("a positive horizon is required")
     events = resolve_events(net, spec, random.Random(spec.seed))
@@ -305,6 +308,8 @@ def _quantile(ordered: list[float], q: float) -> float:
 
 
 def summarize(values: tuple[float, ...]) -> dict[str, float]:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     ordered = sorted(arr.tolist())
     # numpy's mean: the report goldens hold the bits of its pairwise sum

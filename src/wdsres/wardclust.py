@@ -15,7 +15,7 @@ from itertools import permutations
 from math import sqrt
 from typing import Sequence
 
-import numpy as np
+# numpy is imported inside ward_linkage, so importing wdsres does not load it
 
 from .errors import ValidationError
 
@@ -35,6 +35,8 @@ class Merge:
 
 def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
     """Full agglomeration of the rows of ``data``; n-1 merges."""
+    import numpy as np
+
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValidationError("clustering needs a 2-d matrix with at least two rows")

@@ -2,12 +2,8 @@
 
 import itertools
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from math import comb, copysign
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,7 @@ from hypothesis import strategies as st
 
 from wdsres import scenario
 from wdsres.errors import ValidationError
-from wdsres.network import Junction, Source, save_network
+from wdsres.network import Junction, Source
 from wdsres.performance import zhuang_availability
 from wdsres.scenario import (
     MC_METRICS,
@@ -334,28 +330,6 @@ class TestMonteCarlo:
                 assert summary[key] == want, key
             else:
                 assert summary[key].hex() == want.hex(), key
-
-    def test_mc_command_leaves_numpy_ma_unimported(self, ring_network, tmp_path):
-        import wdsres
-
-        net_path = tmp_path / "ring.json"
-        save_network(ring_network, net_path)
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(self.single_failure_spec().to_dict()))
-        code = ("import sys\n"
-                "from wdsres.cli import main\n"
-                "try:\n    main(sys.argv[1:])\n"
-                "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
-                "print('numpy.ma' in sys.modules)\n")
-        out = subprocess.run(
-            [sys.executable, "-c", code, "scenario", "mc", "--network", str(net_path),
-             "--spec", str(spec), "--n", "3", "--metric", "zhuang",
-             "--out", str(tmp_path / "mc.json")],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(Path(wdsres.__file__).parents[1])},
-        )
-        assert json.loads((tmp_path / "mc.json").read_text())["n"] == 3
-        assert out.stdout.splitlines()[-1] == "False"
 
     def test_extra_failure_never_improves_zhuang(self, ring_network):
         # monotonicity inherited from the allocator
