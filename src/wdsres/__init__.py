@@ -3,14 +3,12 @@ water distribution systems."""
 
 from .catalog import (
     CLUSTER_FEATURES,
-    CORRELATION_COLUMNS,
     FLAG_COLUMNS,
     CatalogSummary,
     ClusteringResult,
     CorrelationMatrix,
     MetricRecord,
     dendrogram_export,
-    dendrogram_import,
     load_catalog,
     pearson_matrix,
     reference_agreement,

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 # wdsres and `catalog counts` do not load it
 
 from .errors import ValidationError
-from .inputs import bundled, read_csv, read_json
+from .inputs import bundled, read_csv
 from .wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 logger = logging.getLogger(__name__)
@@ -33,9 +33,6 @@ FUNCTION_FLAGS = ("M", "R", "L", "A")
 TIME_FLAGS = ("TI", "TD")
 QUANTIFICATION_FLAGS = ("GT", "PB", "SB")
 PROPERTY_FLAGS = ("BF", "RD", "RC")
-
-#: Column preset for the category correlation matrix: all thirteen flags.
-CORRELATION_COLUMNS = FLAG_COLUMNS
 
 #: Column preset for clustering: functions, time dependence, quantification
 #: type and properties.  The composite marker is not a quantification type
@@ -79,13 +76,18 @@ class MetricRecord:
         return sum(self.flag(c) for c in PROPERTY_FLAGS)
 
 
+def _catalog_file(path: str | Path | None = None) -> str | Path:
+    """The file :func:`load_catalog` reads: ``path``, or the bundled dataset."""
+    return bundled("catalog.csv") if path is None else path
+
+
 def load_catalog(path: str | Path | None = None) -> list[MetricRecord]:
     """Read a categorisation CSV; defaults to the bundled dataset.
 
     Rows without any function flag or without any quantification flag are
     kept as-is and logged as warnings, matching the source data.
     """
-    path = bundled("catalog.csv") if path is None else path
+    path = _catalog_file(path)
     records: list[MetricRecord] = []
     for lineno, row in read_csv(path, _HEADER, "catalog"):
         try:
@@ -124,15 +126,19 @@ def find_record(records: Iterable[MetricRecord], name: str, citation: str | None
 class CatalogSummary:
     total: int
     flag_counts: dict[str, int]
-    flag_shares: dict[str, float]
     function_histogram: dict[int, int]
     property_histogram: dict[int, int]
+
+    @property
+    def flag_shares(self) -> dict[str, float]:
+        """Each flag's count over the record total."""
+        return {code: count / self.total for code, count in self.flag_counts.items()}
 
     def to_dict(self) -> dict:
         return {
             "total": self.total,
             "flag_counts": dict(self.flag_counts),
-            "flag_shares": dict(self.flag_shares),
+            "flag_shares": self.flag_shares,
             "function_histogram": {str(k): v for k, v in self.function_histogram.items()},
             "property_histogram": {str(k): v for k, v in self.property_histogram.items()},
         }
@@ -144,13 +150,12 @@ def summary_counts(records: Sequence[MetricRecord]) -> CatalogSummary:
         raise ValidationError("summary of an empty catalog is undefined")
     total = len(records)
     counts = {code: sum(r.flag(code) for r in records) for code in FLAG_COLUMNS}
-    shares = {code: counts[code] / total for code in FLAG_COLUMNS}
     function_hist = {k: 0 for k in range(len(FUNCTION_FLAGS) + 1)}
     property_hist = {k: 0 for k in range(len(PROPERTY_FLAGS) + 1)}
     for record in records:
         function_hist[record.function_count()] += 1
         property_hist[record.property_count()] += 1
-    return CatalogSummary(total, counts, shares, function_hist, property_hist)
+    return CatalogSummary(total, counts, function_hist, property_hist)
 
 
 @dataclass(frozen=True)
@@ -189,34 +194,29 @@ class CorrelationMatrix:
         return "\n".join(lines) + "\n"
 
 
-def pearson_matrix(
-    records: Sequence[MetricRecord],
-    columns: Sequence[str] = CORRELATION_COLUMNS,
-) -> CorrelationMatrix:
-    """Pairwise Pearson coefficients of the selected flag columns."""
+def pearson_matrix(records: Sequence[MetricRecord]) -> CorrelationMatrix:
+    """Pairwise Pearson coefficients of all thirteen :data:`FLAG_COLUMNS`."""
     import numpy as np
 
     if len(records) < 2:
         raise ValidationError("correlation needs at least two records")
-    if not columns:
-        raise ValidationError("no columns selected")
-    data = np.array([[r.flag(c) for c in columns] for r in records], dtype=float)
+    data = np.array([r.flags for r in records], dtype=float)
     centered = data - data.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
-    undefined = {c for c, nrm in zip(columns, norms) if nrm == 0}
-    n = len(columns)
+    undefined = {c for c, nrm in zip(FLAG_COLUMNS, norms) if nrm == 0}
+    n = len(FLAG_COLUMNS)
     values = np.full((n, n), np.nan)
     for i in range(n):
-        if columns[i] in undefined:
+        if FLAG_COLUMNS[i] in undefined:
             continue
         values[i, i] = 1.0
         for j in range(i + 1, n):
-            if columns[j] in undefined:
+            if FLAG_COLUMNS[j] in undefined:
                 continue
             r = float(centered[:, i] @ centered[:, j] / (norms[i] * norms[j]))
             values[i, j] = r
             values[j, i] = r
-    return CorrelationMatrix(tuple(columns), values, frozenset(undefined))
+    return CorrelationMatrix(FLAG_COLUMNS, values, frozenset(undefined))
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,11 @@ class ClusteringResult:
     merges: tuple[Merge, ...]
     labels: tuple[int, ...]
     k: int
-    feature_columns: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "leaf_names", tuple(self.leaf_names))
         object.__setattr__(self, "merges", tuple(self.merges))
         object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
-        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         hs = [m.height for m in self.merges]
         if any(b < a - 1e-9 for a, b in zip(hs, hs[1:])):
             raise ValidationError("merge heights must be nondecreasing")
@@ -258,7 +256,6 @@ def ward_clustering(records: Sequence[MetricRecord], k: int = 5) -> ClusteringRe
         tuple(merges),
         tuple(labels),
         k,
-        CLUSTER_FEATURES,
     )
 
 
@@ -277,23 +274,13 @@ def dendrogram_export(result: ClusteringResult, path: str | Path, text: bool = F
     data = {
         "leaves": list(result.leaf_names),
         "k": result.k,
-        "feature_columns": list(result.feature_columns),
+        "feature_columns": list(CLUSTER_FEATURES),
         "merges": [[m.left, m.right, m.height, m.size] for m in result.merges],
         "labels": list(result.labels),
     }
     path.write_text(json.dumps(data, indent=2) + "\n")
     if text:
         path.with_suffix(".txt").write_text(dendrogram_text(result))
-
-
-def dendrogram_import(path: str | Path) -> dict:
-    data = read_json(path, "dendrogram")
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: dendrogram must be a JSON object")
-    for key in ("leaves", "merges", "labels"):
-        if key not in data:
-            raise ValidationError(f"{path}: missing key {key!r}")
-    return data
 
 
 def dendrogram_text(result: ClusteringResult) -> str:

@@ -54,7 +54,8 @@ def _check_writable(*paths, inputs=()) -> None:
     """Refuse each given output path that is a directory or whose parent is not
     one, two given paths that resolve to one file, where one output would
     overwrite the other, and an output that resolves to one of the command's
-    ``inputs``, which it would overwrite.
+    ``inputs``, which it would overwrite.  ``inputs`` are the files the
+    command reads, a bundled default included.
 
     Commands call this before any work, so a bad path costs no computation
     and leaves no partial output; ``_guarded`` reports the error.
@@ -104,7 +105,7 @@ def main():
 # ---------------------------------------------------------------------------
 
 def _metric_todini(opts) -> dict:
-    net = load_network(_need(opts["network"], "--network"), units=opts["units"])
+    net = load_network(_need(opts["network"], "--network"))
     series = load_series(_need(opts["series"], "--series"))
     return performance.todini_index(net, series).to_dict()
 
@@ -123,7 +124,7 @@ def _metric_hashimoto(opts) -> dict:
 
 
 def _metric_flow_resilience(opts) -> dict:
-    net = load_network(_need(opts["network"], "--network"), units=opts["units"])
+    net = load_network(_need(opts["network"], "--network"))
     series = load_series(_need(opts["series"], "--series"))
     return performance.flow_based_resilience(net, series).to_dict()
 
@@ -135,7 +136,7 @@ def _metric_user_severity(opts) -> dict:
 
 
 def _metric_herrera(opts) -> dict:
-    net = load_network(_need(opts["network"], "--network"), units=opts["units"])
+    net = load_network(_need(opts["network"], "--network"))
     # the aggregate checks --trim only after the path search; reject it before
     graphmetrics._check_k(opts["k"])
     graphmetrics._check_trim(opts["trim"])
@@ -159,7 +160,7 @@ def _metric_herrera(opts) -> dict:
 
 
 def _metric_buffering(opts) -> dict:
-    net = load_network(_need(opts["network"], "--network"), units=opts["units"])
+    net = load_network(_need(opts["network"], "--network"))
     if opts["threshold_given"]:
         criterion = f"supply ratio >= {opts['threshold']}"
         k = performance.supply_buffering(net, opts["threshold"], max_k=opts["max_k"])
@@ -217,12 +218,12 @@ METRICS = {
 @click.option("--checklist", help="Checklist JSON (wpr); defaults to the bundled file.")
 @click.option("--answers", help="Answers JSON (wpr).")
 @click.option("--nodes-out", help="Per-node index CSV output (herrera only).")
-@click.option("--units", type=click.Choice(["lps", "m3s"]), default=None,
-              help="Override flow units of the network file.")
 @click.option("--out", help="Write the JSON report here instead of stdout.")
 @_guarded
 def metric_cmd(name, **opts):
     """Compute one named metric and emit a JSON report."""
+    if name == "wpr":  # the bundled default is an input too, which no output may replace
+        opts["checklist"] = scoremetrics._checklist_file(opts["checklist"])
     _check_writable(opts["out"], opts["nodes_out"], inputs=[
         opts[flag] for flag in ("network", "series", "indicators", "checklist", "answers")
     ])
@@ -266,13 +267,12 @@ def _load_spec(path: str, seed: int | None, horizon: int | None):
 @click.option("--spec", "spec_path", required=True, help="Scenario JSON file.")
 @click.option("--horizon", type=int, default=None, help="Timestep count override.")
 @click.option("--seed", type=int, default=None, help="Seed override.")
-@click.option("--units", type=click.Choice(["lps", "m3s"]), default=None)
 @click.option("--out", help="Write the resulting series CSV here.")
 @_guarded
-def scenario_run(network, spec_path, horizon, seed, units, out):
+def scenario_run(network, spec_path, horizon, seed, out):
     """Apply a scenario and print per-step supply ratios."""
     _check_writable(out, inputs=(network, spec_path))
-    net = load_network(network, units=units)
+    net = load_network(network)
     spec = _load_spec(spec_path, seed, horizon)
     series = apply_scenario(net, spec)
     if out:
@@ -299,18 +299,17 @@ def scenario_run(network, spec_path, horizon, seed, units, out):
                    "always run serially, so it does not change the output.")
 @click.option("--exhaustive", is_flag=True,
               help="Enumerate failure sets in order instead of sampling.")
-@click.option("--units", type=click.Choice(["lps", "m3s"]), default=None)
 @click.option("--replicates-csv", help="Write per-replicate values here.")
 @click.option("--out", help="Write the JSON report here instead of stdout.")
 @_guarded
 def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
-                workers, exhaustive, units, replicates_csv, out):
+                workers, exhaustive, replicates_csv, out):
     """Monte Carlo evaluation of a metric over scenario replicates."""
     _check_writable(replicates_csv, out, inputs=(network, spec_path))
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     hydraulics._check_threshold(threshold)
-    net = load_network(network, units=units)
+    net = load_network(network)
     spec = _load_spec(spec_path, seed, horizon)
     result = monte_carlo(net, spec, n, metric_name, exhaustive=exhaustive, threshold=threshold)
     if replicates_csv:
@@ -328,13 +327,18 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
 # catalog
 # ---------------------------------------------------------------------------
 
+# the file a command reads its catalog from, the bundled dataset by default
+_catalog_option = click.option("--catalog", "catalog_path", help="Alternative catalog CSV.",
+                               callback=lambda ctx, param, path: cat._catalog_file(path))
+
+
 @main.group(name="catalog")
 def catalog_group():
     """Meta-analysis of the bundled metric categorisation dataset."""
 
 
 @catalog_group.command(name="counts")
-@click.option("--catalog", "catalog_path", default=None, help="Alternative catalog CSV.")
+@_catalog_option
 @click.option("--out", help="Write the JSON summary here.")
 @_guarded
 def catalog_counts(catalog_path, out):
@@ -355,7 +359,7 @@ def catalog_counts(catalog_path, out):
 
 
 @catalog_group.command(name="correlate")
-@click.option("--catalog", "catalog_path", default=None, help="Alternative catalog CSV.")
+@_catalog_option
 @click.option("--out", help="Write the matrix CSV here.")
 @_guarded
 def catalog_correlate(catalog_path, out):
@@ -376,7 +380,7 @@ def catalog_correlate(catalog_path, out):
 
 
 @catalog_group.command(name="cluster")
-@click.option("--catalog", "catalog_path", default=None, help="Alternative catalog CSV.")
+@_catalog_option
 @click.option("--k", type=int, default=5, help="Cluster count.")
 @click.option("--out", help="Write the label CSV here.")
 @_guarded
@@ -399,7 +403,7 @@ def catalog_cluster(catalog_path, k, out):
 
 
 @catalog_group.command(name="dendrogram")
-@click.option("--catalog", "catalog_path", default=None, help="Alternative catalog CSV.")
+@_catalog_option
 @click.option("--k", type=int, default=5, help="Cluster count for the flat labels.")
 @click.option("--out", required=True, help="Write the JSON tree here.")
 @click.option("--text", is_flag=True, help="Also write a plain-text render (.txt).")
@@ -415,7 +419,7 @@ def catalog_dendrogram(catalog_path, k, out, text):
 
 
 @main.command(name="list-metrics")
-@click.option("--catalog", "catalog_path", default=None, help="Alternative catalog CSV.")
+@_catalog_option
 @_guarded
 def list_metrics(catalog_path):
     """Implemented metrics with their catalog categorisation."""

@@ -153,9 +153,6 @@ class BinaryStateSeries:
         if bad:
             raise ValidationError(f"states must be 'S' or 'F', got {sorted(bad)}")
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     def digest(self) -> str:
         blob = ("".join(self.states) + repr(self.threshold) + repr(self.per_node)).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -483,7 +480,7 @@ def allocate_flows(
     returned maps are built fresh either way and are identical to those of
     a new solve.
     """
-    failed_pipes, _ = net.validate_failed_sets(failed_pipes)
+    failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
     for key in demand_factors:

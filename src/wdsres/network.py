@@ -254,25 +254,17 @@ class Network:
         """Number of incident pipes; each parallel pipe counts once."""
         return len(self.incident_pipes(node_id))
 
-    def validate_failed_sets(
-        self,
-        failed_pipes: Iterable[str] = (),
-        failed_pumps: Iterable[str] = (),
-    ) -> tuple[frozenset[str], frozenset[str]]:
+    def validate_failed_sets(self, failed_pipes: Iterable[str] = ()) -> frozenset[str]:
         failed_pipes = frozenset(failed_pipes)
-        failed_pumps = frozenset(failed_pumps)
         # difference() with a dict looks each failed id up instead of copying the keys
         unknown = failed_pipes.difference(self._by_id["pipes"])
         if unknown:
             raise ValidationError(f"unknown pipe ids in failure set: {sorted(unknown)}")
-        unknown = failed_pumps.difference(self._by_id["pumps"])
-        if unknown:
-            raise ValidationError(f"unknown pump ids in failure set: {sorted(unknown)}")
-        return failed_pipes, failed_pumps
+        return failed_pipes
 
     def reachable_from_sources(self, failed_pipes: Iterable[str] = ()) -> frozenset[str]:
         """All nodes connected to at least one source via non-failed pipes."""
-        failed, _ = self.validate_failed_sets(failed_pipes)
+        failed = self.validate_failed_sets(failed_pipes)
         seen = set(self._by_id["sources"])
         queue = deque(sorted(seen))
         while queue:
@@ -319,15 +311,15 @@ def _num(obj: Mapping, key: str, context: str) -> float:
     return float(value)
 
 
-def network_from_dict(data: Mapping, units: str | None = None) -> Network:
+def network_from_dict(data: Mapping) -> Network:
     """Build a validated :class:`Network` from the documented JSON layout.
 
-    ``units`` overrides the file-level ``units`` key ("m3s" or "lps");
-    L/s flows are converted to m3/s on ingest.
+    The document's ``units`` key ("m3s", the default, or "lps") is the one
+    source of its flow units; L/s flows are converted to m3/s on ingest.
     """
     if not isinstance(data, Mapping):
         raise ValidationError("network document must be a JSON object")
-    units = units or data.get("units", "m3s")
+    units = data.get("units", "m3s")
     if units not in FLOW_UNITS:
         raise ValidationError(f"unknown flow units {units!r}; expected one of {FLOW_UNITS}")
     scale = M3S_PER_LPS if units == "lps" else 1.0
@@ -359,9 +351,9 @@ def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
     return tuple(elements)
 
 
-def load_network(path: str | Path, units: str | None = None) -> Network:
+def load_network(path: str | Path) -> Network:
     """Load and validate a network JSON file."""
-    return network_from_dict(read_json(path, "network"), units=units)
+    return network_from_dict(read_json(path, "network"))
 
 
 def save_network(net: Network, path: str | Path) -> None:

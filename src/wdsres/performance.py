@@ -49,7 +49,11 @@ GAMMA_W = 9810.0
 
 @dataclass(frozen=True)
 class MetricValue:
-    """A computed metric with its nominal range and provenance digest."""
+    """A computed metric with its nominal range and provenance digest.
+
+    A value outside ``nominal_range`` gets one warning that says so, after
+    the ``warnings`` it was given; a value without a range gets none.
+    """
 
     name: str
     value: float
@@ -60,7 +64,12 @@ class MetricValue:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValidationError(f"metric {self.name!r} produced a non-finite value")
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        warnings = tuple(self.warnings)
+        if self.nominal_range is not None:
+            lo, hi = self.nominal_range
+            if not lo <= self.value <= hi:
+                warnings += (f"value {self.value!r} outside nominal range [{lo}, {hi}]",)
+        object.__setattr__(self, "warnings", warnings)
 
     def to_dict(self) -> dict:
         return {
@@ -70,12 +79,6 @@ class MetricValue:
             "warnings": list(self.warnings),
             "inputs_digest": self.inputs_digest,
         }
-
-
-def _range_warnings(value: float, lo: float, hi: float) -> list[str]:
-    if value < lo or value > hi:
-        return [f"value {value!r} outside nominal range [{lo}, {hi}]"]
-    return []
 
 
 def hashimoto_recovery(states: BinaryStateSeries) -> MetricValue:
@@ -103,10 +106,7 @@ def hashimoto_recovery(states: BinaryStateSeries) -> MetricValue:
             1 for a, b in zip(seq, seq[1:]) if a == SATISFACTORY and b == FAILURE
         ) / (t - 1)
         value = rho / (1.0 - alpha)
-        warnings.extend(_range_warnings(value, 0.0, 1.0))
-    return MetricValue(
-        "hashimoto_recovery", value, (0.0, 1.0), tuple(warnings), states.digest()
-    )
+    return MetricValue("hashimoto_recovery", value, (0.0, 1.0), warnings, states.digest())
 
 
 def zhuang_availability(series: HydraulicSeries) -> MetricValue:
@@ -115,13 +115,7 @@ def zhuang_availability(series: HydraulicSeries) -> MetricValue:
     if total_demand <= 0:
         raise UndefinedInputError("availability is undefined at zero total demand")
     value = float(series.delivered.sum()) / total_demand
-    return MetricValue(
-        "zhuang_availability",
-        value,
-        (0.0, 1.0),
-        tuple(_range_warnings(value, 0.0, 1.0)),
-        series.digest(),
-    )
+    return MetricValue("zhuang_availability", value, (0.0, 1.0), inputs_digest=series.digest())
 
 
 def pipe_fragility(pipe: Pipe) -> float:
@@ -152,13 +146,8 @@ def flow_based_resilience(net: Network, series: HydraulicSeries) -> MetricValue:
     if denominator <= 0:
         raise UndefinedInputError("flow-based resilience needs a positive demand-head product")
     value = numerator / denominator
-    return MetricValue(
-        "flow_based_resilience",
-        value,
-        (0.0, 1.0),
-        tuple(_range_warnings(value, 0.0, 1.0)),
-        f"{net.digest()}+{series.digest()}",
-    )
+    return MetricValue("flow_based_resilience", value, (0.0, 1.0),
+                       inputs_digest=f"{net.digest()}+{series.digest()}")
 
 
 def user_functionality(supply: float, demand: float) -> float:
@@ -180,13 +169,8 @@ def user_severity(series: HydraulicSeries, node_id: str) -> MetricValue:
             )
         ratios.append(float(series.delivered[t, i]) / demand)
     value = min(ratios)
-    return MetricValue(
-        "user_severity",
-        value,
-        (0.0, 1.0),
-        tuple(_range_warnings(value, 0.0, 1.0)),
-        f"{series.digest()}:{node_id}",
-    )
+    return MetricValue("user_severity", value, (0.0, 1.0),
+                       inputs_digest=f"{series.digest()}:{node_id}")
 
 
 def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
@@ -212,13 +196,8 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
             "available power does not exceed the required power; index undefined"
         )
     value = numerator / denominator
-    return MetricValue(
-        "todini_index",
-        value,
-        (0.0, 1.0),
-        tuple(_range_warnings(value, 0.0, 1.0)),
-        f"{net.digest()}+{state.digest()}",
-    )
+    return MetricValue("todini_index", value, (0.0, 1.0),
+                       inputs_digest=f"{net.digest()}+{state.digest()}")
 
 
 def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> None:
@@ -328,8 +307,7 @@ def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[st
 
     def feasible(failed: frozenset[str]) -> bool:
         alloc = hydraulics.allocate_flows(net, failed_pipes=failed - pump_ids)
-        if alloc.total_demand == 0:
-            return True
+        # at zero demand nothing flows, and 0.0 clears the threshold's -1e-12
         return alloc.total_delivered >= threshold * alloc.total_demand - 1e-12
 
     return feasible
@@ -406,7 +384,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     baseline = []
 
     def baseline_feasible() -> bool:
-        # at zero demand nothing flows and 0.0 passes, as the oracle's shortcut does
+        # the oracle's comparison, so at zero demand 0.0 passes here too
         baseline.append(hydraulics.allocate_flows(net))
         return baseline[0].total_delivered >= threshold * baseline[0].total_demand - 1e-12
 

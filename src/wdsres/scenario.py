@@ -267,14 +267,13 @@ class MonteCarloResult:
     metric: str
     values: tuple[float, ...]
     seed: int
-    summary: Mapping[str, float] = field(default=None)
+    summary: Mapping[str, float] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValidationError("a Monte Carlo result needs at least one replicate")
-        if self.summary is None:
-            object.__setattr__(self, "summary", summarize(self.values))
+        object.__setattr__(self, "summary", summarize(self.values))
 
     @property
     def n(self) -> int:

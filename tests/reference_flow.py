@@ -146,13 +146,12 @@ def reference_allocate_flows(
     net: Network,
     demand_scale: float = 1.0,
     failed_pipes: Iterable[str] = (),
-    failed_pumps: Iterable[str] = (),
     demand_factors: Mapping[str, float] | None = None,
     supply_factors: Mapping[str, float] | None = None,
 ) -> FlowAllocation:
     if demand_scale <= 0:
         raise ValidationError("demand_scale must be > 0")
-    failed_pipes, failed_pumps = net.validate_failed_sets(failed_pipes, failed_pumps)
+    failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
     for key in demand_factors:

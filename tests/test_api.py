@@ -6,9 +6,11 @@ Adding or deleting a public name is a visible diff here.  The benchmark in
 one of them fails this test before it breaks the benchmark.
 """
 
+import ast
 import dataclasses
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,15 +18,14 @@ import wdsres
 
 EXPORTS = [
     "BaselineInfeasibleError", "BinaryStateSeries", "CLUSTER_FEATURES",
-    "CORRELATION_COLUMNS", "CatalogSummary", "ClusteringResult", "ComputationError",
-    "CorrelationMatrix", "Event", "FLAG_COLUMNS", "FlowAllocation", "GAMMA_W",
+    "CatalogSummary", "ClusteringResult", "ComputationError", "CorrelationMatrix", "Event", "FLAG_COLUMNS", "FlowAllocation", "GAMMA_W",
     "HydraulicSeries", "Indicator", "InfeasibleDesignError", "InfiniteResilienceError",
     "Junction", "MC_METRICS", "Merge", "MetricRecord", "MetricValue", "MonteCarloResult",
     "Network", "Pipe", "Pump", "ResilienceError", "ScenarioSpec", "Source",
     "UndefinedInputError", "ValidationError", "WeightedPath", "WprChecklist",
     "allocate_flows", "apply_scenario", "balaei_aggregate", "buffering_capacity",
     "classify_states", "connectivity_buffering", "connectivity_feasibility",
-    "cut_clusters", "demand_weighted_index", "dendrogram_export", "dendrogram_import",
+    "cut_clusters", "demand_weighted_index", "dendrogram_export",
     "flow_based_resilience", "hashimoto_recovery", "k_shortest_paths", "load_answers",
     "load_catalog", "load_checklist", "load_indicators", "load_network", "load_scenario",
     "load_series", "monte_carlo", "network_from_dict", "node_index_table",
@@ -67,6 +68,9 @@ PARAMETERS = {
     "demand_weighted_index": ["net", "node_id", "k"],
     "node_index_table": ["net", "k"],
     "ward_clustering": ["records", "k"],
+    "pearson_matrix": ["records"],
+    "load_network": ["path"],
+    "network_from_dict": ["data"],
 }
 
 
@@ -88,3 +92,40 @@ def test_class_members(cls):
 @pytest.mark.parametrize("name", sorted(PARAMETERS))
 def test_function_parameters(name):
     assert list(inspect.signature(getattr(wdsres, name)).parameters) == PARAMETERS[name]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module at ``path`` imports but never reads.
+
+    An import inside a function counts as used only where that function reads
+    the name; ``__future__`` imports are compiler directives and exempt.
+    """
+    tree = ast.parse(path.read_text())
+    unused = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        stack = list(scope.body)
+        while stack:  # the scope's own statements, not those of the functions in it
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # "import a.b" binds "a"
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    return sorted(unused)
+
+
+# the package's __init__ imports names to export them, not to use them
+MODULES = sorted(p for p in Path(wdsres.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -1,5 +1,6 @@
 """Catalog dataset, summary counts, correlations and clustering."""
 
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,9 @@ import pytest
 
 from wdsres.catalog import (
     CLUSTER_FEATURES,
-    CORRELATION_COLUMNS,
     FLAG_COLUMNS,
     MetricRecord,
     dendrogram_export,
-    dendrogram_import,
     dendrogram_text,
     find_record,
     load_catalog,
@@ -122,7 +121,7 @@ class TestPearsonMatrix:
             record("c", flags_from(("TI",))),
             record("d", flags_from(("TD",))),
         ]
-        matrix = pearson_matrix(records, columns=("TI", "TD"))
+        matrix = pearson_matrix(records)
         assert matrix.entry("TI", "TD") == pytest.approx(-1.0)
 
     def test_symmetry_and_bounds(self):
@@ -141,13 +140,13 @@ class TestPearsonMatrix:
 
     def test_thirteen_default_columns(self):
         matrix = pearson_matrix(load_catalog())
-        assert matrix.labels == CORRELATION_COLUMNS
+        assert matrix.labels == FLAG_COLUMNS
         assert matrix.values.shape == (13, 13)
 
     def test_zero_variance_column_flagged(self):
         records = [record("a", flags_from(("PB",))), record("b", flags_from(("PB", "TI")))]
-        matrix = pearson_matrix(records, columns=("PB", "TI"))
-        assert matrix.undefined_labels == {"PB"}
+        matrix = pearson_matrix(records)
+        assert matrix.undefined_labels == set(FLAG_COLUMNS) - {"TI"}
         assert math.isnan(matrix.entry("PB", "TI"))
         assert matrix.entry("TI", "TI") == 1.0
 
@@ -268,9 +267,10 @@ class TestDendrogram:
         result = ward_clustering(records, k=5)
         path = tmp_path / "tree.json"
         dendrogram_export(result, path)
-        data = dendrogram_import(path)
+        data = json.loads(path.read_text())
         assert data["labels"] == list(result.labels)
         assert data["leaves"] == list(result.leaf_names)
+        assert data["feature_columns"] == list(CLUSTER_FEATURES)
         assert len(data["merges"]) == 58
 
     def test_two_record_tree(self, tmp_path):
@@ -281,7 +281,7 @@ class TestDendrogram:
         result = ward_clustering(records, k=1)
         path = tmp_path / "tree.json"
         dendrogram_export(result, path)
-        data = dendrogram_import(path)
+        data = json.loads(path.read_text())
         assert len(data["merges"]) == 1
 
     def test_text_render_mentions_every_leaf(self):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -838,6 +839,37 @@ class TestUnwritableOutput:
         assert result.output.startswith("error: an output names an input file: ")
         assert {name: path.read_bytes() for name, path in files.items()} == before
 
+    # each output names the bundled file that the command reads by default;
+    # bundled() points at copies, so a command that wrote one leaves the
+    # package's own data intact
+    @pytest.mark.parametrize("args", [
+        ["catalog", "counts", "--out", "{catalog}"],
+        ["catalog", "correlate", "--out", "{catalog}"],
+        ["catalog", "cluster", "--out", "{catalog}"],
+        ["catalog", "dendrogram", "--out", "{catalog}"],
+        ["metric", "wpr", "--answers", "{answers}", "--out", "{checklist}"],
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_output_naming_a_bundled_default_exits_one_and_leaves_it(self, runner, tmp_path,
+                                                                     monkeypatch, args):
+        from wdsres import catalog, scoremetrics
+        from wdsres.inputs import bundled
+
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("catalog.csv", "wpr_checklist.json"):
+            (data / name).write_bytes(bundled(name).read_bytes())
+        for module in (catalog, scoremetrics):
+            monkeypatch.setattr(module, "bundled", lambda name: data / name)
+        answers = tmp_path / "answers.json"
+        answers.write_text("{}")
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        result = runner.invoke(main, [a.format(catalog=data / "catalog.csv", answers=answers,
+                                               checklist=data / "wpr_checklist.json")
+                                      for a in args])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: an output names an input file: ")
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
 
 # every command line that reads --threshold; {net}, {state} and {spec} are inputs
 THRESHOLD_READERS = {
@@ -871,6 +903,55 @@ class TestThresholdRange:
         result = runner.invoke(main, [*args, "--threshold", threshold])
         assert result.exit_code == 1
         assert result.output == "error: threshold must lie in (0, 1]\n"
+
+
+# each command's options, read from the click objects, as tests/test_api.py
+# pins the public names: adding or deleting a flag is a visible diff here
+OPTIONS = {
+    "catalog cluster": ["--catalog", "--k", "--out"],
+    "catalog correlate": ["--catalog", "--out"],
+    "catalog counts": ["--catalog", "--out"],
+    "catalog dendrogram": ["--catalog", "--k", "--out", "--text"],
+    "list-metrics": ["--catalog"],
+    "metric": ["--K", "--answers", "--checklist", "--indicators", "--max-k", "--network",
+               "--node", "--nodes-out", "--out", "--per-node", "--series", "--threshold",
+               "--trim"],
+    "scenario mc": ["--exhaustive", "--horizon", "--metric", "--n", "--network", "--out",
+                    "--replicates-csv", "--seed", "--spec", "--threshold", "--workers"],
+    "scenario run": ["--horizon", "--network", "--out", "--seed", "--spec"],
+}
+
+
+def _commands(group, prefix=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _commands(command, (*prefix, name))
+        else:
+            yield " ".join((*prefix, name)), command
+
+
+class TestOptions:
+    def test_command_options(self):
+        assert {
+            name: sorted(flag for param in command.params if isinstance(param, click.Option)
+                         for flag in param.opts)
+            for name, command in _commands(main)
+        } == OPTIONS
+
+    # a network file's own units key is the one source of its flow units
+    @pytest.mark.parametrize("args", [
+        ["metric", "buffering", "--network", "{net}"],
+        ["scenario", "run", "--network", "{net}", "--spec", "{spec}"],
+        ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "2",
+         "--metric", "zhuang"],
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_units_is_a_usage_error(self, runner, tmp_path, net_path, args):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"events": [], "seed": 1, "horizon": 2}))
+        result = runner.invoke(main, [*(a.format(net=net_path, spec=spec) for a in args),
+                                      "--units", "lps"])
+        assert result.exit_code == 2
+        assert "No such option '--units'" in result.output
 
 
 class TestListMetrics:

@@ -1,11 +1,9 @@
 """The input boundary: every loader turns an unreadable file into exit 1."""
 
-import json
-
 import pytest
 from click.testing import CliRunner
 
-from wdsres.catalog import dendrogram_import, load_catalog
+from wdsres.catalog import load_catalog
 from wdsres.cli import main
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import load_series
@@ -14,7 +12,7 @@ from wdsres.network import is_finite_number, load_network
 from wdsres.scenario import load_scenario
 from wdsres.scoremetrics import load_answers, load_checklist, load_indicators
 
-JSON_LOADERS = (load_network, load_scenario, dendrogram_import, load_checklist, load_answers)
+JSON_LOADERS = (load_network, load_scenario, load_checklist, load_answers)
 CSV_LOADERS = (load_series, load_catalog, load_indicators)
 
 NOT_UTF8 = b"\xff\xfe\x00"
@@ -92,10 +90,3 @@ class TestReadCsv:
 
 def test_finite_number_helper_still_importable_from_network():
     assert is_finite_number(1.5) and not is_finite_number(float("nan"))
-
-
-def test_dendrogram_must_be_an_object(tmp_path):
-    path = tmp_path / "tree.json"
-    path.write_text(json.dumps([1]))
-    with pytest.raises(ValidationError, match="JSON object"):
-        dendrogram_import(path)

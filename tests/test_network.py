@@ -141,11 +141,6 @@ class TestLoadNetwork:
         # heads are not flow quantities and stay as given
         assert net.source("R1").total_head == 100.0
 
-    def test_units_override_beats_file_key(self):
-        doc = minimal_doc()
-        net = network_from_dict(doc, units="lps")
-        assert net.junction("J1").design_demand == pytest.approx(1e-5)
-
     def test_needs_a_source(self):
         doc = minimal_doc()
         doc["sources"] = []

@@ -23,6 +23,7 @@ from wdsres.errors import (
 from wdsres.hydraulics import BinaryStateSeries, classify_states
 from wdsres.network import Junction, Network, Pump, Source
 from wdsres.performance import (
+    MetricValue,
     buffering_capacity,
     connectivity_buffering,
     connectivity_feasibility,
@@ -42,6 +43,22 @@ from .conftest import make_network, make_pipe, make_series, torus_network
 
 def states(text):
     return BinaryStateSeries(tuple(text), threshold=0.9)
+
+
+class TestMetricValue:
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
+    def test_value_inside_its_range_gets_no_warning(self, value):
+        assert MetricValue("m", value, (0.0, 1.0), ("given",)).warnings == ("given",)
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5])
+    def test_value_outside_its_range_gets_one_warning_after_the_given(self, value):
+        metric = MetricValue("m", value, (0.0, 1.0), ["first", "second"])
+        assert metric.warnings == (
+            "first", "second", f"value {value!r} outside nominal range [0.0, 1.0]"
+        )
+
+    def test_value_without_a_range_gets_no_warning(self):
+        assert MetricValue("m", -1e9, None).warnings == ()
 
 
 class TestHashimotoRecovery:
