@@ -7,9 +7,12 @@ wrap-around grid (seed 0), so a change that keeps the small answers but
 moves a bit at scale fails the suite.  Supply buffering at ``--max-k 1``
 keeps nothing from one level to the next, so a second supply case runs
 at ``--max-k 2`` on the 14x14 grid (seed 0), where its search takes about
-a tenth of a second.  The scenario fails 300 random pipes, enough to cut
-junctions off in every replicate, so the four zhuang values differ and
-the digest pins the interpolated quantiles too.
+a tenth of a second.  ``metric herrera`` runs on the 60x60 grid (seed 0,
+3600 junctions) as well, two orders of magnitude beyond the fixtures; that
+one case takes longer than all the others together.  The scenario fails
+300 random pipes, enough to cut junctions off in every replicate, so the
+four zhuang values differ and the digest pins the interpolated quantiles
+too.
 """
 
 import hashlib
@@ -39,6 +42,8 @@ SPEC = {
 CASES = {
     "herrera": (["metric", "herrera", "--network", "{net}", "--K", "5", "--trim", "0.1",
                  "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
+    "herrera_60": (["metric", "herrera", "--network", "{net60}", "--K", "5", "--trim", "0.1",
+                    "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
     "buffering": (["metric", "buffering", "--network", "{net}", "--max-k", "3",
                    "--out", "{report}"], ("report",)),
     "supply": (["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
@@ -58,6 +63,9 @@ CASES = {
 GOLDEN = {
     "herrera": {"report": "59494090bcdd1025b1d8169b2a3bbd7988dbb059dd3c6147b512bc2602634d86",
                 "nodes": "42ffc8fd79da4b6aa680aa20e96f5cd8ecf2e472d9a3dbcd8c38b0e9dcaa4042"},
+    "herrera_60": {
+        "report": "c8047b4f5f3815ace437befd5e64a71a3c49671f3841384f7c408645a7aad783",
+        "nodes": "87ca58d2f29352058a628a34fb1a912b4998a7015a269b340ea2107bcd2294a0"},
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
     "mc_hashimoto": {
@@ -75,9 +83,10 @@ def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("scale")
     net = netgen.write_network(directory / "net.json", 30, 30, 0)
     net14 = netgen.write_network(directory / "net14.json", 14, 14, 0)
+    net60 = netgen.write_network(directory / "net60.json", 60, 60, 0)
     spec = directory / "spec.json"
     spec.write_text(json.dumps(SPEC))
-    return {"net": net, "net14": net14, "spec": spec}
+    return {"net": net, "net14": net14, "net60": net60, "spec": spec}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
