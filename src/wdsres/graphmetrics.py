@@ -129,11 +129,14 @@ def _check_trim(trim_fraction: float) -> None:
 _SLACK = 1e-9
 
 
-def _distances_to(model: _Model, goal: int) -> list[float]:
-    """Cheapest resistance from each node to ``goal``, by one reverse Dijkstra."""
-    dist = model.to_goal.get(goal)
-    if dist is None:
+def _distances_to(model: _Model, goal: int) -> tuple[list[float], list]:
+    """Cheapest resistance from each node to ``goal``, by one reverse Dijkstra,
+    and each node's ``(pipe, next node)`` on a cheapest route to it (None at
+    the goal and where the goal cannot be reached)."""
+    tree = model.to_goal.get(goal)
+    if tree is None:
         dist = [inf] * len(model.index)
+        succ: list[tuple[int, int] | None] = [None] * len(model.index)
         dist[goal] = 0.0
         heap = [(0.0, goal)]
         while heap:
@@ -144,9 +147,10 @@ def _distances_to(model: _Model, goal: int) -> list[float]:
                 reach = cost + model.resistances[pid]
                 if reach < dist[other]:
                     dist[other] = reach
+                    succ[other] = (pid, node)
                     heapq.heappush(heap, (reach, other))
-        model.to_goal[goal] = dist
-    return dist
+        tree = model.to_goal[goal] = (dist, succ)
+    return tree
 
 
 def _node_chain(model: _Model, start: int, pipes: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,6 +196,41 @@ def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
     return None
 
 
+def _tree_limit(model: _Model, spur_node: int, goal: int, done: bytearray,
+                banned_pipes: set[int], h: list[float], succ: list,
+                root_cost: float, limit: float) -> float:
+    """``limit``, lowered to the cost of a route the spur search may take.
+
+    The route leaves ``spur_node`` over a pipe that is not banned, to a node
+    that ``done`` does not mark, and then follows ``succ`` to ``goal``.
+    Neighbours are tried in order of that pipe's resistance plus ``h``, and
+    only while the bound that estimate gives is below ``limit``; a route that
+    meets a marked node or the spur node, or a node without a successor, is
+    dropped.  The first route kept is summed pipe by pipe from the spur node,
+    as :func:`_spur_search` sums it, so the spur's answer costs at most
+    that, and the bound is root plus it, widened by the slack.
+    """
+    weights = model.resistances
+    order = sorted((weights[pid] + h[node], pid, node)
+                   for pid, node in model.pipe_adjacency[spur_node]
+                   if not done[node] and pid not in banned_pipes)
+    for estimate, pid, node in order:
+        if (root_cost + estimate) * (1.0 + _SLACK) >= limit:
+            break
+        cost = 0.0 + weights[pid]
+        while node != goal:
+            step = succ[node]
+            if step is None:
+                break
+            pid, node = step
+            if done[node] or node == spur_node:
+                break
+            cost += weights[pid]
+        else:
+            return min(limit, (root_cost + cost) * (1.0 + _SLACK))
+    return limit
+
+
 def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) -> list[WeightedPath]:
     """The k cheapest simple paths between two nodes, ascending.
 
@@ -206,7 +245,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     model = _model(net)
     weights, n_nodes = model.resistances, len(model.index)
     start, goal = model.index[start], model.index[goal]
-    h = _distances_to(model, goal)
+    h, succ = _distances_to(model, goal)
 
     # no route costs less than h[start]; inf * (1 + _SLACK) stays inf
     first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h,
@@ -235,8 +274,9 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
             done = bytearray(n_nodes)
             for node in prev_nodes[:i]:
                 done[node] = 1
-            spur = _spur_search(model, spur_node, goal, done, banned_pipes,
-                                root_cost, h, limit)
+            spur = _spur_search(model, spur_node, goal, done, banned_pipes, root_cost, h,
+                                _tree_limit(model, spur_node, goal, done, banned_pipes, h,
+                                            succ, root_cost, limit))
             if spur is None:
                 continue
             spur_cost, spur_pipes = spur

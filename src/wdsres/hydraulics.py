@@ -293,12 +293,15 @@ class _Model:
 
     Two caches fill on use: ``last_solve`` holds the capacities of the most
     recent solve, the residuals it left (both tuples) and the kernel's list
-    of pushes summed per arc, and ``to_goal`` the cheapest resistance from
-    every node to each goal node.  A pipe's reverse residual can reach twice
-    its capacity, so ``overflowing_pipes`` lists the pipes whose doubled
-    capacity is not finite; a supply solve refuses such a network, while
-    unit-capacity connectivity flows on the same arrays are unaffected.
-    ``required_heads`` lists the junctions' required heads in their order.
+    of pushes summed per arc, and ``to_goal`` maps each goal node to a pair
+    of lists: the cheapest resistance from every node to it, and every
+    node's successor ``(pipe, next node)`` on such a route (None at the goal
+    and where it cannot be reached).  A pipe's reverse residual can reach
+    twice its capacity, so ``overflowing_pipes`` lists the pipes whose
+    doubled capacity is not finite; a supply solve refuses such a network,
+    while unit-capacity connectivity flows on the same arrays are
+    unaffected.  ``required_heads`` lists the junctions' required heads in
+    their order.
     """
 
     index: dict[str, int]
@@ -318,7 +321,8 @@ class _Model:
     pipe_adjacency: list[list[tuple[int, int]]]
     resistances: list[float]
     last_solve: tuple[tuple, tuple, list[float]] | None = None
-    to_goal: dict[int, list[float]] = field(default_factory=dict)
+    to_goal: dict[int, tuple[list[float], list[tuple[int, int] | None]]] = field(
+        default_factory=dict)
 
     @classmethod
     def compile(cls, net: Network) -> "_Model":

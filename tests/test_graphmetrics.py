@@ -235,6 +235,29 @@ CHAIN = make_network(
      _unit_pipe("z", "C", "S0", _Z)],
 )
 
+# Spur at P, root r from A: P's one allowed neighbour B reaches S0 cheapest
+# over c and the root node A, so the spur has no tree route and keeps its
+# limit (inf).  Spurring at A, B's tree route runs into the spur node itself.
+# Walked on through A, the tree would bound the spur at r + b + c + d = 3.5
+# and drop its answer r, b, e at 12.
+ROOT_DETOUR = make_network(
+    [Junction(n, 0.0, 0.01, 30.0) for n in ("A", "B", "P")], [Source("S0", 100.0, 0.05)],
+    [_unit_pipe("d", "A", "S0", 1.0), _unit_pipe("r", "A", "P", 1.0),
+     _unit_pipe("a", "P", "S0", 1.0), _unit_pipe("b", "P", "B", 1.0),
+     _unit_pipe("c", "B", "A", 0.5), _unit_pipe("e", "B", "S0", 10.0)],
+)
+# Spur at P, root r: r plus the tree route x, y, z summed forward from P
+# comes one ulp below what the spur search's first push tests, (r + x) +
+# h[B] with h[B] = z + y, so a tree bound without the slack drops the spur's
+# only route, the second from A
+_SR, _SX, _SY, _SZ = 7.242695635074357, 7.140798519983268, 9.37076180931465, 4.27885929961801
+SPUR_ROUNDING = make_network(
+    [Junction(n, 0.0, 0.01, 30.0) for n in ("A", "B", "C", "P")], [Source("S0", 100.0, 0.05)],
+    [_unit_pipe("r", "A", "P", _SR), _unit_pipe("a", "P", "S0", 10.0),
+     _unit_pipe("x", "P", "B", _SX), _unit_pipe("y", "B", "C", _SY),
+     _unit_pipe("z", "C", "S0", _SZ)],
+)
+
 
 def _lattice():
     """A 3x3 grid of unit pipes, S0 at one corner and S1 at another.
@@ -279,6 +302,8 @@ class TestCompiledSearch:
     @example(problem=(CHAIN, [("A", "S0", 2)]))
     @example(problem=(LATTICE, [("J0", "S0", 8), ("J4", "S1", 6), ("J2", "S1", 12)]))
     @example(problem=(ALL_INFINITE, [("A", "S0", 5), ("B", "S0", 4), ("S0", "A", 3)]))
+    @example(problem=(ROOT_DETOUR, [("A", "S0", 5)]))
+    @example(problem=(SPUR_ROUNDING, [("A", "S0", 2)]))
     @settings(max_examples=400)
     def test_equals_the_reference_bit_for_bit(self, problem):
         net, queries = problem
@@ -302,6 +327,12 @@ class TestCompiledSearch:
         assert k_shortest_paths(UNREACHABLE, "A", "S1", 3) == []
         assert [p.pipes for p in k_shortest_paths(ROUNDING, "A", "S0", 2)] == [
             ("a1", "b"), ("a1", "c", "d"),
+        ]
+        assert [p.pipes for p in k_shortest_paths(ROOT_DETOUR, "A", "S0", 5)] == [
+            ("d",), ("r", "a"), ("c", "b", "a"), ("c", "e"), ("r", "b", "e"),
+        ]
+        assert [p.pipes for p in k_shortest_paths(SPUR_ROUNDING, "A", "S0", 2)] == [
+            ("r", "a"), ("r", "x", "y", "z"),
         ]
 
     def test_pruning_settles_fewer_nodes_than_the_reference(self, monkeypatch):
@@ -330,7 +361,7 @@ class TestCompiledSearch:
         monkeypatch.setattr(Network, "neighbors", counted_neighbors)
         want = [reference_k_shortest_paths(net, j, s, 5) for j, s in pairs]
         assert got == want
-        assert sum(settled) == 25073
+        assert sum(settled) == 17964
         assert len(expanded) == 62087
         assert len(expanded) > sum(settled)
 
