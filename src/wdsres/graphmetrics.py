@@ -199,24 +199,21 @@ def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
 def _tree_limit(model: _Model, spur_node: int, goal: int, done: bytearray,
                 banned_pipes: set[int], h: list[float], succ: list,
                 root_cost: float, limit: float) -> float:
-    """``limit``, lowered to the cost of a route the spur search may take.
+    """``limit``, lowered by the routes that the spur search may take along
+    the reverse-Dijkstra tree.
 
-    The route leaves ``spur_node`` over a pipe that is not banned, to a node
-    that ``done`` does not mark, and then follows ``succ`` to ``goal``.
-    Neighbours are tried in order of that pipe's resistance plus ``h``, and
-    only while the bound that estimate gives is below ``limit``; a route that
-    meets a marked node or the spur node, or a node without a successor, is
-    dropped.  The first route kept is summed pipe by pipe from the spur node,
-    as :func:`_spur_search` sums it, so the spur's answer costs at most
-    that, and the bound is root plus it, widened by the slack.
+    Such a route leaves ``spur_node`` over a pipe that is not banned, to a
+    node that ``done`` does not mark, and then follows ``succ`` to ``goal``;
+    it is dropped where it meets a marked node, the spur node or a node
+    without a successor.  It is summed pipe by pipe from the spur node, as
+    :func:`_spur_search` sums it, so the spur's answer costs at most that,
+    and root plus it, widened by the slack, bounds the spur.  A neighbour
+    whose pipe plus ``h`` could not lower the limit is not followed.
     """
-    weights = model.resistances
-    order = sorted((weights[pid] + h[node], pid, node)
-                   for pid, node in model.pipe_adjacency[spur_node]
-                   if not done[node] and pid not in banned_pipes)
-    for estimate, pid, node in order:
-        if (root_cost + estimate) * (1.0 + _SLACK) >= limit:
-            break
+    weights, widen = model.resistances, 1.0 + _SLACK
+    for pid, node in model.pipe_adjacency[spur_node]:
+        if done[node] or pid in banned_pipes or (root_cost + (weights[pid] + h[node])) * widen >= limit:
+            continue
         cost = 0.0 + weights[pid]
         while node != goal:
             step = succ[node]
@@ -227,7 +224,7 @@ def _tree_limit(model: _Model, spur_node: int, goal: int, done: bytearray,
                 break
             cost += weights[pid]
         else:
-            return min(limit, (root_cost + cost) * (1.0 + _SLACK))
+            limit = min(limit, (root_cost + cost) * widen)
     return limit
 
 
@@ -253,7 +250,18 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     if first is None:
         return []
     # each route carries the spur index that produced it, its deviation index
-    accepted = [(*first, _node_chain(model, start, first[1]), 0)]
+    accepted: list[tuple[float, tuple[int, ...], tuple[int, ...], int]] = []
+    # the pipes that accepted routes take next after each root, which a spur
+    # from that root may not take.  Each route adds its own from its deviation
+    # index on; below it, its root and next pipe are its parent's.
+    banned: dict[tuple[int, ...], set[int]] = {}
+
+    def accept(cost, pipes, deviation):
+        accepted.append((cost, pipes, _node_chain(model, start, pipes), deviation))
+        for i in range(deviation, len(pipes)):
+            banned.setdefault(pipes[:i], set()).add(pipes[i])
+
+    accept(*first, 0)
     seen = {first[1]}
     candidates: list[tuple[float, tuple[int, ...], int]] = []
     # the k'-th cheapest candidate, k' = k - len(accepted), widened by the slack;
@@ -266,11 +274,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
             spur_node = prev_nodes[i]
             root_pipes = prev_pipes[:i]
             root_cost = sum(weights[pid] for pid in root_pipes)
-            banned_pipes = {
-                pipes[i]
-                for _, pipes, _, _ in accepted
-                if len(pipes) > i and pipes[:i] == root_pipes
-            }
+            banned_pipes = banned[root_pipes]
             done = bytearray(n_nodes)
             for node in prev_nodes[:i]:
                 done[node] = 1
@@ -290,8 +294,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
                 limit = heapq.nsmallest(wanted, candidates)[-1][0] * (1.0 + _SLACK)
         if not candidates:
             break
-        cost, pipes, deviation = heapq.heappop(candidates)
-        accepted.append((cost, pipes, _node_chain(model, start, pipes), deviation))
+        accept(*heapq.heappop(candidates))
     return [WeightedPath(tuple(model.pipe_ids[pid] for pid in pipes), cost)
             for cost, pipes, _, _ in accepted]
 
