@@ -24,6 +24,7 @@ from . import catalog as cat
 from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
+from .inputs import DATA_DIR
 from .network import load_network
 from .performance import MetricValue
 from .scenario import MC_METRICS, apply_scenario, load_scenario, monte_carlo
@@ -53,14 +54,16 @@ def _guarded(fn):
 def _check_writable(*paths, inputs=()) -> None:
     """Refuse each given output path that is a directory or whose parent is not
     one, two given paths that resolve to one file, where one output would
-    overwrite the other, and an output that resolves to one of the command's
-    ``inputs``, which it would overwrite.  ``inputs`` are the files the
-    command reads, a bundled default included.
+    overwrite the other, an output that resolves to one of the command's
+    ``inputs``, which it would overwrite, and an output inside the package's
+    data directory, whose files other commands read by default.  ``inputs``
+    are the files the command reads, a bundled default included.
 
     Commands call this before any work, so a bad path costs no computation
     and leaves no partial output; ``_guarded`` reports the error.
     """
     read = {Path(path).resolve() for path in inputs if path}
+    data = DATA_DIR.resolve()
     seen = set()
     for path in paths:
         if not path:  # unset, or "" which every command treats as unset
@@ -76,6 +79,8 @@ def _check_writable(*paths, inputs=()) -> None:
                 raise ValidationError(f"two outputs name the same file: {path}")
             if target in read:
                 raise ValidationError(f"an output names an input file: {path}")
+            if data in target.parents:
+                raise ValidationError(f"an output names a bundled data file: {path}")
             seen.add(target)
             continue
         raise OSError(code, os.strerror(code), str(path))

@@ -20,9 +20,13 @@ from typing import Mapping
 from .errors import ValidationError
 
 
+# the package's own data directory
+DATA_DIR = Path(__file__).parent / "data"
+
+
 def bundled(name: str) -> Path:
     """Path of a data file shipped in ``wdsres/data``."""
-    return Path(__file__).parent / "data" / name
+    return DATA_DIR / name
 
 
 def _read_text(path: str | Path, what: str) -> str:

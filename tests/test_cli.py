@@ -870,6 +870,20 @@ class TestUnwritableOutput:
         assert result.output.startswith("error: an output names an input file: ")
         assert {path.name: path.read_bytes() for path in data.iterdir()} == before
 
+    def test_output_in_the_package_data_exits_one_and_leaves_it(self, runner):
+        from wdsres.inputs import bundled
+
+        # catalog cluster does not read the checklist, but metric wpr does by default
+        checklist = bundled("wpr_checklist.json")
+        before = checklist.read_bytes()
+        try:
+            result = runner.invoke(main, ["catalog", "cluster", "--out", str(checklist)])
+            assert result.exit_code == 1
+            assert result.output.startswith("error: an output names a bundled data file: ")
+            assert checklist.read_bytes() == before
+        finally:
+            checklist.write_bytes(before)
+
 
 # every command line that reads --threshold; {net}, {state} and {spec} are inputs
 THRESHOLD_READERS = {
