@@ -40,6 +40,21 @@ fast without changing any route or any bit of a resistance:
   slack: no route costs less than the cheapest.  Where ``h[start]`` is
   ``inf`` (the goal cannot be reached, or every route overflows) the
   bound stays ``inf``.
+- Each spur search is bounded by a route it may take.  The reverse
+  Dijkstra also keeps every node's successor on its cheapest route to the
+  goal.  From each neighbour of the spur node that the spur may enter, that
+  tree leads to the goal, unless it first meets a root node or the spur
+  node.  Such a route is summed pipe by pipe from the spur node, as the
+  spur search sums it; float addition is monotone, so the spur's answer
+  costs at most that.  The spur's limit becomes at most root plus it,
+  widened by the same slack: each prefix of the answer, or of a route
+  tied with it, has cost plus ``h`` within about ``n * 2**-53`` of its
+  total, as for the first search.  A neighbour whose pipe plus ``h``
+  could not lower the limit is not followed.
+- A spur may not take the next pipe of an accepted route with the same
+  root.  Those pipes sit in a map from each root, which each accepted
+  route fills from its deviation index on (see below); before that
+  index its root and next pipe are its parent's.
 - An accepted route is spurred from the goal end first, so short spurs
   fill the candidates and lower the bound before the long ones run.  The
   order does not change the candidates: the bound only drops routes that
