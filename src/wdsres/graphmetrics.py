@@ -227,7 +227,8 @@ def _tree_limit(model: _Model, spur_node: int, goal: int, done: bytearray,
     """
     weights, widen = model.resistances, 1.0 + _SLACK
     for pid, node in model.pipe_adjacency[spur_node]:
-        if done[node] or pid in banned_pipes or (root_cost + (weights[pid] + h[node])) * widen >= limit:
+        if (done[node] or pid in banned_pipes
+                or (root_cost + (weights[pid] + h[node])) * widen >= limit):
             continue
         cost = 0.0 + weights[pid]
         while node != goal:

@@ -20,7 +20,6 @@ from typing import Mapping
 from .errors import ValidationError
 
 
-# the package's own data directory
 DATA_DIR = Path(__file__).parent / "data"
 
 

@@ -1,4 +1,4 @@
-"""Byte digests of the heavy commands on a 900-junction network.
+"""Byte digests of the heavy commands on networks of 900 and 3600 junctions.
 
 The goldens elsewhere cover fixtures of about ten nodes and grids of up
 to 14x14.  These pin the reports of ``metric herrera``, connectivity and
