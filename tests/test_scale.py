@@ -9,7 +9,9 @@ keeps nothing from one level to the next, so a second supply case runs
 at ``--max-k 2`` on the 14x14 grid (seed 0), where its search takes about
 a tenth of a second.  ``metric herrera`` runs on the 60x60 grid (seed 0,
 3600 junctions) as well, two orders of magnitude beyond the fixtures; that
-one case takes longer than all the others together.  The scenario fails
+one case takes longer than all the others together.  ``scenario run`` and
+``scenario mc`` run on the 60x60 grid too, with the same spec, in about a
+second each.  The scenario fails
 300 random pipes, enough to cut junctions off in every replicate, so the
 four zhuang values differ and the digest pins the interpolated quantiles
 too.
@@ -55,9 +57,13 @@ CASES = {
     "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
                       "--metric", "hashimoto", "--threshold", "0.9", "--out", "{report}"],
                      ("report",)),
+    "mc_60": (["scenario", "mc", "--network", "{net60}", "--spec", "{spec}", "--n", "4",
+               "--metric", "zhuang", "--out", "{report}"], ("report",)),
     # "stdout" hashes what the command printed
     "run": (["scenario", "run", "--network", "{net}", "--spec", "{spec}",
              "--out", "{series}"], ("series", "stdout")),
+    "run_60": (["scenario", "run", "--network", "{net60}", "--spec", "{spec}",
+                "--out", "{series}"], ("series", "stdout")),
 }
 
 GOLDEN = {
@@ -68,6 +74,7 @@ GOLDEN = {
         "nodes": "87ca58d2f29352058a628a34fb1a912b4998a7015a269b340ea2107bcd2294a0"},
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
+    "mc_60": {"report": "5d14dd9289a25316c41db4fd3626bd35554b8da5e122551b27710d760b84d61e"},
     "mc_hashimoto": {
         "report": "3b8c8c1332b88de161fe2292a4faac3be4a56722ad3845c9ff926ec027484039"},
     "supply": {"report": "973d7bf91922aa3b4e7501d374ba6078f5a82e70febba5ef00b59b9e36878766"},
@@ -75,6 +82,8 @@ GOLDEN = {
         "report": "085ac8469d6a07ce64c425b920157a573b67c6a8bfa7ce474277b0e1978f5a61"},
     "run": {"series": "79c16657c0f27fc9ac26970db3e952b0cf5913f3bd3b820ae844c30839ac4550",
             "stdout": "b6484e101f555cfc6bde9cbf067a462c854effc7d11dfb6077a73496fd6b5ddf"},
+    "run_60": {"series": "be1d09a7cf9565f06a43b004713134a724987957676dc013eb273b212c7ef97d",
+               "stdout": "ff96a8406ef13e5f2fbfa1e200c16d146ea04f1a7393f6199c7c30b62b07969c"},
 }
 
 
