@@ -49,6 +49,10 @@ MEMBERS = {
         "delivered", "demand", "digest", "head", "n_steps", "node_ids", "node_index",
         "required_head", "system_ratio",
     ],
+    wdsres.FlowAllocation: [
+        "delivered", "demands", "pipe_flows", "source_outflows", "total_delivered",
+        "total_demand",
+    ],
     wdsres.MonteCarloResult: ["metric", "n", "seed", "summary", "to_dict", "values"],
     wdsres.BinaryStateSeries: ["digest", "per_node", "states", "threshold"],
     wdsres.MetricValue: [
