@@ -13,7 +13,11 @@ into one model of flat arrays (:class:`_Model`) kept on the
 :class:`Network`: the flow graph's arcs and the pipe graph that
 :mod:`wdsres.graphmetrics` searches for paths.  A solve then only copies
 the base capacities, zeroes the arcs of failed pipes, writes the source
-and demand capacities and runs Edmonds-Karp on the copy.
+and demand capacities and runs Edmonds-Karp on the copy.  The source,
+pipe and demand arcs each form one block of the arc arrays, in the
+model's id order, so a solve writes its capacities and reads its results
+by slices of those arrays, and builds each map from a slice zipped with
+the model's ids.
 
 The kernel is Edmonds & Karp (1972): every augmenting path comes from a
 breadth-first search that scans each node's arcs in the compiled order, so
@@ -46,6 +50,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from math import inf, isfinite
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -300,8 +305,11 @@ class _Model:
     twice its capacity, so ``overflowing_pipes`` lists the pipes whose
     doubled capacity is not finite; a supply solve refuses such a network,
     while unit-capacity connectivity flows on the same arrays are
-    unaffected.  ``required_heads`` lists the junctions' required heads in
-    their order.
+    unaffected.  ``source_ids`` and ``outflows`` list the sources' ids and
+    outflows in their order, and ``junction_ids``, ``demands`` and
+    ``required_heads`` the junctions' ids, design demands and required
+    heads in theirs, so a solve reads its unscaled capacities and its maps'
+    keys as they are.
     """
 
     index: dict[str, int]
@@ -312,8 +320,10 @@ class _Model:
     capacities: list[float]
     pipe_arcs: dict[str, int]
     first_demand_arc: int
-    sources: tuple
-    junctions: tuple
+    source_ids: tuple[str, ...]
+    outflows: tuple[float, ...]
+    junction_ids: tuple[str, ...]
+    demands: tuple[float, ...]
     overflowing_pipes: tuple[str, ...]
     required_heads: tuple[float, ...]
     pipe_ids: tuple[str, ...]
@@ -360,7 +370,9 @@ class _Model:
         overflowing = tuple(pid for pid, ai in pipe_arcs.items()
                             if not isfinite(2.0 * capacities[ai]))
         return cls(index, s_idx, t_idx, heads, adjacency, capacities, pipe_arcs,
-                   first_demand_arc, sources, junctions, overflowing,
+                   first_demand_arc, tuple(s.id for s in sources),
+                   tuple(s.outflow for s in sources), tuple(j.id for j in junctions),
+                   tuple(j.design_demand for j in junctions), overflowing,
                    tuple(j.required_head for j in junctions), tuple(pipe_arcs), ends,
                    pipe_adjacency, [pipe_resistance(p) for p in pipes])
 
@@ -482,15 +494,20 @@ def allocate_flows(
     after scaling) equal those of the network's previous solve reuses that
     solve's residuals and pushes instead of running the max-flow kernel; the
     returned maps are built fresh either way and are identical to those of
-    a new solve.
+    a new solve.  Each map is built in one pass over a slice of the
+    residuals or of the per-arc pushes, keyed by the model's ids; the
+    pipe map drops the failed pipes' keys afterwards.
     """
     failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
-    for key in demand_factors:
-        net.junction(key)
-    for key in supply_factors:
-        net.source(key)
+    # one set test per map; the loop finds the first unknown id in map order
+    if not net._by_id["junctions"].keys() >= demand_factors.keys():
+        for key in demand_factors:
+            net.junction(key)
+    if not net._by_id["sources"].keys() >= supply_factors.keys():
+        for key in supply_factors:
+            net.source(key)
     # a factor > 0 keeps the sign of a zero demand or outflow, so two calls
     # with equal capacities also agree on their signed zeros
     if not all(0 < f < inf for f in (*demand_factors.values(), *supply_factors.values())):
@@ -505,22 +522,23 @@ def allocate_flows(
     for pipe_id in failed_pipes:
         ai = model.pipe_arcs[pipe_id]
         caps[ai] = caps[ai ^ 1] = 0.0
-    source_caps = {
-        src.id: src.outflow * supply_factors.get(src.id, 1.0) for src in model.sources
-    }
-    demands = {
-        j.id: j.design_demand * demand_factors.get(j.id, 1.0)
-        for j in model.junctions
-    }
+    # x * 1.0 is x, signed zeros included, so without factors the base
+    # values serve as they are
+    outflows = model.outflows
+    if supply_factors:
+        outflows = [x * supply_factors.get(i, 1.0) for i, x in zip(model.source_ids, outflows)]
+    demands = model.demands
+    if demand_factors:
+        demands = [x * demand_factors.get(i, 1.0) for i, x in zip(model.junction_ids, demands)]
     # finite inputs can overflow when scaled; an inf demand, outflow or
     # demand total would give nan allocations and ratios
-    if not (isfinite(sum(demands.values())) and all(map(isfinite, source_caps.values()))):
+    if not (isfinite(sum(demands)) and all(map(isfinite, outflows))):
         raise ValidationError("scaled demands and source outflows must stay finite")
+    # source arcs come first, then the pipe arcs, then the demand arcs
+    first_pipe_arc = 2 * len(outflows)
     first_demand_arc = model.first_demand_arc
-    for k, cap in enumerate(source_caps.values()):
-        caps[2 * k] = cap
-    for k, demand in enumerate(demands.values()):
-        caps[first_demand_arc + 2 * k] = demand
+    caps[0:first_pipe_arc:2] = outflows
+    caps[first_demand_arc::2] = demands
 
     key = tuple(caps)
     if model.last_solve is None or model.last_solve[0] != key:
@@ -530,19 +548,17 @@ def allocate_flows(
         model.last_solve = (key, tuple(caps), sent)
     _, residual, sent = model.last_solve
 
-    delivered = {
-        j_id: demand - residual[first_demand_arc + 2 * k]
-        for k, (j_id, demand) in enumerate(demands.items())
-    }
-    pipe_flows = {
-        pipe_id: sent[ai] - sent[ai ^ 1]
-        for pipe_id, ai in model.pipe_arcs.items()
-        if pipe_id not in failed_pipes
-    }
-    source_out = {
-        src_id: cap - residual[2 * k] for k, (src_id, cap) in enumerate(source_caps.items())
-    }
-    return FlowAllocation(delivered, demands, pipe_flows, source_out)
+    delivered = dict(zip(model.junction_ids,
+                         map(sub, demands, residual[first_demand_arc::2])))
+    pipe_flows = dict(zip(model.pipe_ids,
+                          map(sub, sent[first_pipe_arc:first_demand_arc:2],
+                              sent[first_pipe_arc + 1:first_demand_arc:2])))
+    # deleting keys keeps the order of the others
+    for pipe_id in failed_pipes:
+        del pipe_flows[pipe_id]
+    source_out = dict(zip(model.source_ids, map(sub, outflows, residual[0:first_pipe_arc:2])))
+    return FlowAllocation(delivered, dict(zip(model.junction_ids, demands)), pipe_flows,
+                          source_out)
 
 
 def surrogate_allocation(
@@ -561,9 +577,10 @@ def surrogate_allocation(
 
     alloc = allocate_flows(net, failed_pipes, demand_factors, supply_factors)
     # the maps follow the compiled model's junctions, which are sorted by id
-    node_ids = tuple(alloc.demands)
-    delivered = np.array([list(alloc.delivered.values())])
-    demand = np.array([list(alloc.demands.values())])
+    node_ids = net._model.junction_ids
+    n = len(node_ids)
+    delivered = np.fromiter(alloc.delivered.values(), float, n).reshape(1, n)
+    demand = np.fromiter(alloc.demands.values(), float, n).reshape(1, n)
     h_star = np.array([net._model.required_heads])
     supplied = (delivered > 0) | (demand == 0)
     head = np.where(supplied, h_star, 0.0)

@@ -263,12 +263,12 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
         return 0
     model = hydraulics._model(net)
     base = [0.0] * len(model.heads)
-    for k in range(len(model.sources)):
+    for k in range(len(model.source_ids)):
         base[2 * k] = float(lam)
     for ai in model.pipe_arcs.values():
         base[ai] = base[ai ^ 1] = 1.0
     unread = [0.0] * len(base)
-    for k in range(len(model.junctions)):
+    for k in range(len(model.junction_ids)):
         caps = base.copy()
         demand_arc = model.first_demand_arc + 2 * k
         caps[demand_arc] = float(lam)
@@ -397,7 +397,7 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     clears = needed + 1e-9 * total_demand
     pump_ids = frozenset(net.pump_ids)
     # pipe arcs follow the source arcs, one pair per pipe in pipe order
-    first_pipe_arc = 2 * len(model.sources)
+    first_pipe_arc = 2 * len(model.source_ids)
 
     # an entry is (total, support, touched pipes, crossed arcs), with None
     # for the arcs of a solved set

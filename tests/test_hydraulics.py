@@ -261,6 +261,19 @@ class TestAllocation:
         with pytest.raises(ValidationError, match="finite and > 0"):
             allocate_flows(ring_network, **{argument: {target: factor}})
 
+    @pytest.mark.parametrize("argument, factors, unknown", [
+        ("demand_factors", {"J1": 2.0, "X2": 2.0, "X1": 2.0}, "junction 'X2'"),
+        ("demand_factors", {"J1": 2.0, "R1": 2.0, "X1": 2.0}, "junction 'R1'"),
+        ("supply_factors", {"R1": 2.0, "X2": 2.0, "X1": 2.0}, "source 'X2'"),
+        ("supply_factors", {"R1": 2.0, "J1": 2.0, "X1": 2.0}, "source 'J1'"),
+        # ids are checked before the factors
+        ("demand_factors", {"J1": float("nan"), "X2": 2.0}, "junction 'X2'"),
+    ])
+    def test_the_first_unknown_factor_id_is_named(self, ring_network, argument, factors,
+                                                  unknown):
+        with pytest.raises(ValidationError, match=f"^unknown {unknown}$"):
+            allocate_flows(ring_network, **{argument: factors})
+
     @pytest.mark.parametrize("demands, kwargs", [
         ((0.01, 1.7e308, 0.01), {"demand_factors": {"J2": 1.5}}),  # one scaled demand overflows
         ((1e308, 1e308, 1e308), {}),  # each demand is finite, their sum is not
@@ -341,9 +354,27 @@ def flow_problems(draw):
     return net, [states[i] for i in order]
 
 
+def _two_sources_and_a_closed_pipe():
+    """Two sources, two junctions and a zero-capacity pipe between two others."""
+    return make_network(
+        [Junction("J0", 0.0, 0.02, 30.0), Junction("J1", 0.0, 0.01, 30.0)],
+        [Source("S0", 100.0, 0.02), Source("S1", 100.0, 0.02)],
+        [make_pipe("p0", "S0", "J0"), make_pipe("p1", "J0", "J1", capacity=0.0),
+         make_pipe("p2", "S1", "J1")],
+    )
+
+
 class TestCompiledModel:
     @settings(max_examples=300)
     @given(problem=flow_problems())
+    # failing a zero-capacity pipe leaves the capacities equal, so the memo
+    # hits, but the failed pipe has no flow entry
+    @example(problem=(_two_sources_and_a_closed_pipe(), [{}, {"failed_pipes": {"p1"}}]))
+    # factors on some of the ids only
+    @example(problem=(_two_sources_and_a_closed_pipe(), [
+        {"demand_factors": {"J1": 2.5}, "supply_factors": {"S0": 0.5}},
+        {"demand_factors": {"J0": 0.5}, "failed_pipes": {"p2"}},
+    ]))
     def test_matches_arc_list_reference_exactly(self, problem):
         net, calls = problem
         for kwargs in calls:  # later solves reuse the compiled model and the last solve
