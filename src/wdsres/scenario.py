@@ -212,10 +212,11 @@ def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
     Concurrent scaling events on the same target multiply.  Random events
     are resolved once from the scenario seed and stay fixed over the
     horizon.  Each step is one :func:`surrogate_allocation`, and the joined
-    series has one row per step of the horizon.  Every event must start
-    within the horizon, after its ids are checked.  Pump failures are
-    validated against the network's pumps but change no step, since the
-    surrogate has no pump model.
+    series has one row per step of the horizon.  A step's failures and
+    factors are rebuilt only at step 0 and at an event's onset or repair.
+    Every event must start within the horizon, after its ids are checked.
+    Pump failures are validated against the network's pumps but change no
+    step, since the surrogate has no pump model.
     """
     import numpy as np
 
@@ -226,9 +227,13 @@ def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
         if event.onset >= spec.horizon:
             raise ValidationError(f"{event.kind} event starts at step {event.onset}, past the "
                                   f"last step ({spec.horizon - 1}) of the horizon")
+    # the state changes only where an event starts or ends, so the steps in
+    # between share it; allocate_flows copies the maps it is given
+    changes = {0}.union(*((e.onset, e.repair) for e in events))
     steps = []
     for t in range(spec.horizon):
-        failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)
+        if t in changes:
+            failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)
         steps.append(
             surrogate_allocation(
                 net,
