@@ -148,6 +148,8 @@ class Network:
     # the network's one compiled model (wdsres.hydraulics._Model), built on
     # the first flow solve or path search
     _model: object = field(init=False, repr=False, compare=False, default=None)
+    # every junction's demand weight divides by this, so it is summed once
+    _total_design_demand: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for section in _SECTIONS:
@@ -188,6 +190,8 @@ class Network:
 
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_total_design_demand",
+                           sum(j.design_demand for j in self.junctions))
 
     # -- counts ---------------------------------------------------------
     @property
@@ -235,7 +239,7 @@ class Network:
         return node_id in self._adjacency
 
     def total_design_demand(self) -> float:
-        return sum(j.design_demand for j in self.junctions)
+        return self._total_design_demand
 
     def incident_pipes(self, node_id: str) -> tuple[str, ...]:
         """Ids of pipes incident to a node, ascending; parallels included."""

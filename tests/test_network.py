@@ -1,5 +1,7 @@
 """Network model: loading, validation, degrees and connectivity."""
 
+import builtins
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from wdsres import network
 from wdsres.errors import ValidationError
+from wdsres.graphmetrics import node_index_table
 from wdsres.network import (
     Junction,
     Source,
@@ -338,6 +342,28 @@ class TestNodeDegree:
         for net in (ring_network, tree_network):
             total = sum(net.node_degree(n) for n in net.node_ids)
             assert total == 2 * len(net.pipes)
+
+
+class TestTotalDesignDemand:
+    def test_summed_once_per_network(self, mesh_network, monkeypatch):
+        sums = []
+
+        def counted(values):
+            sums.append(1)
+            return builtins.sum(values)
+
+        # a global of the module shadows the builtin in the module's calls
+        monkeypatch.setattr(network, "sum", counted, raising=False)
+        net = dataclasses.replace(mesh_network)
+        assert len(sums) == 1
+        node_index_table(net, k=2)  # weights every junction by the total
+        total = net.total_design_demand()
+        assert len(sums) == 1
+        # summed left to right in the network's junction order
+        expected = 0.0
+        for junction in net.junctions:
+            expected += junction.design_demand
+        assert total == expected
 
 
 class TestConnectivity:
