@@ -5,13 +5,15 @@ to 14x14.  These pin the reports of ``metric herrera``, connectivity and
 supply ``metric buffering`` and ``scenario mc`` on the benchmark's 30x30
 wrap-around grid (seed 0), so a change that keeps the small answers but
 moves a bit at scale fails the suite.  Supply buffering at ``--max-k 1``
-keeps nothing from one level to the next, so a second supply case runs
-at ``--max-k 2`` on the 14x14 grid (seed 0), where its search takes about
-a tenth of a second.  ``metric herrera`` runs on the 60x60 grid (seed 0,
+keeps nothing from one level to the next, so more supply cases run on
+the 14x14 grid (seed 0): at ``--max-k 2``, where its search takes about a
+tenth of a second, and at ``--max-k 3``, whose last level starts from
+composed certificates.  ``metric herrera`` runs on the 60x60 grid (seed 0,
 3600 junctions) as well, two orders of magnitude beyond the fixtures; that
 one case takes longer than all the others together.  ``scenario run`` and
 ``scenario mc`` run on the 60x60 grid too, with the same spec, in about a
-second each.  The scenario fails
+second each, and so do supply buffering's ``--max-k 1`` and ``--max-k 2``
+searches.  The scenario fails
 300 random pipes, enough to cut junctions off in every replicate, so the
 four zhuang values differ and the digest pins the interpolated quantiles
 too.
@@ -52,6 +54,12 @@ CASES = {
                 "--max-k", "1", "--out", "{report}"], ("report",)),
     "supply_k2": (["metric", "buffering", "--network", "{net14}", "--threshold", "0.99",
                    "--max-k", "2", "--out", "{report}"], ("report",)),
+    "supply_k3": (["metric", "buffering", "--network", "{net14}", "--threshold", "0.99",
+                   "--max-k", "3", "--out", "{report}"], ("report",)),
+    "supply_60": (["metric", "buffering", "--network", "{net60}", "--threshold", "0.99",
+                   "--max-k", "1", "--out", "{report}"], ("report",)),
+    "supply_60_k2": (["metric", "buffering", "--network", "{net60}", "--threshold", "0.99",
+                      "--max-k", "2", "--out", "{report}"], ("report",)),
     "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
             "--metric", "zhuang", "--out", "{report}"], ("report",)),
     "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
@@ -80,6 +88,12 @@ GOLDEN = {
     "supply": {"report": "973d7bf91922aa3b4e7501d374ba6078f5a82e70febba5ef00b59b9e36878766"},
     "supply_k2": {
         "report": "085ac8469d6a07ce64c425b920157a573b67c6a8bfa7ce474277b0e1978f5a61"},
+    "supply_k3": {
+        "report": "f0a11d4500e2dcce7ec693ffbc3b6db158a701437afd2f4c107c32a268cf5c01"},
+    "supply_60": {
+        "report": "c93c61b5512635eae514e5f12e3b88c724844d42bc99f8c9235ce757fc54271a"},
+    "supply_60_k2": {
+        "report": "401e962df59393c137f180b6b3948e463281b34433bd8cabbbdf3bfee681c95e"},
     "run": {"series": "79c16657c0f27fc9ac26970db3e952b0cf5913f3bd3b820ae844c30839ac4550",
             "stdout": "b6484e101f555cfc6bde9cbf067a462c854effc7d11dfb6077a73496fd6b5ddf"},
     "run_60": {"series": "be1d09a7cf9565f06a43b004713134a724987957676dc013eb273b212c7ef97d",
