@@ -14,7 +14,9 @@ supply criterion :func:`supply_buffering` walks the failure sets but
 solves only those that neither a smaller subset's flow, solved or
 rerouted, nor a rerouting of the intact network's flow settles; most
 reroutes need no push, since two that share no arc and cross neither's
-failed pipes compose into one.  For any other criterion
+failed pipes compose into one, and at the last level an index of the
+arcs each pipe's own reroute crossed passes most such pairs with no
+check of their own.  For any other criterion
 :func:`buffering_capacity` enumerates every failure set of pipes and
 pumps against a feasibility oracle; with :func:`connectivity_feasibility`
 and :func:`supply_feasibility` it is also the test oracle for the two
@@ -25,6 +27,7 @@ same order and with the same messages.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -372,13 +375,27 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     total clears the margin only its support and touched pipes are tried as
     ``q``: the support lemma settles every other ``q`` from ``S``.
 
+    The arc index: after level 1, each arc maps to the pipes whose level-1
+    certificate crossed it.  The baseline's entry holds the empty
+    certificate, since the intact flow crosses no arc.  At ``max_k``, take
+    a base ``S`` whose entry clears the margin and holds a certificate
+    that crossed arcs ``A``.  A certified pipe ``q`` fails to compose with
+    ``S`` only if its certificate crossed an arc of ``A`` or an arc of a
+    pipe of ``S``, or ``A`` crossed ``q`` (:func:`_conflicts`), and every
+    other certified ``q`` passes with no check of its own.  So only those
+    conflicts and the intact support's pipes that hold no level-1
+    certificate go through the rules above; a solved base tries its whole
+    support.  The index only passes sets, so the first failing set still
+    gets its solve.
+
     Finding the fewest failures that cut the flow below the threshold is
     max-flow interdiction, NP-hard in general, so the search stays
-    exponential in ``max_k``: the rules make each failure set cheaper, not
-    fewer.  On a 5 x 5 torus at ``max_k=2`` the intact network's is the
-    only solve, where the enumeration makes 1486 and the support lemma
-    alone 351, and the certificates take 209 pushes, 701 without
-    composition.
+    exponential in ``max_k``: the rules make each failure set cheaper, and
+    the index makes fewer sets of the last level need any work.  On a
+    5 x 5 torus at ``max_k=2`` the intact network's is the only solve,
+    where the enumeration makes 1486 and the support lemma alone 351, the
+    certificates take 209 pushes, 701 without composition, and the last
+    level checks 146 pairs for composition, 354 without the index.
     """
     hydraulics._check_threshold(threshold)
     baseline = []
@@ -426,20 +443,28 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
 
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
     rank = {component: j for j, component in enumerate(pool)}
-    previous = {(): entry(baseline[0])}
-    intact_total, intact_support, _, _ = previous[()]
+    intact_total, intact_support, _, _ = entry(baseline[0])
+    # the intact flow crosses no arc, so it certifies the empty set
+    previous = {(): (intact_total, intact_support, (), ())}
     rerouting = intact_total >= clears
     caps = list(residual)
     singles = {}  # the level-1 certificates, by pipe: crossed arcs and entry
+    inv = {}  # arc -> the pipes whose level-1 certificate crossed it
+    uncertified = sorted(map(rank.__getitem__, intact_support))
     for k in range(1, max_k + 1):
         last = k == max_k
         current = {}
         for base, base_entry in previous.items():
             start = rank[base[-1]] + 1 if base else 0
-            if last and base_entry[0] >= clears:
+            if last and base_entry[0] >= clears and base_entry[3] is not None:
+                # every certified pipe outside the conflicts composes with base,
+                # and the support lemma settles every pipe outside its support
+                conflicts = _conflicts(model, inv, base, base_entry[3], base_entry[2])
+                tails = sorted({*uncertified[bisect_left(uncertified, start):],
+                                *(j for j in map(rank.__getitem__, conflicts) if j >= start)})
+            elif last and base_entry[0] >= clears:
                 # base settles every set that adds a component outside its support
-                tails = sorted(j for j in map(rank.__getitem__, {*base_entry[1], *base_entry[2]})
-                               if j >= start)
+                tails = sorted(j for j in map(rank.__getitem__, base_entry[1]) if j >= start)
             else:
                 tails = range(start, len(pool))
             for j in tails:
@@ -473,7 +498,32 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                 if not last:  # the last level keeps no entry
                     current[failed] = parent
         previous = current
+        if k == 1 and not last:
+            for pipe_id, (crossed, _) in singles.items():
+                for ai in crossed:
+                    inv.setdefault(ai, []).append(pipe_id)
+            uncertified = sorted(rank[p] for p in intact_support if p not in singles)
     return max_k
+
+
+def _conflicts(model: hydraulics._Model, inv: dict[int, list[str]], failed: tuple[str, ...],
+               arcs: tuple[int, ...], touched: tuple[str, ...]) -> set[str]:
+    """The pipes whose level-1 certificates may not compose with a certificate
+    of ``failed`` that crossed ``arcs`` and touched the pipes ``touched``.
+
+    ``inv`` maps each arc to the pipes whose own certificate crossed it.
+    A certified pipe outside the returned set crosses no arc in ``arcs``
+    and neither arc of a pipe of ``failed``, and is not itself crossed by
+    ``arcs``, so :func:`_composes` accepts it with ``failed``.
+    """
+    conflicts = set(touched)
+    for ai in arcs:
+        conflicts.update(inv.get(ai, ()))
+    for component in failed:
+        ai = model.pipe_arcs.get(component)  # a pump has no arc
+        if ai is not None:
+            conflicts.update(inv.get(ai, ()), inv.get(ai ^ 1, ()))
+    return conflicts
 
 
 def _composes(model: hydraulics._Model, rest: tuple[str, ...], arcs: tuple[int, ...],

@@ -603,6 +603,14 @@ def _detour_over_the_other():
     return _parallel_to({"a": 0.5, "b": 1.5, "d1": 0.25, "d2": 0.25}, 2.0)
 
 
+def _detour_over_an_idle_pipe():
+    """p carries the whole demand of 1.0 and t, parallel and as wide,
+    carries nothing, so t is outside the intact support.  p's flow
+    reroutes over t; without both nothing arrives, so at threshold 0.6
+    {p, t} is the one failing pair and the answer at ``max_k=2`` is 1."""
+    return _parallel_to({"p": 1.0, "t": 1.0}, 1.0)
+
+
 def _certificates(net):
     """The baseline's residuals and pushes on ``net``'s model, and a function
     from a failure set to the arcs its rerouting crossed, or None."""
@@ -628,6 +636,7 @@ class TestSupplyBuffering:
     @example(problem=(_widened(torus_network(4, 4), 1e4), 0.99, 2))
     @example(problem=(_swallowed_detour(), 1.0, 2))
     @example(problem=(_detour_past_a_used_pipe(), 0.6, 2))
+    @example(problem=(_detour_over_an_idle_pipe(), 0.6, 2))
     def test_equals_the_subset_enumeration(self, problem):
         net, threshold, max_k = problem
         assert _outcome(lambda: supply_buffering(net, threshold, max_k)) == (
@@ -771,12 +780,28 @@ class TestSupplyBuffering:
         ("14x14 torus", 0.99, 1, 1117),
     ])
     def test_push_count(self, mesh_network, push_calls, make, threshold, value, pushes):
-        # composed certificates need no push; without composition these
+        # composed certificates need no push, whether the arc index passes
+        # them or the per-set check composes them; without composition these
         # took 19, 701 and 9649 pushes
         net = {"mesh": mesh_network, "torus": torus_network(5, 5),
                "14x14 torus": torus_network(14, 14)}[make]
         assert supply_buffering(net, threshold, max_k=2) == value
         assert len(push_calls) == pushes
+
+    @pytest.mark.parametrize("size, max_k, checks", [(5, 2, 146), (4, 3, 1157)])
+    def test_composition_check_count(self, monkeypatch, size, max_k, checks):
+        # the arc index passes a certified base's certified pipes outside its
+        # conflicts with no check each; a check per set took 354 and 1842
+        calls = []
+        composes = performance._composes
+
+        def counted(*args):
+            calls.append(args)
+            return composes(*args)
+
+        monkeypatch.setattr(performance, "_composes", counted)
+        assert supply_buffering(torus_network(size, size), 0.99, max_k) == max_k
+        assert len(calls) == checks
 
     def test_pumps_never_need_a_solve(self, ring_network, kernel_runs):
         pumped = make_network(ring_network.junctions, ring_network.sources,
@@ -788,10 +813,10 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves
 
     def test_memory_holds_one_level_of_shared_entries(self):
-        # about 50 KiB, run alone with or without output capture or in the
-        # full file, with each certified set's crossed pipes and arcs kept as
-        # tuples beside the shared intact support; a copy of that support per
-        # rerouted set takes 143 KiB
+        # about 50 KiB (47 KiB before the arc index), run alone with or
+        # without output capture or in the full file, with each certified
+        # set's crossed pipes and arcs kept as tuples beside the shared intact
+        # support; a copy of that support per rerouted set takes 143 KiB
         net = torus_network(4, 4)
         # the same search once untraced, so the flow model is compiled and the
         # free lists are as warm as this search leaves them whatever ran before
@@ -833,6 +858,44 @@ class TestSupplyBuffering:
                 for pipe_id in sorted(singles.keys() - set(rest)):
                     if performance._composes(model, rest, arcs, pipe_id, singles[pipe_id]):
                         assert feasible(frozenset((*rest, pipe_id))), (rest, pipe_id)
+
+    @given(problem=supply_problems())
+    @settings(max_examples=400)
+    @example(problem=(_detour_over_an_idle_pipe(), 0.6, 2))
+    @example(problem=(_detour_over_the_other(), 0.6, 2))
+    @example(problem=(_shared_detour(), 0.6, 2))
+    @example(problem=(_widened(torus_network(3, 3), 1e4), 0.99, 2))
+    def test_every_pipe_the_index_passes_passes_the_oracle(self, problem):
+        # at the last level the search adds to a certified base, with no
+        # check, every pipe outside its conflicts that is certified alone or
+        # outside the intact support, and stops at the first failing set, so
+        # its verdict alone would not show an unsound lookup
+        net, threshold, _ = problem
+        try:
+            feasible = supply_feasibility(net, threshold)
+            baseline = hydraulics.allocate_flows(net)
+        except ValidationError:
+            return  # a threshold outside (0, 1] or a pipe that overflows when doubled
+        demand = baseline.total_demand
+        if baseline.total_delivered < threshold * demand - 1e-12 + 1e-9 * demand:
+            return  # the search tries a certificate only past this margin
+        model, _, _, certificate = _certificates(net)
+        support = {p for p, flow in baseline.pipe_flows.items() if flow != 0.0}
+        singles = {p: arcs for p in sorted(support) if (arcs := certificate((p,))) is not None}
+        inv = {}
+        for pipe_id, arcs in singles.items():
+            for ai in arcs:
+                inv.setdefault(ai, []).append(pipe_id)
+        # the baseline's empty certificate, each level-1 certificate, and the
+        # pipes outside the intact support, which reuse the baseline's entry
+        bases = {(): (), **{(p,): arcs for p, arcs in singles.items()},
+                 **{(p,): () for p in net.pipe_ids if p not in support}}
+        for base, arcs in bases.items():
+            touched = tuple(p for p, ai in model.pipe_arcs.items() if {ai, ai ^ 1} & {*arcs})
+            conflicts = performance._conflicts(model, inv, base, arcs, touched)
+            for pipe_id in sorted(set(net.pipe_ids) - {*base} - conflicts):
+                if pipe_id in singles or pipe_id not in support:
+                    assert feasible(frozenset((*base, pipe_id))), (base, pipe_id)
 
     @pytest.mark.parametrize("make, rest, pipe_id", [
         (_shared_detour, ("a2",), "a1"),
