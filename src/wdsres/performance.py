@@ -456,17 +456,16 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
         current = {}
         for base, base_entry in previous.items():
             start = rank[base[-1]] + 1 if base else 0
-            if last and base_entry[0] >= clears and base_entry[3] is not None:
-                # every certified pipe outside the conflicts composes with base,
-                # and the support lemma settles every pipe outside its support
-                conflicts = _conflicts(model, inv, base, base_entry[3], base_entry[2])
-                tails = sorted({*uncertified[bisect_left(uncertified, start):],
-                                *(j for j in map(rank.__getitem__, conflicts) if j >= start)})
-            elif last and base_entry[0] >= clears:
+            if not last or base_entry[0] < clears:
+                tails = range(start, len(pool))
+            elif base_entry[3] is None:
                 # base settles every set that adds a component outside its support
                 tails = sorted(j for j in map(rank.__getitem__, base_entry[1]) if j >= start)
             else:
-                tails = range(start, len(pool))
+                # and every certified pipe outside its conflicts composes with it
+                conflicts = _conflicts(model, inv, base, base_entry[3], base_entry[2])
+                tails = sorted({*uncertified[bisect_left(uncertified, start):],
+                                *(j for j in map(rank.__getitem__, conflicts) if j >= start)})
             for j in tails:
                 failed = base + (pool[j],)
                 for i, component in enumerate(failed):

@@ -813,10 +813,10 @@ class TestSupplyBuffering:
         assert len(kernel_runs) == solves
 
     def test_memory_holds_one_level_of_shared_entries(self):
-        # about 50 KiB (47 KiB before the arc index), run alone with or
-        # without output capture or in the full file, with each certified
-        # set's crossed pipes and arcs kept as tuples beside the shared intact
-        # support; a copy of that support per rerouted set takes 143 KiB
+        # about 50 KiB, run alone with or without output capture or in the
+        # full file, with each certified set's crossed pipes and arcs kept as
+        # tuples beside the shared intact support; a copy of that support per
+        # rerouted set takes 143 KiB
         net = torus_network(4, 4)
         # the same search once untraced, so the flow model is compiled and the
         # free lists are as warm as this search leaves them whatever ran before
