@@ -16,7 +16,7 @@ second each, and so do supply buffering's ``--max-k 1`` and ``--max-k 2``
 searches.  The scenario fails
 300 random pipes, enough to cut junctions off in every replicate, so the
 four zhuang values differ and the digest pins the interpolated quantiles
-too.
+too.  The 30x30 zhuang run also hashes its ``--replicates-csv`` file.
 """
 
 import hashlib
@@ -61,7 +61,8 @@ CASES = {
     "supply_60_k2": (["metric", "buffering", "--network", "{net60}", "--threshold", "0.99",
                       "--max-k", "2", "--out", "{report}"], ("report",)),
     "mc": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
-            "--metric", "zhuang", "--out", "{report}"], ("report",)),
+            "--metric", "zhuang", "--replicates-csv", "{replicates}", "--out", "{report}"],
+           ("report", "replicates")),
     "mc_hashimoto": (["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "4",
                       "--metric", "hashimoto", "--threshold", "0.9", "--out", "{report}"],
                      ("report",)),
@@ -81,7 +82,8 @@ GOLDEN = {
         "report": "c8047b4f5f3815ace437befd5e64a71a3c49671f3841384f7c408645a7aad783",
         "nodes": "87ca58d2f29352058a628a34fb1a912b4998a7015a269b340ea2107bcd2294a0"},
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
-    "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb"},
+    "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb",
+           "replicates": "ea262dfd81277d448f2d06ed679fc6447113cfdf36f78f3e8cae34a553d4f7a6"},
     "mc_60": {"report": "5d14dd9289a25316c41db4fd3626bd35554b8da5e122551b27710d760b84d61e"},
     "mc_hashimoto": {
         "report": "3b8c8c1332b88de161fe2292a4faac3be4a56722ad3845c9ff926ec027484039"},
@@ -116,7 +118,7 @@ def inputs(tmp_path_factory):
 def test_reports_match_the_recorded_digests(inputs, tmp_path, case):
     args, hashed = CASES[case]
     paths = inputs | {"report": tmp_path / "report.json", "nodes": tmp_path / "nodes.csv",
-                      "series": tmp_path / "series.csv"}
+                      "series": tmp_path / "series.csv", "replicates": tmp_path / "reps.csv"}
     result = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 0, result.output
     digests = {
