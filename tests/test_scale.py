@@ -9,8 +9,9 @@ keeps nothing from one level to the next, so more supply cases run on
 the 14x14 grid (seed 0): at ``--max-k 2``, where its search takes about a
 tenth of a second, and at ``--max-k 3``, whose last level starts from
 composed certificates.  ``metric herrera`` runs on the 60x60 grid (seed 0,
-3600 junctions) as well, two orders of magnitude beyond the fixtures; that
-one case takes longer than all the others together.  ``scenario run`` and
+3600 junctions) as well, two orders of magnitude beyond the fixtures, and
+so does connectivity buffering at ``--max-k 3``; those two cases take
+longer than all the others together.  ``scenario run`` and
 ``scenario mc`` run on the 60x60 grid too, with the same spec, in about a
 second each, and so do supply buffering's ``--max-k 1`` and ``--max-k 2``
 searches.  The scenario fails
@@ -50,6 +51,8 @@ CASES = {
                     "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
     "buffering": (["metric", "buffering", "--network", "{net}", "--max-k", "3",
                    "--out", "{report}"], ("report",)),
+    "buffering_60": (["metric", "buffering", "--network", "{net60}", "--max-k", "3",
+                      "--out", "{report}"], ("report",)),
     "supply": (["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
                 "--max-k", "1", "--out", "{report}"], ("report",)),
     "supply_k2": (["metric", "buffering", "--network", "{net14}", "--threshold", "0.99",
@@ -82,6 +85,8 @@ GOLDEN = {
         "report": "c8047b4f5f3815ace437befd5e64a71a3c49671f3841384f7c408645a7aad783",
         "nodes": "87ca58d2f29352058a628a34fb1a912b4998a7015a269b340ea2107bcd2294a0"},
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
+    "buffering_60": {
+        "report": "a90431817f1cca56fe1058f76795d7861287246e504b3294ec02f6eeb38de239"},
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb",
            "replicates": "ea262dfd81277d448f2d06ed679fc6447113cfdf36f78f3e8cae34a553d4f7a6"},
     "mc_60": {"report": "5d14dd9289a25316c41db4fd3626bd35554b8da5e122551b27710d760b84d61e"},
