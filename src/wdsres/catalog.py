@@ -89,13 +89,9 @@ def load_catalog(path: str | Path | None = None) -> list[MetricRecord]:
     """
     path = _catalog_file(path)
     records: list[MetricRecord] = []
-    for lineno, row in read_csv(path, _HEADER, "catalog"):
-        try:
-            flags = tuple(int(c) for c in row[2:-1])
-            cluster = int(row[-1])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        record = MetricRecord(row[0].strip(), row[1].strip(), flags, cluster)
+    types = (str.strip, str.strip, *(int,) * len(FLAG_COLUMNS), int)
+    for _, (name, citation, *flags, cluster) in read_csv(path, _HEADER, "catalog", types):
+        record = MetricRecord(name, citation, flags, cluster)
         if record.function_count() == 0:
             logger.warning("catalog row %r carries no function flag", record.name)
         if sum(record.flag(c) for c in TIME_FLAGS) > 1:

@@ -9,7 +9,6 @@ timestamps are written.
 
 from __future__ import annotations
 
-import csv
 import errno
 import functools
 import json
@@ -24,7 +23,7 @@ from . import catalog as cat
 from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
-from .inputs import DATA_DIR
+from .inputs import DATA_DIR, write_csv
 from .network import load_network
 from .performance import MetricValue
 from .scenario import MC_METRICS, apply_scenario, load_scenario, monte_carlo
@@ -151,11 +150,7 @@ def _metric_herrera(opts) -> dict:
         [index for _, index, _ in rows], opts["trim"]
     )
     if opts["nodes_out"]:
-        with open(opts["nodes_out"], "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["node_id", "I", "weighted_I"])
-            for node_id, index, weighted in rows:
-                writer.writerow([node_id, repr(index), repr(weighted)])
+        write_csv(opts["nodes_out"], ("node_id", "I", "weighted_I"), rows)
     report = MetricValue("herrera_trimmed_index", aggregate, None, inputs_digest=net.digest())
     return report.to_dict() | {
         "k": opts["k"],
@@ -318,11 +313,7 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
     spec = _load_spec(spec_path, seed, horizon)
     result = monte_carlo(net, spec, n, metric_name, exhaustive=exhaustive, threshold=threshold)
     if replicates_csv:
-        with open(replicates_csv, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["replicate", "value"])
-            for r, value in enumerate(result.values):
-                writer.writerow([r, repr(value)])
+        write_csv(replicates_csv, ("replicate", "value"), enumerate(result.values))
     _write_json(result.to_dict(), out)
     if out:
         click.echo(f"{metric_name}: mean={result.summary['mean']:.6g} over n={result.n}")
@@ -396,11 +387,8 @@ def catalog_cluster(catalog_path, k, out):
     result = cat.ward_clustering(records, k=k)
     agreement = cat.reference_agreement(records, result)
     if out:
-        with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["metric", "citation", "cluster", "reference_cluster"])
-            for record, label in zip(records, result.labels):
-                writer.writerow([record.name, record.citation, label, record.cluster])
+        rows = ((r.name, r.citation, label, r.cluster) for r, label in zip(records, result.labels))
+        write_csv(out, ("metric", "citation", "cluster", "reference_cluster"), rows)
     else:
         for record, label in zip(records, result.labels):
             click.echo(f"{label}  {record.name}")

@@ -46,7 +46,6 @@ would keep one per failure set during a buffering search.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 from math import inf, isfinite
@@ -58,7 +57,7 @@ from typing import Iterable, Mapping
 # takes longer than a structural metric runs, and those metrics build none
 
 from .errors import ValidationError
-from .inputs import read_csv
+from .inputs import read_csv, write_csv
 from .network import Network, pipe_resistance
 
 SATISFACTORY = "S"
@@ -173,16 +172,11 @@ def load_series(path: str | Path) -> HydraulicSeries:
     """
     import numpy as np
 
-    cells: dict[int, dict[str, tuple[float, float, float, float]]] = {}
-    for lineno, row in read_csv(path, _SERIES_COLUMNS, "series"):
-        try:
-            t = int(row[0])
-            values = tuple(float(c) for c in row[2:])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    cells: dict[int, dict[str, list[float]]] = {}
+    for lineno, (t, node, *values) in read_csv(path, _SERIES_COLUMNS, "series",
+                                               (int, str.strip, *(float,) * 4)):
         if not all(isfinite(v) for v in values):
             raise ValidationError(f"{path}:{lineno}: values must be finite numbers")
-        node = row[1].strip()
         per_t = cells.setdefault(t, {})
         if node in per_t:
             raise ValidationError(f"{path}:{lineno}: duplicate (t={t}, node={node!r}) row")
@@ -198,30 +192,18 @@ def load_series(path: str | Path) -> HydraulicSeries:
         if tuple(sorted(cells[t])) != node_ids:
             raise ValidationError(f"{path}: node set at t={t} differs from t=0")
 
-    arrays = np.zeros((4, len(steps), len(node_ids)))
-    for t in steps:
-        for i, node in enumerate(node_ids):
-            arrays[:, t, i] = cells[t][node]
-    return HydraulicSeries(node_ids, arrays[0], arrays[1], arrays[2], arrays[3])
+    arrays = np.array([[cells[t][node] for node in node_ids] for t in steps])  # T x N x 4
+    return HydraulicSeries(node_ids, *arrays.transpose(2, 0, 1))
 
 
 def save_series(series: HydraulicSeries, path: str | Path) -> None:
     """Write a series in the documented CSV layout."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_SERIES_COLUMNS)
-        for t in range(series.n_steps):
-            for i, node in enumerate(series.node_ids):
-                writer.writerow(
-                    [
-                        t,
-                        node,
-                        repr(float(series.delivered[t, i])),
-                        repr(float(series.demand[t, i])),
-                        repr(float(series.head[t, i])),
-                        repr(float(series.required_head[t, i])),
-                    ]
-                )
+    columns = [a.tolist() for a in (series.delivered, series.demand, series.head,
+                                    series.required_head)]
+    write_csv(path, _SERIES_COLUMNS, (
+        [t, node, *(column[t][i] for column in columns)]
+        for t in range(series.n_steps) for i, node in enumerate(series.node_ids)
+    ))
 
 
 def _check_threshold(threshold: float) -> None:

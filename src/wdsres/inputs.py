@@ -1,10 +1,12 @@
-"""The one input boundary: how input files are opened, decoded and split.
+"""The one file boundary: how input files are opened, decoded and split, and
+how CSV outputs are written.
 
-Every loader reads its file through :func:`read_json` or :func:`read_csv`
-and then checks only the fields of its own format.  Files are UTF-8.  A
-missing path, a directory, bytes that are not UTF-8, malformed or too deeply
-nested JSON, or a malformed or oversized CSV cell becomes a
-:class:`ValidationError`, which the CLI reports as exit 1, not a traceback.
+Every loader reads its file through :func:`read_json` or :func:`read_csv`,
+which also converts each CSV cell by its column's type, and then checks only
+the fields of its own format.  Every CSV output is written by :func:`write_csv`.
+Files are UTF-8.  A missing path, a directory, bytes that are not UTF-8,
+malformed or too deeply nested JSON, or a malformed, oversized or unconvertible
+CSV cell becomes a :class:`ValidationError`, which the CLI reports as exit 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import numbers
 from math import isfinite
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 
@@ -51,11 +53,15 @@ def read_json(path: str | Path, what: str):
         raise ValidationError(f"cannot parse {what} file {path}: nested too deeply") from None
 
 
-def read_csv(path: str | Path, header: tuple[str, ...], what: str) -> list[tuple[int, list[str]]]:
+def read_csv(path: str | Path, header: tuple[str, ...], what: str,
+             types: tuple[Callable[[str], object], ...]) -> Iterator[tuple[int, list]]:
     """The ``(line number, cells)`` data rows of a CSV file with ``header``.
 
     The header is compared after stripping each name; blank rows are
-    skipped and every other row must have one cell per header column.
+    skipped and every other row must have one cell per header column, all
+    checked before this returns.  A row's cells are converted by ``types``,
+    one per column, only as the caller reads it, so the caller's check of a
+    row comes before the next row's conversion errors.
     """
     text = _read_text(path, what)
     try:
@@ -73,7 +79,22 @@ def read_csv(path: str | Path, header: tuple[str, ...], what: str) -> list[tuple
         if len(row) != len(header):
             raise ValidationError(f"{path}:{lineno}: expected {len(header)} columns")
         body.append((lineno, row))
-    return body
+    return ((lineno, _converted(path, lineno, row, types)) for lineno, row in body)
+
+
+def _converted(path, lineno: int, row: list[str], types) -> list:
+    try:
+        return [convert(cell) for convert, cell in zip(types, row)]
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write ``header``, then ``rows``: UTF-8, ``\\n`` line ends, floats as ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def is_finite_number(value) -> bool:

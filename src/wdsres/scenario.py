@@ -6,6 +6,10 @@ restoration.  Randomised events (currently: failing a drawn number of
 pipes) are resolved per replicate from ``seed ^ replicate_index``, so each
 replicate depends only on its own index.  Replicates run serially, in
 order, in the calling thread.
+
+One table, ``_KINDS``, declares the event kinds: the network lookup that
+checks each id an event names, and the ids a scaling kind scales when it
+names none.  Every branch on an event's kind reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,15 @@ from .inputs import is_finite_number, json_rows, read_json
 from .network import Network
 from .performance import hashimoto_recovery, zhuang_availability
 
-EVENT_KINDS = ("pipe_failure", "pump_failure", "demand_scale", "supply_scale")
+# kind -> (the lookup of each id it names, the ids it scales when it names
+# none, or None for a failure kind)
+_KINDS = {
+    "pipe_failure": (Network.pipe, None),
+    "pump_failure": (Network.pump, None),
+    "demand_scale": (Network.junction, lambda net: net.junction_ids),
+    "supply_scale": (Network.source, lambda net: net.source_ids),
+}
+EVENT_KINDS = tuple(_KINDS)
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -69,16 +81,14 @@ class Event:
             raise ValidationError(f"{self.kind} lists ids more than once: {repeated}")
         if self.count is not None and not _is_number(self.count, numbers.Integral):
             raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
-        if self.kind in ("demand_scale", "supply_scale"):
+        if _KINDS[self.kind][1] is not None:  # a scaling kind
             if not (is_finite_number(self.factor) and self.factor > 0):
-                raise ValidationError(
-                    f"{self.kind} needs a finite factor > 0, got {self.factor!r}"
-                )
+                raise ValidationError(f"{self.kind} needs a finite factor > 0, "
+                                      f"got {self.factor!r}")
             if self.count is not None:
                 raise ValidationError(f"{self.kind} does not take a count")
-        else:
-            if self.factor is not None:
-                raise ValidationError(f"{self.kind} does not take a factor")
+        elif self.factor is not None:
+            raise ValidationError(f"{self.kind} does not take a factor")
         if self.kind == "pipe_failure":
             if (self.count is None) == (not self.ids):
                 raise ValidationError("pipe_failure needs ids or a random count, not both")
@@ -152,21 +162,6 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     return scenario_from_dict(read_json(path, "scenario"))
 
 
-def _validate_event_ids(net: Network, event: Event) -> None:
-    if event.kind == "pipe_failure":
-        for pid in event.ids:
-            net.pipe(pid)
-    elif event.kind == "pump_failure":
-        for pid in event.ids:
-            net.pump(pid)
-    elif event.kind == "demand_scale":
-        for nid in event.ids:
-            net.junction(nid)
-    elif event.kind == "supply_scale":
-        for sid in event.ids:
-            net.source(sid)
-
-
 def resolve_events(net: Network, spec: ScenarioSpec, rng: random.Random) -> tuple[Event, ...]:
     """Replace random events with concrete ones and validate all ids."""
     resolved = []
@@ -174,35 +169,31 @@ def resolve_events(net: Network, spec: ScenarioSpec, rng: random.Random) -> tupl
         if event.is_random:
             pool = sorted(net.pipe_ids)
             if event.count > len(pool):
-                raise ValidationError(
-                    f"cannot fail {event.count} of {len(pool)} pipes"
-                )
+                raise ValidationError(f"cannot fail {event.count} of {len(pool)} pipes")
             drawn = tuple(sorted(rng.sample(pool, event.count)))
             event = Event(event.kind, event.onset, event.repair, ids=drawn)
-        _validate_event_ids(net, event)
+        lookup = _KINDS[event.kind][0]
+        for element_id in event.ids:
+            lookup(net, element_id)
         resolved.append(event)
     return tuple(resolved)
 
 
 def _step_state(events: tuple[Event, ...], net: Network, t: int):
+    """The failed pipes at step ``t``, and the factor map of each scaling kind."""
     failed_pipes: set[str] = set()
-    demand_factors: dict[str, float] = {}
-    supply_factors: dict[str, float] = {}
+    factors: dict[str, dict[str, float]] = {"demand_scale": {}, "supply_scale": {}}
     for event in events:
         if not event.active_at(t):
             continue
         # the surrogate has no pump model, so a pump failure changes no state
         if event.kind == "pipe_failure":
             failed_pipes.update(event.ids)
-        elif event.kind == "demand_scale":
-            targets = event.ids or net.junction_ids
-            for nid in targets:
-                demand_factors[nid] = demand_factors.get(nid, 1.0) * event.factor
-        elif event.kind == "supply_scale":
-            targets = event.ids or net.source_ids
-            for sid in targets:
-                supply_factors[sid] = supply_factors.get(sid, 1.0) * event.factor
-    return failed_pipes, demand_factors, supply_factors
+        elif event.kind in factors:
+            scaled = factors[event.kind]
+            for element_id in event.ids or _KINDS[event.kind][1](net):
+                scaled[element_id] = scaled.get(element_id, 1.0) * event.factor
+    return failed_pipes, factors
 
 
 def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
@@ -233,15 +224,9 @@ def apply_scenario(net: Network, spec: ScenarioSpec) -> HydraulicSeries:
     steps = []
     for t in range(spec.horizon):
         if t in changes:
-            failed_pipes, demand_factors, supply_factors = _step_state(events, net, t)
-        steps.append(
-            surrogate_allocation(
-                net,
-                failed_pipes=failed_pipes,
-                demand_factors=demand_factors,
-                supply_factors=supply_factors,
-            )
-        )
+            failed_pipes, factors = _step_state(events, net, t)
+        steps.append(surrogate_allocation(net, failed_pipes, factors["demand_scale"],
+                                          factors["supply_scale"]))
     node_ids = steps[0].node_ids
     return HydraulicSeries(
         node_ids,

@@ -69,14 +69,11 @@ def balaei_aggregate(indicators: list[Indicator]) -> float:
 
 
 def load_indicators(path: str | Path) -> list[Indicator]:
-    """Read an indicator set CSV: ``name, raw, max_observed, weight``."""
-    indicators = []
-    for lineno, row in read_csv(path, ("name", "raw", "max_observed", "weight"), "indicator"):
-        try:
-            indicators.append(Indicator(row[0], *(float(c) for c in row[1:])))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return indicators
+    """Read an indicator set CSV: ``name, raw, max_observed, weight``; names
+    are stripped of surrounding spaces."""
+    rows = read_csv(path, ("name", "raw", "max_observed", "weight"), "indicator",
+                    (str.strip, float, float, float))
+    return [Indicator(*cells) for _, cells in rows]
 
 
 @dataclass(frozen=True)

@@ -133,3 +133,20 @@ MODULES = sorted(p for p in Path(wdsres.__file__).parent.glob("*.py") if p.name 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in the module at ``path``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_input_boundary_imports_csv():
+    package = Path(wdsres.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "csv" in _imported_modules(p)] == ["inputs.py"]

@@ -334,6 +334,13 @@ class TestMetricCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == pytest.approx(0.625)
 
+    def test_balaei_strips_indicator_names(self, runner, tmp_path):
+        indicators = tmp_path / "ind.csv"
+        indicators.write_text("name,raw,max_observed,weight\n a ,0.5,1.0,1\nb,1.0,1.0,1\n")
+        result = runner.invoke(main, ["metric", "balaei", "--indicators", str(indicators)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["indicators"] == ["a", "b"]
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_balaei_rejects_non_finite_weight(self, runner, tmp_path, weight):
         indicators = tmp_path / "ind.csv"

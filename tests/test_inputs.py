@@ -67,25 +67,76 @@ def test_cli_exits_one_on_unreadable_input(tmp_path, argv, case):
 
 class TestReadCsv:
     HEADER = ("a", "b")
+    TYPES = (str, str)
 
     def test_rows_with_line_numbers(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(" a , b\n1,2\n\n , \n3,\"x\r\ny\"\n")
-        assert read_csv(path, self.HEADER, "test") == [(2, ["1", "2"]), (5, ["3", "x\r\ny"])]
+        assert list(read_csv(path, self.HEADER, "test", self.TYPES)) == [
+            (2, ["1", "2"]), (5, ["3", "x\r\ny"])]
 
     def test_header_and_column_count(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,c\n1,2\n")
         with pytest.raises(ValidationError, match="header must be a,b"):
-            read_csv(path, self.HEADER, "test")
+            read_csv(path, self.HEADER, "test", self.TYPES)
         path.write_text("a,b\n1,2,3\n")
         with pytest.raises(ValidationError, match=r"t.csv:2: expected 2 columns"):
-            read_csv(path, self.HEADER, "test")
+            read_csv(path, self.HEADER, "test", self.TYPES)
 
     def test_indicator_header_is_stripped(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text(" name , raw , max_observed , weight \na,1,2,1\n")
         assert [i.name for i in load_indicators(path)] == ["a"]
+
+
+SERIES_HEADER = "t,node_id,delivered_m3s,demand_m3s,head_m,required_head_m\n"
+CATALOG_HEADER = "metric,citation,M,R,L,A,TI,TD,GT,PB,SB,CM,BF,RD,RC,CL\n"
+INDICATOR_HEADER = "name,raw,max_observed,weight\n"
+FLOAT_ERROR = "could not convert string to float: 'x'"
+INT_ERROR = "invalid literal for int() with base 10: 'x'"
+
+# loader, its file with an unconvertible cell on line 2, the conversion's message
+CONVERSION_CASES = {
+    "series-t": (load_series, SERIES_HEADER + "x,J1,1,1,1,1\n", INT_ERROR),
+    "series-value": (load_series, SERIES_HEADER + "0,J1,1,1,x,1\n", FLOAT_ERROR),
+    "catalog-flag": (load_catalog, CATALOG_HEADER + "m,c,1,0,0,0,0,0,x,0,0,0,0,0,0,1\n",
+                     INT_ERROR),
+    "catalog-cluster": (load_catalog, CATALOG_HEADER + "m,c,1,0,0,0,0,0,1,0,0,0,0,0,0,x\n",
+                        INT_ERROR),
+    "indicator": (load_indicators, INDICATOR_HEADER + "a,0.5,x,1\n", FLOAT_ERROR),
+}
+
+# loader, a line 2 that fails the loader's own check, and that check's message
+ROW_CHECK_CASES = {
+    "series": (load_series, SERIES_HEADER + "0,J1,nan,1,1,1\n",
+               "{path}:2: values must be finite numbers"),
+    "catalog": (load_catalog, CATALOG_HEADER + "m,c,1,0,0,0,0,0,2,0,0,0,0,0,0,1\n",
+                "record 'm': flags must be 0 or 1"),
+    "indicator": (load_indicators, INDICATOR_HEADER + "a,0.5,0,1\n",
+                  "indicator 'a': max_observed must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERSION_CASES))
+def test_a_cell_that_does_not_convert_names_its_line(tmp_path, case):
+    loader, text, message = CONVERSION_CASES[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CHECK_CASES))
+def test_a_row_check_comes_before_a_later_rows_conversion(tmp_path, case):
+    loader, text, message = ROW_CHECK_CASES[case]
+    path = tmp_path / "input.csv"
+    # line 3's bad cell is read only after line 2 has been checked
+    path.write_text(text + text.splitlines()[1].replace("0", "x") + "\n")
+    with pytest.raises(ValidationError) as info:
+        loader(path)
+    assert str(info.value) == message.format(path=path)
 
 
 def test_finite_number_helper_still_importable_from_network():
