@@ -30,8 +30,6 @@ from .graphmetrics import (
     k_shortest_paths,
     node_index_table,
     node_resilience_index,
-    path_resistance,
-    pipe_resistance,
     trimmed_mean_index,
 )
 from .hydraulics import (
@@ -52,6 +50,7 @@ from .network import (
     Source,
     load_network,
     network_from_dict,
+    pipe_resistance,
     save_network,
 )
 from .performance import (

@@ -75,11 +75,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from .hydraulics import _Model, _model
-from .network import Network, pipe_resistance
+from .network import Network
 
 DEFAULT_K = 5
 DEFAULT_TRIM = 0.1
@@ -96,37 +96,6 @@ class WeightedPath:
         object.__setattr__(self, "pipes", tuple(self.pipes))
         if self.pipes and self.resistance <= 0:
             raise ValidationError("a non-empty path must have positive resistance")
-
-
-def path_resistance(net: Network, pipes: Sequence[str]) -> float:
-    """Resistance of a pipe sequence; validates it forms a simple path."""
-    if not pipes:
-        return 0.0
-    _walk_path(net, pipes)
-    return sum(pipe_resistance(net.pipe(pid)) for pid in pipes)
-
-
-def _walk_path(net: Network, pipes: Sequence[str]) -> tuple[str, ...]:
-    """Node chain of a pipe sequence, or ValidationError if it is not a
-    simple path."""
-    first = net.pipe(pipes[0])
-    if len(pipes) == 1:
-        return first.endpoints
-    second = net.pipe(pipes[1])
-    shared = set(first.endpoints) & set(second.endpoints)
-    if not shared:
-        raise ValidationError(f"pipes {pipes[0]!r} and {pipes[1]!r} do not connect")
-    # orient the first pipe so that the walk continues through the join
-    join = sorted(shared)[0]
-    chain = [first.other_end(join), join]
-    for pid in pipes[1:]:
-        pipe = net.pipe(pid)
-        if chain[-1] not in pipe.endpoints:
-            raise ValidationError(f"pipe {pid!r} breaks the path at node {chain[-1]!r}")
-        chain.append(pipe.other_end(chain[-1]))
-    if len(set(chain)) != len(chain):
-        raise ValidationError("path revisits a node; only simple paths are allowed")
-    return tuple(chain)
 
 
 def _check_k(k: int) -> None:

@@ -19,6 +19,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -28,6 +29,15 @@ from .inputs import is_finite_number, json_rows, read_json
 M3S_PER_LPS = 1e-3
 
 FLOW_UNITS = ("m3s", "lps")
+
+
+def _invalid(element, name: str, rule: str = "") -> ValidationError:
+    """The error for an element field that failed its one-comparison check:
+    a value that is not a finite number is named as such before ``rule``."""
+    where = f"{type(element).__name__.lower()} {element.id!r}"
+    if not is_finite_number(getattr(element, name)):
+        return ValidationError(f"{where}: field {name!r} must be a finite number")
+    return ValidationError(f"{where}: {name} {rule}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +50,12 @@ class Junction:
     required_head: float
 
     def __post_init__(self):
-        if self.design_demand < 0:
-            raise ValidationError(f"junction {self.id!r}: design_demand must be >= 0")
-        if self.required_head < 0:
-            raise ValidationError(f"junction {self.id!r}: required_head must be >= 0")
+        if not -inf < self.elevation < inf:
+            raise _invalid(self, "elevation")
+        if not 0 <= self.design_demand < inf:
+            raise _invalid(self, "design_demand", "must be >= 0")
+        if not 0 <= self.required_head < inf:
+            raise _invalid(self, "required_head", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,10 +67,10 @@ class Source:
     outflow: float
 
     def __post_init__(self):
-        if self.total_head <= 0:
-            raise ValidationError(f"source {self.id!r}: total_head must be > 0")
-        if self.outflow < 0:
-            raise ValidationError(f"source {self.id!r}: outflow must be >= 0")
+        if not 0 < self.total_head < inf:
+            raise _invalid(self, "total_head", "must be > 0")
+        if not 0 <= self.outflow < inf:
+            raise _invalid(self, "outflow", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,8 @@ class Pump:
     power: float
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValidationError(f"pump {self.id!r}: power must be >= 0")
+        if not 0 <= self.power < inf:
+            raise _invalid(self, "power", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,20 +105,16 @@ class Pipe:
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
         if self.endpoints[0] == self.endpoints[1]:
             raise ValidationError(f"pipe {self.id!r}: self-loops are not allowed")
-        if self.length <= 0:
-            raise ValidationError(f"pipe {self.id!r}: length must be > 0")
-        if self.diameter <= 0:
-            raise ValidationError(f"pipe {self.id!r}: diameter must be > 0")
-        if self.friction_factor <= 0:
-            raise ValidationError(f"pipe {self.id!r}: friction_factor must be > 0")
-        if self.repair_rate < 0:
-            raise ValidationError(f"pipe {self.id!r}: repair_rate must be >= 0")
-        if self.capacity < 0:
-            raise ValidationError(f"pipe {self.id!r}: capacity must be >= 0")
-
-    def other_end(self, node_id: str) -> str:
-        a, b = self.endpoints
-        return b if node_id == a else a
+        if not 0 < self.length < inf:
+            raise _invalid(self, "length", "must be > 0")
+        if not 0 < self.diameter < inf:
+            raise _invalid(self, "diameter", "must be > 0")
+        if not 0 < self.friction_factor < inf:
+            raise _invalid(self, "friction_factor", "must be > 0")
+        if not 0 <= self.repair_rate < inf:
+            raise _invalid(self, "repair_rate", "must be >= 0")
+        if not 0 <= self.capacity < inf:
+            raise _invalid(self, "capacity", "must be >= 0")
 
 
 def pipe_resistance(pipe: Pipe) -> float:
@@ -185,7 +193,7 @@ class Network:
             a, b = pipe.endpoints
             adjacency[a].append((pipe.id, b))
             adjacency[b].append((pipe.id, a))
-        # immutable, so neighbors() can hand them out without a copy
+        # sorted by pipe id, the order incident_pipes() lists them in
         adjacency = {nid: tuple(sorted(pairs)) for nid, pairs in adjacency.items()}
 
         object.__setattr__(self, "_by_id", by_id)
@@ -246,12 +254,6 @@ class Network:
         if node_id not in self._adjacency:
             raise ValidationError(f"unknown node {node_id!r}")
         return tuple(pid for pid, _ in self._adjacency[node_id])
-
-    def neighbors(self, node_id: str) -> tuple[tuple[str, str], ...]:
-        """(pipe_id, other_node) pairs for a node, sorted by pipe id."""
-        if node_id not in self._adjacency:
-            raise ValidationError(f"unknown node {node_id!r}")
-        return self._adjacency[node_id]
 
     # -- structural queries ----------------------------------------------
     def node_degree(self, node_id: str) -> int:

@@ -9,7 +9,12 @@ order, in the calling thread.
 
 One table, ``_KINDS``, declares the event kinds: the network lookup that
 checks each id an event names, and the ids a scaling kind scales when it
-names none.  Every branch on an event's kind reads it.
+names none.  The kind check and the factor rule in ``Event``, the id check
+in :func:`resolve_events` and the scaling defaults in :func:`_step_state`
+read it.  The rules of the two failure kinds stay in ``Event`` by name (a
+pipe failure takes ids or a random count, a pump failure explicit ids
+only), and :func:`_step_state` names the kinds whose events change a step:
+``"pipe_failure"`` and the two scaling kinds of its factor maps.
 """
 
 from __future__ import annotations

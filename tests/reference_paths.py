@@ -1,10 +1,12 @@
 """Reference path search: the string-keyed Yen loop that the compiled one replaced.
 
-Kept verbatim (apart from this docstring and the function names) as an
-exact-equality oracle.  It searches the ``Network`` by pipe id with no
-lower bounds, so agreement with ``wdsres.graphmetrics.k_shortest_paths``
-checks the compiled path model, the integer tie-break and the pruned spur
-searches together.
+Kept verbatim as an exact-equality oracle, apart from this docstring, the
+function names, and one edit: a node's ``(pipe, other end)`` pairs come from
+:func:`neighbors`, which builds them from ``Network.incident_pipes`` and
+each pipe's endpoints.  It searches the ``Network`` by pipe id with no lower
+bounds, so agreement with ``wdsres.graphmetrics.k_shortest_paths`` checks
+the compiled path model, the integer tie-break and the pruned spur searches
+together.
 """
 
 from __future__ import annotations
@@ -12,8 +14,14 @@ from __future__ import annotations
 import heapq
 
 from wdsres.errors import ValidationError
-from wdsres.graphmetrics import DEFAULT_K, WeightedPath, pipe_resistance
-from wdsres.network import Network
+from wdsres.graphmetrics import DEFAULT_K, WeightedPath
+from wdsres.network import Network, pipe_resistance
+
+
+def neighbors(net: Network, node: str) -> list[tuple[str, str]]:
+    """A node's ``(pipe id, other end)`` pairs, ascending by pipe id."""
+    ends = ((pid, net.pipe(pid).endpoints) for pid in net.incident_pipes(node))
+    return [(pid, b if node == a else a) for pid, (a, b) in ends]
 
 
 def reference_dijkstra(
@@ -43,7 +51,7 @@ def reference_dijkstra(
         done.add(node)
         # every node of the popped path was popped, and so put in done,
         # before the path was extended past it: done also keeps it simple
-        for pid, other in net.neighbors(node):
+        for pid, other in neighbors(net, node):
             if pid in banned_pipes or other in done or other in banned_nodes:
                 continue
             heapq.heappush(

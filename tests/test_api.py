@@ -9,12 +9,18 @@ one of them fails this test before it breaks the benchmark.
 import ast
 import dataclasses
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import wdsres
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import tracing  # noqa: E402
 
 EXPORTS = [
     "BaselineInfeasibleError", "BinaryStateSeries", "CLUSTER_FEATURES",
@@ -29,7 +35,7 @@ EXPORTS = [
     "flow_based_resilience", "hashimoto_recovery", "k_shortest_paths", "load_answers",
     "load_catalog", "load_checklist", "load_indicators", "load_network", "load_scenario",
     "load_series", "monte_carlo", "network_from_dict", "node_index_table",
-    "node_resilience_index", "partition_agreement", "path_resistance", "pearson_matrix",
+    "node_resilience_index", "partition_agreement", "pearson_matrix",
     "pipe_fragility", "pipe_resistance", "reference_agreement", "save_network",
     "save_series", "scenario_from_dict", "summary_counts", "supply_buffering",
     "supply_feasibility", "surrogate_allocation", "todini_index", "trimmed_mean_index",
@@ -40,7 +46,7 @@ EXPORTS = [
 MEMBERS = {
     wdsres.Network: [
         "digest", "incident_pipes", "is_node", "junction", "junction_ids", "junctions",
-        "n_junctions", "n_sources", "neighbors", "node_degree", "node_ids", "pipe",
+        "n_junctions", "n_sources", "node_degree", "node_ids", "pipe",
         "pipe_ids", "pipes", "pump", "pump_ids", "pumps", "reachable_from_sources",
         "source", "source_ids", "sources", "to_dict", "total_design_demand",
         "validate_failed_sets",
@@ -150,3 +156,52 @@ def test_only_the_input_boundary_imports_csv():
     package = Path(wdsres.__file__).parent
     assert [p.name for p in sorted(package.glob("*.py"))
             if "csv" in _imported_modules(p)] == ["inputs.py"]
+
+
+# public names that no code in the package or the benchmark names, and why each stays
+UNNAMED = {
+    "save_network": "the documented writer of the network format",
+    "user_functionality": "Huizar's catalogued metric",
+}
+
+
+def _named(paths) -> set[str]:
+    """Every name that the modules at ``paths`` read as a name or an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _is_click_command(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _public_definitions(path: Path):
+    """``(qualified name, name)`` of each public function, class and method
+    that the module at ``path`` defines, click commands left out."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") and not (
+                isinstance(node, ast.FunctionDef) and _is_click_command(node)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def test_no_public_name_serves_only_the_tests():
+    named = _named(MODULES) | _named(PERFBENCH.rglob("*.py"))
+    for target in tracing.TARGETS:
+        named.update(target.name.split("."))
+    unnamed = sorted(f"{path.name}: {qualified}" for path in MODULES
+                     for qualified, name in _public_definitions(path)
+                     if name not in named and name not in UNNAMED)
+    assert unnamed == []

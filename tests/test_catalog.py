@@ -77,6 +77,17 @@ class TestLoadCatalog:
             load_catalog(path)
 
 
+    @pytest.mark.parametrize("flags, cluster, message", [
+        ((0,) * 12, 1, "record 'x': expected 13 flags"),
+        ((0,) * 13, 0, "record 'x': cluster must be 1..5"),
+        ((0,) * 13, 6, "record 'x': cluster must be 1..5"),
+    ], ids=["twelve-flags", "cluster-0", "cluster-6"])
+    def test_record_checks(self, flags, cluster, message):
+        with pytest.raises(ValidationError) as info:
+            record("x", flags, cluster)
+        assert str(info.value) == message
+
+
 class TestSummaryCounts:
     def test_shipped_counts_match_reference_totals(self):
         summary = summary_counts(load_catalog())

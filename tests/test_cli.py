@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import wdsres
+from wdsres.catalog import FLAG_COLUMNS
 from wdsres.cli import main
 from wdsres.hydraulics import load_series, save_series
 from wdsres.network import Junction, Source, save_network
@@ -699,6 +700,46 @@ class TestCatalogCommands:
         assert result.exit_code == 0
         tree = json.loads(out.read_text())
         assert len(tree["merges"]) == 58
+
+    def test_correlate_prints_what_out_writes(self, runner, tmp_path):
+        out = tmp_path / "matrix.csv"
+        runner.invoke(main, ["catalog", "correlate", "--out", str(out)])
+        result = runner.invoke(main, ["catalog", "correlate"])
+        assert result.exit_code == 0
+        assert result.stdout == out.read_text()
+
+    def test_cluster_prints_what_out_writes(self, runner, tmp_path):
+        out = tmp_path / "labels.csv"
+        runner.invoke(main, ["catalog", "cluster", "--out", str(out)])
+        result = runner.invoke(main, ["catalog", "cluster"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert result.stdout.splitlines() == [
+            *(f"{label}  {name}" for name, _, label, _ in rows),
+            "agreement with reference labels: 1.0000",
+        ]
+
+    def test_zero_variance_warning(self, runner, tmp_path):
+        path = tmp_path / "catalog.csv"
+        flags = ",".join(FLAG_COLUMNS)
+        path.write_text(f"metric,citation,{flags},CL\n"
+                        "a,x,1,0,0,1,1,0,1,0,0,0,1,0,0,1\n"
+                        "b,x,0,1,0,0,0,1,0,1,0,0,0,1,0,2\n"
+                        "c,x,1,1,0,0,1,0,0,1,0,0,1,1,0,3\n")
+        result = runner.invoke(main, ["catalog", "correlate", "--catalog", str(path)])
+        assert result.exit_code == 0
+        assert result.stderr == "warning: zero-variance columns ['CM', 'L', 'RC', 'SB']\n"
+
+    # --k 6 labels more clusters than the reference's five, so the agreement
+    # matching swaps its sides; it matches at most 8 labels per side
+    @pytest.mark.parametrize("k, code, last_line", [
+        ("6", 0, "agreement with reference labels: 0.8305"),
+        ("9", 1, "error: agreement matching supports at most 8 labels per side"),
+    ])
+    def test_cluster_k(self, runner, k, code, last_line):
+        result = runner.invoke(main, ["catalog", "cluster", "--k", k])
+        assert result.exit_code == code
+        assert result.output.splitlines()[-1] == last_line
 
     def test_missing_catalog_exits_one(self, runner, tmp_path):
         result = runner.invoke(

@@ -13,14 +13,13 @@ from wdsres.graphmetrics import (
     k_shortest_paths,
     node_index_table,
     node_resilience_index,
-    path_resistance,
-    pipe_resistance,
     trimmed_mean_index,
 )
-from wdsres.network import Junction, Network, Source, load_network, save_network
+from wdsres.network import Junction, Source, load_network, pipe_resistance, save_network
 
 from .conftest import make_network, make_pipe, torus_network
-from .reference_paths import reference_k_shortest_paths
+from . import reference_paths
+from .reference_paths import neighbors, reference_k_shortest_paths
 
 
 def all_simple_paths(net, start, goal):
@@ -31,7 +30,7 @@ def all_simple_paths(net, start, goal):
         if node == goal:
             results.append((cost, tuple(pipes)))
             return
-        for pid, other in net.neighbors(node):
+        for pid, other in neighbors(net, node):
             if other in visited:
                 continue
             walk(other, visited | {other}, pipes + [pid],
@@ -39,42 +38,6 @@ def all_simple_paths(net, start, goal):
 
     walk(start, {start}, [], 0.0)
     return sorted(results)
-
-
-class TestPathResistance:
-    def test_empty_path(self, ring_network):
-        assert path_resistance(ring_network, ()) == 0.0
-
-    def test_two_pipes(self):
-        net = make_network(
-            junctions=[Junction("A", 0.0, 0.01, 30.0), Junction("B", 0.0, 0.01, 30.0)],
-            sources=[Source("S", 100.0, 0.05)],
-            pipes=[make_pipe("q1", "S", "A", length=100.0),
-                   make_pipe("q2", "A", "B", length=100.0)],
-        )
-        # each pipe: 0.02 * 100 / 0.1 = 20
-        assert path_resistance(net, ("q1", "q2")) == pytest.approx(40.0)
-
-    def test_hand_values(self, ring_network):
-        assert path_resistance(ring_network, ("p1", "p2")) == pytest.approx(40.0)
-        net = make_network(
-            junctions=[Junction("A", 0.0, 0.01, 30.0)],
-            sources=[Source("S", 100.0, 0.05)],
-            pipes=[make_pipe("q1", "S", "A", length=500.0, diameter=0.2)],
-        )
-        assert path_resistance(net, ("q1",)) == pytest.approx(50.0)
-
-    def test_broken_path(self, ring_network):
-        with pytest.raises(ValidationError, match="do not connect"):
-            path_resistance(ring_network, ("p1", "p3"))
-
-    def test_revisiting_rejected(self, ring_network):
-        with pytest.raises(ValidationError, match="simple"):
-            path_resistance(ring_network, ("p1", "p2", "p3", "p4"))
-
-    def test_unknown_pipe(self, ring_network):
-        with pytest.raises(ValidationError, match="unknown pipe"):
-            path_resistance(ring_network, ("zz",))
 
 
 class TestKShortestPaths:
@@ -133,15 +96,11 @@ class TestKShortestPaths:
         assert paths[0].pipes == ("p1",)
         assert paths[1].pipes == ("p2",)
 
-    def test_resistances_nondecreasing_and_consistent(self, mesh_network):
+    def test_resistances_nondecreasing(self, mesh_network):
         for start in ("A", "B", "D"):
             paths = k_shortest_paths(mesh_network, start, "S2", 6)
             resistances = [p.resistance for p in paths]
             assert resistances == sorted(resistances)
-            for path in paths:
-                assert path_resistance(mesh_network, path.pipes) == pytest.approx(
-                    path.resistance
-                )
 
     def test_disconnected_pair_gives_empty(self):
         net = make_network(
@@ -350,15 +309,14 @@ class TestCompiledSearch:
 
         monkeypatch.setattr(graphmetrics, "_spur_search", counted)
         got = [k_shortest_paths(net, j, s, 5) for j, s in pairs]
-        # the reference expands each node it settles through Network.neighbors
+        # the reference expands each node it settles through neighbors()
         expanded = []
-        neighbors = Network.neighbors
 
-        def counted_neighbors(self, node_id):
+        def counted_neighbors(net, node_id):
             expanded.append(node_id)
-            return neighbors(self, node_id)
+            return neighbors(net, node_id)
 
-        monkeypatch.setattr(Network, "neighbors", counted_neighbors)
+        monkeypatch.setattr(reference_paths, "neighbors", counted_neighbors)
         want = [reference_k_shortest_paths(net, j, s, 5) for j, s in pairs]
         assert got == want
         assert sum(settled) == 17964
@@ -532,6 +490,15 @@ class TestTrimmedMean:
 
 
 class TestNodeIndexTable:
+    def test_zero_total_demand_weights_zero(self):
+        net = make_network(
+            junctions=[Junction("A", 0.0, 0.0, 30.0)],
+            sources=[Source("S", 100.0, 0.05)],
+            pipes=[make_pipe("p1", "S", "A")],
+        )
+        # one route of resistance 0.02 * 100 / 0.1 = 20
+        assert node_index_table(net, k=1) == [("A", 0.05, 0.0)]
+
     def test_rows_cover_all_junctions(self, mesh_network):
         rows = node_index_table(mesh_network, k=3)
         assert [r[0] for r in rows] == sorted(mesh_network.junction_ids)

@@ -111,6 +111,18 @@ class TestLoadSeries:
         with pytest.raises(ValidationError, match=":2: values must be finite"):
             load_series(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,n1,1,1,40,30\n0,n1,1,1,40,30\n", ":3: duplicate (t=0, node='n1') row"),
+        ("\n", ": no data rows"),
+        ("0,n1,1,1,40,30\n2,n1,1,1,40,30\n", ": timesteps must be contiguous from 0, got [0, 2]"),
+    ], ids=["duplicate-row", "no-rows", "gap"])
+    def test_row_checks(self, tmp_path, rows, message):
+        path = tmp_path / "series.csv"
+        path.write_text("t,node_id,delivered_m3s,demand_m3s,head_m,required_head_m\n" + rows)
+        with pytest.raises(ValidationError) as info:
+            load_series(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_two_by_two_shape(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(
@@ -134,6 +146,23 @@ class TestHydraulicSeries:
         arrays[name][1, 0] = value
         with pytest.raises(ValidationError, match=f"{name} must hold finite numbers"):
             HydraulicSeries(zhuang_series.node_ids, **arrays)
+
+    @pytest.mark.parametrize("node_ids, changes, message", [
+        (("n1", "n2"), {"head": np.full(2, 40.0)}, "head must be a 2-d array (steps x nodes)"),
+        (("n1", "n2"), dict.fromkeys(("delivered", "demand", "head", "required_head"),
+                                     np.empty((0, 2))),
+         "series must contain at least one timestep"),
+        (("n1",), {}, "array width does not match number of node ids"),
+        (("n1", "n1"), {}, "duplicate node ids in series"),
+        (("n1", "n2"), {"required_head": np.full((3, 2), 30.0)},
+         "all series arrays must share one shape"),
+    ], ids=["not-2d", "no-steps", "width", "duplicate-ids", "shapes"])
+    def test_shape_checks(self, zhuang_series, node_ids, changes, message):
+        arrays = {n: getattr(zhuang_series, n)
+                  for n in ("delivered", "demand", "head", "required_head")} | changes
+        with pytest.raises(ValidationError) as info:
+            HydraulicSeries(node_ids, **arrays)
+        assert str(info.value) == message
 
     def test_node_index(self, zhuang_series):
         assert zhuang_series.node_index("n2") == 1

@@ -15,6 +15,7 @@ from wdsres.errors import ValidationError
 from wdsres.graphmetrics import node_index_table
 from wdsres.network import (
     Junction,
+    Pump,
     Source,
     load_network,
     network_from_dict,
@@ -251,6 +252,77 @@ class TestIngestMessages:
         assert net.pump("9").power == 100.0
 
 
+# one valid element of each section, which a test rebuilds with one field changed
+ELEMENTS = {
+    "junctions": Junction("J1", 0.0, 0.01, 30.0),
+    "sources": Source("R1", 100.0, 0.05),
+    "pumps": Pump("b1", 100.0),
+    "pipes": make_pipe("p1", "R1", "J1"),
+}
+
+# every range-checked field, a value just outside its range, and its rule
+RANGE_CASES = [
+    ("junctions", "design_demand", -1.0, ">= 0"),
+    ("junctions", "required_head", -1.0, ">= 0"),
+    ("sources", "total_head", 0.0, "> 0"),
+    ("sources", "outflow", -1.0, ">= 0"),
+    ("pumps", "power", -1.0, ">= 0"),
+    ("pipes", "length", 0.0, "> 0"),
+    ("pipes", "diameter", 0.0, "> 0"),
+    ("pipes", "friction_factor", 0.0, "> 0"),
+    ("pipes", "repair_rate", -1.0, ">= 0"),
+    ("pipes", "capacity", -1.0, ">= 0"),
+]
+
+
+class TestElementConstructors:
+    """The checks an element makes when it is built directly, not from a file."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, field", FIELD_CASES)
+    def test_non_finite_number(self, section, field, value):
+        element = ELEMENTS[section]
+        kind = NUMERIC_FIELDS[section][0]
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(element, **{field: value})
+        assert str(info.value) == (
+            f"{kind} {element.id!r}: field {field!r} must be a finite number")
+
+    @pytest.mark.parametrize("section, field, value, rule", RANGE_CASES)
+    def test_out_of_range(self, section, field, value, rule):
+        element = ELEMENTS[section]
+        kind = NUMERIC_FIELDS[section][0]
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(element, **{field: value})
+        assert str(info.value) == f"{kind} {element.id!r}: {field} must be {rule}"
+
+    @pytest.mark.parametrize("endpoints", [("R1",), ("R1", "J1", "J2")])
+    def test_pipe_endpoints_not_a_pair(self, endpoints):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(ELEMENTS["pipes"], endpoints=endpoints)
+        assert str(info.value) == "pipe 'p1': endpoints must name two nodes"
+
+
+def _network(**changes):
+    """The network of ``ELEMENTS`` with some sections replaced."""
+    sections = {section: [element] for section, element in ELEMENTS.items()} | changes
+    return make_network(**sections)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _network(junctions=[]), "network needs at least one junction"),
+    (lambda: _network(pumps=[Pump("b1", 1.0), Pump("b1", 2.0)]), "duplicate pump id"),
+    (lambda: _network(pipes=[make_pipe("p1", "R1", "J1"), make_pipe("p1", "J1", "R1")]),
+     "duplicate pipe id"),
+    (lambda: network_from_dict([minimal_doc()]), "network document must be a JSON object"),
+], ids=["no-junction", "duplicate-pump", "duplicate-pipe", "non-object-document"])
+def test_network_checks(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def lps_network_doc():
     """Pumps, a parallel pair and flows in L/s whose conversion is inexact."""
     pipe = {"length": 120.5, "diameter": 0.15, "friction_factor": 0.021,
@@ -329,14 +401,9 @@ class TestNodeDegree:
     def test_unknown_node(self, ring_network):
         with pytest.raises(ValidationError, match="unknown node"):
             ring_network.node_degree("nope")
-        with pytest.raises(ValidationError, match="unknown node"):
-            ring_network.neighbors("nope")
 
-    def test_neighbors_sorted_by_pipe_id_and_shared(self, mesh_network):
-        pairs = mesh_network.neighbors("A")
-        assert pairs == (("p1", "S1"), ("p2", "S1"), ("p3", "B"), ("p6", "C"))
-        # an immutable tuple, handed out without a copy on each call
-        assert mesh_network.neighbors("A") is pairs
+    def test_incident_pipes_ascending_with_parallels(self, mesh_network):
+        assert mesh_network.incident_pipes("A") == ("p1", "p2", "p3", "p6")
 
     def test_degree_sum_is_twice_pipe_count(self, ring_network, tree_network):
         for net in (ring_network, tree_network):

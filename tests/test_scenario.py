@@ -86,10 +86,37 @@ class TestEventValidation:
         with pytest.raises(ValidationError, match="ids or a random count"):
             Event("pipe_failure", onset=0, repair=1, ids=("p1",), count=1)
 
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("demand_scale", {"factor": 2.0, "count": 1}, "demand_scale does not take a count"),
+        ("pipe_failure", {"ids": ("p1",), "factor": 2.0}, "pipe_failure does not take a factor"),
+        ("pipe_failure", {"count": 0}, "pipe_failure count must be >= 1"),
+        ("pump_failure", {"ids": ("b1",), "count": 1}, "pump_failure takes explicit ids only"),
+        ("pump_failure", {}, "pump_failure needs ids"),
+    ])
+    def test_kind_rules(self, kind, extra, message):
+        with pytest.raises(ValidationError) as info:
+            Event(kind, onset=0, repair=1, **extra)
+        assert str(info.value) == message
+
     def test_unknown_ids_caught_at_apply(self, ring_network):
         spec = ScenarioSpec((Event("pipe_failure", 0, 1, ids=("zz",)),), horizon=1)
         with pytest.raises(ValidationError, match="unknown pipe"):
             apply_scenario(ring_network, spec)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda net: apply_scenario(net, ScenarioSpec((Event("pipe_failure", 0, 1, count=9),),
+                                                  horizon=1)),
+     "cannot fail 9 of 4 pipes"),
+    (lambda net: monte_carlo(net, ScenarioSpec(horizon=1), 0, "zhuang"),
+     "replicate count must be >= 1"),
+    (lambda net: scenario_from_dict([{"kind": "pipe_failure"}]),
+     "scenario document must be a JSON object"),
+], ids=["count-above-pipes", "no-replicates", "non-object-document"])
+def test_run_checks(ring_network, run, message):
+    with pytest.raises(ValidationError) as info:
+        run(ring_network)
+    assert str(info.value) == message
 
 
 class TestApplyScenario:
