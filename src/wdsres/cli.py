@@ -19,7 +19,6 @@ from pathlib import Path
 
 import click
 
-from . import catalog as cat
 from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
@@ -323,9 +322,19 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
 # catalog
 # ---------------------------------------------------------------------------
 
-# the file a command reads its catalog from, the bundled dataset by default
+def _catalog_file(ctx, param, path):
+    """The file a command reads its catalog from, the bundled dataset by default.
+
+    Only the commands that read the catalog import ``catalog`` (and with it
+    ``wardclust`` and ``logging``), so a metric or scenario run never loads it.
+    """
+    from . import catalog
+
+    return catalog._catalog_file(path)
+
+
 _catalog_option = click.option("--catalog", "catalog_path", help="Alternative catalog CSV.",
-                               callback=lambda ctx, param, path: cat._catalog_file(path))
+                               callback=_catalog_file)
 
 
 @main.group(name="catalog")
@@ -339,6 +348,8 @@ def catalog_group():
 @_guarded
 def catalog_counts(catalog_path, out):
     """Per-category counts and multiplicity histograms."""
+    from . import catalog as cat
+
     _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     summary = cat.summary_counts(records)
@@ -360,6 +371,8 @@ def catalog_counts(catalog_path, out):
 @_guarded
 def catalog_correlate(catalog_path, out):
     """Pearson correlation matrix of the category flags."""
+    from . import catalog as cat
+
     _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     matrix = cat.pearson_matrix(records)
@@ -382,6 +395,8 @@ def catalog_correlate(catalog_path, out):
 @_guarded
 def catalog_cluster(catalog_path, k, out):
     """Ward clustering of the catalog flags."""
+    from . import catalog as cat
+
     _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
@@ -403,6 +418,8 @@ def catalog_cluster(catalog_path, k, out):
 @_guarded
 def catalog_dendrogram(catalog_path, k, out, text):
     """Export the full merge tree."""
+    from . import catalog as cat
+
     _check_writable(out, Path(out).with_suffix(".txt") if text and out else None,
                     inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
@@ -416,6 +433,8 @@ def catalog_dendrogram(catalog_path, k, out, text):
 @_guarded
 def list_metrics(catalog_path):
     """Implemented metrics with their catalog categorisation."""
+    from . import catalog as cat
+
     records = cat.load_catalog(catalog_path)
     for name, (_, row_name, citation) in sorted(METRICS.items()):
         record = cat.find_record(records, row_name, citation)

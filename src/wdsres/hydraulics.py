@@ -46,7 +46,6 @@ would keep one per failure set during a buffering search.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from operator import sub
@@ -54,7 +53,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 # numpy is imported inside each function that builds an array: importing it
-# takes longer than a structural metric runs, and those metrics build none
+# takes longer than a structural metric runs, and those metrics build none;
+# hashlib likewise inside the digests
 
 from .errors import ValidationError
 from .inputs import read_csv, write_csv
@@ -128,6 +128,8 @@ class HydraulicSeries:
         return float(self.delivered[t].sum()) / total_demand
 
     def digest(self) -> str:
+        import hashlib
+
         import numpy as np
 
         h = hashlib.sha256()
@@ -158,6 +160,8 @@ class BinaryStateSeries:
             raise ValidationError(f"states must be 'S' or 'F', got {sorted(bad)}")
 
     def digest(self) -> str:
+        import hashlib
+
         blob = ("".join(self.states) + repr(self.threshold) + repr(self.per_node)).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

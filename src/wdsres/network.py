@@ -15,7 +15,6 @@ of the last solve, so threads must not solve on one network at once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -300,6 +299,8 @@ class Network:
 
     def digest(self) -> str:
         """Short stable identifier of the network contents."""
+        import hashlib  # here, so that loading a network does not import it
+
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

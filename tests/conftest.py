@@ -12,7 +12,6 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-import wdsres.cli  # noqa: F401  (see the profile below)
 from wdsres import hydraulics
 from wdsres.hydraulics import HydraulicSeries
 from wdsres.network import Junction, Network, Pipe, Pump, Source
@@ -29,8 +28,9 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 settings.register_profile("wdsres", derandomize=True, database=None, deadline=None)
 settings.load_profile("wdsres")
 # hypothesis mixes the constants of every loaded module of the checkout (test
-# files aside) into its draws, so the suite loads them all up front: a test
-# then draws the same examples whether it runs alone or in the full suite
+# files aside) into its draws, so the suite loads them all up front (the
+# package's in the root conftest.py): a test then draws the same examples
+# whether it runs alone or in the full suite
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run  # noqa: E402,F401  (it loads netgen, tracing and workloads)
 

@@ -8,7 +8,10 @@ one of them fails this test before it breaks the benchmark.
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 
 import wdsres
 
+PACKAGE = Path(wdsres.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -85,11 +89,41 @@ PARAMETERS = {
 
 
 def test_package_exports():
+    # exports load on first use, so vars(wdsres) holds only those touched so far
+    assert sorted(wdsres.__all__) == sorted(EXPORTS)
     public = sorted(
-        name for name, value in vars(wdsres).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(wdsres)
+        if not name.startswith("_") and not isinstance(getattr(wdsres, name), types.ModuleType)
     )
     assert public == sorted(EXPORTS)
+
+
+def test_each_export_is_what_its_defining_module_binds():
+    for name in EXPORTS:
+        value = getattr(wdsres, name)
+        module = importlib.import_module(f"wdsres.{wdsres._EXPORTS[name]}")
+        assert value is vars(module)[name], name
+        assert vars(wdsres)[name] is value, name  # kept, so the next lookup is a plain one
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        wdsres.no_such_name
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from wdsres import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTS)
+
+
+def test_import_loads_no_submodule():
+    probe = "import sys, wdsres; print(sorted(m for m in sys.modules if m.startswith('wdsres')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "['wdsres']"
 
 
 @pytest.mark.parametrize("cls", list(MEMBERS), ids=lambda cls: cls.__name__)
@@ -132,8 +166,7 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(unused)
 
 
-# the package's __init__ imports names to export them, not to use them
-MODULES = sorted(p for p in Path(wdsres.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -153,9 +186,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_only_the_input_boundary_imports_csv():
-    package = Path(wdsres.__file__).parent
-    assert [p.name for p in sorted(package.glob("*.py"))
-            if "csv" in _imported_modules(p)] == ["inputs.py"]
+    assert [p.name for p in MODULES if "csv" in _imported_modules(p)] == ["inputs.py"]
 
 
 # public names that no code in the package or the benchmark names, and why each stays

@@ -1027,12 +1027,13 @@ class TestListMetrics:
             assert name in result.output
 
 
-# a fresh interpreter runs one command, then reports whether the module was
-# ever loaded; "load_network" stands for a library caller instead of the CLI
+# a fresh interpreter runs one command, then prints which of the comma-separated
+# modules were ever loaded; "load_network" stands for a library caller instead
+# of the CLI
 _PROBE = (
     "import sys\n"
     "import wdsres\n"
-    "module, args = sys.argv[1], sys.argv[2:]\n"
+    "modules, args = sys.argv[1].split(','), sys.argv[2:]\n"
     "if args[0] == 'load_network':\n"
     "    wdsres.load_network(args[1])\n"
     "else:\n"
@@ -1041,45 +1042,49 @@ _PROBE = (
     "        main(args)\n"
     "    except SystemExit as exc:\n"
     "        assert not exc.code, exc.code\n"
-    "print(module in sys.modules)\n"
+    "print([m for m in modules if m in sys.modules])\n"
 )
 
-# case -> (argv, module that must stay unloaded, {output: text it must hold});
+# case -> (argv, modules that must stay unloaded, {output: text it must hold});
 # numpy costs more to import than a structural metric takes to run, and
-# numpy.ma more than a small Monte Carlo run
+# numpy.ma more than a small Monte Carlo run; a library caller that only
+# loads a network, and a command that reads no catalog, import nothing more
 STARTUP_CASES = {
-    "import wdsres, load_network": (["load_network", "{net}"], "numpy", {}),
+    "import wdsres, load_network": (
+        ["load_network", "{net}"],
+        ("numpy", "wdsres.hydraulics", "wdsres.catalog", "hashlib", "logging"), {}),
     "metric herrera --nodes-out": (
         ["metric", "herrera", "--network", "{net}", "--nodes-out", "{tmp}/nodes.csv",
          "--out", "{tmp}/report.json"],
-        "numpy", {"report.json": '"name": "herrera_trimmed_index"', "nodes.csv": "\nJ3,"}),
+        ("numpy",), {"report.json": '"name": "herrera_trimmed_index"', "nodes.csv": "\nJ3,"}),
     "metric buffering": (
         ["metric", "buffering", "--network", "{net}", "--out", "{tmp}/report.json"],
-        "numpy", {"report.json": '"feasibility": "all junctions connected to a source"'}),
+        ("numpy", "wdsres.catalog", "wdsres.wardclust", "logging"),
+        {"report.json": '"feasibility": "all junctions connected to a source"'}),
     "metric buffering --threshold": (
         ["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
          "--out", "{tmp}/report.json"],
-        "numpy", {"report.json": '"feasibility": "supply ratio >= 0.99"'}),
+        ("numpy",), {"report.json": '"feasibility": "supply ratio >= 0.99"'}),
     "metric wpr": (
         ["metric", "wpr", "--answers", "{answers}", "--out", "{tmp}/report.json"],
-        "numpy", {"report.json": '"value": 36'}),
+        ("numpy",), {"report.json": '"value": 36'}),
     "metric balaei": (
         ["metric", "balaei", "--indicators", "{indicators}", "--out", "{tmp}/report.json"],
-        "numpy", {"report.json": '"value": 0.625'}),
+        ("numpy",), {"report.json": '"value": 0.625'}),
     "catalog counts": (["catalog", "counts", "--out", "{tmp}/report.json"],
-                       "numpy", {"report.json": '"total": 59'}),
-    "--help": (["--help"], "numpy", {"stdout": "Usage:"}),
+                       ("numpy",), {"report.json": '"total": 59'}),
+    "--help": (["--help"], ("numpy",), {"stdout": "Usage:"}),
     "scenario mc": (
         ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "3",
          "--metric", "zhuang", "--out", "{tmp}/report.json"],
-        "numpy.ma", {"report.json": '"n": 3'}),
+        ("numpy.ma", "wdsres.catalog", "logging"), {"report.json": '"n": 3'}),
 }
 
 
 class TestStartUp:
     @pytest.mark.parametrize("case", list(STARTUP_CASES))
     def test_command_leaves_module_unloaded(self, net_path, tmp_path, case):
-        argv, module, want = STARTUP_CASES[case]
+        argv, modules, want = STARTUP_CASES[case]
         answers = tmp_path / "answers.json"
         answers.write_text(json.dumps({name: True for name in load_checklist().names()}))
         indicators = tmp_path / "ind.csv"
@@ -1091,11 +1096,11 @@ class TestStartUp:
         args = [a.format(net=net_path, tmp=tmp_path, answers=answers,
                          indicators=indicators, spec=spec) for a in argv]
         out = subprocess.run(
-            [sys.executable, "-c", _PROBE, module, *args],
+            [sys.executable, "-c", _PROBE, ",".join(modules), *args],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(Path(wdsres.__file__).parents[1])},
         )
         for name, text in want.items():
             got = out.stdout if name == "stdout" else (tmp_path / name).read_text()
             assert text in got, name
-        assert out.stdout.splitlines()[-1] == "False"
+        assert out.stdout.splitlines()[-1] == "[]"
