@@ -35,13 +35,14 @@ around the failures, where the arcs it records bound the rerouted flow's
 support.
 
 The model also remembers its most recent solve: the capacities the kernel
-was given, the residuals it left and its sums of pushes.  A solve with
-equal capacities reads these instead of running the kernel again.  The
-kernel is deterministic and the capacities are its whole input, so the
-result is the one a fresh solve would give.  Scenario events are
-piecewise constant, so most timesteps of a scenario repeat the state of
-the step before them and hit this one-entry memo; a memo of more entries
-would keep one per failure set during a buffering search.
+was given, the residuals it left, its sums of pushes and the four result
+maps built from them.  A solve with equal capacities copies these maps
+instead of running the kernel and building them again.  The kernel is
+deterministic and the capacities are its whole input, so the result is
+the one a fresh solve would give.  Scenario events are piecewise
+constant, so most timesteps of a scenario repeat the state of the step
+before them and hit this one-entry memo; a memo of more entries would
+keep one per failure set during a buffering search.
 """
 
 from __future__ import annotations
@@ -282,9 +283,11 @@ class _Model:
     ``pipe_adjacency[node]`` a node's ``(pipe, other end)`` pairs in pipe
     order and ``resistances[pipe]`` a pipe's resistance.
 
-    Two caches fill on use: ``last_solve`` holds the capacities of the most
-    recent solve, the residuals it left (both tuples) and the kernel's list
-    of pushes summed per arc, and ``to_goal`` maps each goal node to a pair
+    Three caches fill on use: ``last_solve`` holds the capacities of the
+    most recent solve, the residuals it left (both tuples) and the kernel's
+    list of pushes summed per arc; ``last_maps`` holds that solve's
+    delivered, demand, pipe flow (every pipe's) and source outflow maps,
+    which each call copies; and ``to_goal`` maps each goal node to a pair
     of lists: the cheapest resistance from every node to it, and every
     node's successor ``(pipe, next node)`` on such a route (None at the goal
     and where it cannot be reached).  A pipe's reverse residual can reach
@@ -317,6 +320,7 @@ class _Model:
     pipe_adjacency: list[list[tuple[int, int]]]
     resistances: list[float]
     last_solve: tuple[tuple, tuple, list[float]] | None = None
+    last_maps: tuple[dict, dict, dict, dict] | None = None
     to_goal: dict[int, tuple[list[float], list[tuple[int, int] | None]]] = field(
         default_factory=dict)
 
@@ -478,11 +482,12 @@ def allocate_flows(
 
     A call whose capacities (pipes after failures, sources and demands
     after scaling) equal those of the network's previous solve reuses that
-    solve's residuals and pushes instead of running the max-flow kernel; the
-    returned maps are built fresh either way and are identical to those of
-    a new solve.  Each map is built in one pass over a slice of the
-    residuals or of the per-arc pushes, keyed by the model's ids; the
-    pipe map drops the failed pipes' keys afterwards.
+    solve instead of running the max-flow kernel.  The maps are built once
+    per solve, copied per call, and are identical to those of a new solve.
+    Each map is built in one pass over a slice of the residuals or of the
+    per-arc pushes, keyed by the model's ids, with every pipe in the pipe
+    map; each call drops its failed pipes' keys from its own copy, so the
+    caller owns every map it is given.
     """
     failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
@@ -532,19 +537,21 @@ def allocate_flows(
         _edmonds_karp(caps, model.heads, model.adjacency,
                       model.super_source, model.super_sink, inf, sent)
         model.last_solve = (key, tuple(caps), sent)
-    _, residual, sent = model.last_solve
-
-    delivered = dict(zip(model.junction_ids,
-                         map(sub, demands, residual[first_demand_arc::2])))
-    pipe_flows = dict(zip(model.pipe_ids,
-                          map(sub, sent[first_pipe_arc:first_demand_arc:2],
-                              sent[first_pipe_arc + 1:first_demand_arc:2])))
-    # deleting keys keeps the order of the others
+        # equal capacities hold equal demands and outflows, signed zeros
+        # included, so these maps serve every call that hits this solve
+        model.last_maps = (
+            dict(zip(model.junction_ids, map(sub, demands, caps[first_demand_arc::2]))),
+            dict(zip(model.junction_ids, demands)),
+            dict(zip(model.pipe_ids, map(sub, sent[first_pipe_arc:first_demand_arc:2],
+                                         sent[first_pipe_arc + 1:first_demand_arc:2]))),
+            dict(zip(model.source_ids, map(sub, outflows, caps[0:first_pipe_arc:2]))),
+        )
+    delivered, demand_map, pipe_flows, source_out = (m.copy() for m in model.last_maps)
+    # failing a zero-capacity pipe leaves the capacities equal, so the failed
+    # pipes differ between hits; deleting keys keeps the order of the others
     for pipe_id in failed_pipes:
         del pipe_flows[pipe_id]
-    source_out = dict(zip(model.source_ids, map(sub, outflows, residual[0:first_pipe_arc:2])))
-    return FlowAllocation(delivered, dict(zip(model.junction_ids, demands)), pipe_flows,
-                          source_out)
+    return FlowAllocation(delivered, demand_map, pipe_flows, source_out)
 
 
 def surrogate_allocation(

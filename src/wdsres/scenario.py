@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
 from .inputs import is_finite_number, json_rows, read_json
-from .network import Network
+from .network import Network, _require
 from .performance import hashimoto_recovery, zhuang_availability
 
 # kind -> (the lookup of each id it names, the ids it scales when it names
@@ -149,16 +149,17 @@ class ScenarioSpec:
 def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise ValidationError("scenario document must be a JSON object")
+    # keyword arguments are evaluated in order: kind, onset, then repair
     events = tuple(
         Event(
-            kind=row.get("kind", ""),
-            onset=row.get("onset", 0),
-            repair=row.get("repair", 0),
+            kind=_require(row, "kind", f"events[{i}]"),
+            onset=_require(row, "onset", f"events[{i}]"),
+            repair=_require(row, "repair", f"events[{i}]"),
             ids=row.get("ids", ()),
             count=row.get("count"),
             factor=row.get("factor"),
         )
-        for row in json_rows(data, "events")
+        for i, row in enumerate(json_rows(data, "events"))
     )
     return ScenarioSpec(events, seed=data.get("seed", 0), horizon=data.get("horizon"))
 

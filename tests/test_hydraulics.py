@@ -418,6 +418,36 @@ class TestCompiledModel:
                 # the caller owns the maps: changing them must not reach the next call
                 getattr(got, name)["J0"] = -1.0
 
+    def test_a_repeated_state_runs_the_kernel_once(self, monkeypatch):
+        net = torus_network(14, 14)
+        # a surge the two sources cannot meet, so every map has partial values
+        kwargs = {"failed_pipes": {"h0_0", "v3_5", "s2"},
+                  "demand_factors": dict.fromkeys(net.junction_ids, 2.5)}
+        fresh = allocate_flows(dataclasses.replace(net), **kwargs)
+        runs = []
+        kernel = hydraulics._edmonds_karp
+
+        def counted(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
+        names = ("delivered", "demands", "pipe_flows", "source_outflows")
+        previous = None
+        for _ in range(4):
+            got = allocate_flows(net, **kwargs)
+            for name in names:
+                got_map, want = getattr(got, name), getattr(fresh, name)
+                # the changes made to the previous call's maps show up here
+                assert got_map == want, name
+                assert list(got_map) == list(want), name
+                if previous is not None:
+                    assert got_map is not getattr(previous, name), name
+                got_map[next(iter(got_map))] = -1.0
+            del got.pipe_flows["h0_1"]
+            previous = got
+        assert len(runs) == 1
+
     def test_reference_agrees_across_failure_sets_on_fixtures(self, mesh_network, tight_ring):
         for net in (mesh_network, tight_ring):
             for r in range(3):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import tracemalloc
 from math import comb, copysign
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wdsres import scenario
+from wdsres import hydraulics, scenario
 from wdsres.errors import ValidationError
 from wdsres.network import Junction, Source
 from wdsres.performance import zhuang_availability
@@ -329,6 +330,30 @@ class TestMonteCarlo:
             monte_carlo(torus_network(3, 3), self.single_failure_spec(), 2, metric,
                         threshold=threshold)
 
+    def test_kernel_runs_follow_state_changes(self, monkeypatch):
+        # the benchmark's mc-sweep events: three random pipe failures and a
+        # surge the sources cannot meet, overlapping on steps 10-13
+        net = torus_network(6, 6)
+        spec = ScenarioSpec((Event("pipe_failure", 6, 14, count=3),
+                             Event("demand_scale", 10, 18, factor=2.5)), seed=4, horizon=24)
+        replicates = [scenario.resolve_events(net, spec, random.Random(spec.seed ^ r))
+                      for r in range(2)]
+        states = [scenario._step_state(events, net, t) for events in replicates for t in range(24)]
+        changes = sum(i == 0 or state != states[i - 1] for i, state in enumerate(states))
+        runs = []
+        kernel = hydraulics._edmonds_karp
+
+        def counted(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(hydraulics, "_edmonds_karp", counted)
+        monte_carlo(net, spec, 2, "zhuang")
+        assert len(runs) == changes
+        # intact, failed, failed and surged, surged, intact again; the second
+        # replicate starts intact, as the first ended
+        assert changes == 9
+
     def test_summary_recomputable_from_values(self, ring_network):
         from wdsres.scenario import summarize
 
@@ -420,6 +445,12 @@ class TestScenarioParsing:
          "onset must be an integer"),
         ({"events": [{"kind": "pipe_failure", "onset": 0, "repair": 2, "ids": "p1"}]},
          "ids must be a list of id strings"),
+        ({"events": [{"ids": ["p1"]}]}, r"events\[0\]: missing field 'kind'"),
+        ({"events": [{"kind": "pipe_failure", "ids": ["p1"]}]},
+         r"events\[0\]: missing field 'onset'"),
+        ({"events": [{"kind": "pipe_failure", "onset": 0, "repair": 2, "ids": ["p1"]},
+                     {"kind": "pipe_failure", "onset": 0, "ids": ["p1"]}]},
+         r"events\[1\]: missing field 'repair'"),
         ({"seed": "x"}, "seed must be an integer"),
         ({"horizon": "x"}, "horizon must be an integer"),
         ({"horizon": True}, "horizon must be an integer"),
