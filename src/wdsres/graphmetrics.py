@@ -73,6 +73,7 @@ fast without changing any route or any bit of a resistance:
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable
@@ -99,6 +100,9 @@ class WeightedPath:
 
 
 def _check_k(k: int) -> None:
+    # bool is an Integral, but True is no search depth
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValidationError("k must be >= 1")
 
@@ -299,6 +303,9 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
     the node cannot reach contribute nothing.  Requesting the index of a
     source node is an error: its own resistance is zero.  So is an index
     that overflows, as the inverse of a subnormal path resistance does.
+    A repeated query for the same node and k returns the last index as it
+    is, from a one-entry memo on the network's compiled model; a query that
+    fails leaves the memo as it was.
     """
     _check_k(k)
     if node_id in set(net.source_ids):
@@ -307,6 +314,11 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
         )
     if not net.is_node(node_id):
         raise ValidationError(f"unknown node {node_id!r}")
+    model = _model(net)
+    # one read: the key tested and the value returned come from one entry
+    last = model.last_index
+    if last is not None and last[0] == (node_id, k):
+        return last[1]
     total = 0.0
     for source_id in sorted(net.source_ids):
         paths = k_shortest_paths(net, node_id, source_id, k)
@@ -314,7 +326,9 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
             continue
         inv = sum(1.0 / p.resistance for p in paths)
         total += inv / k
-    return _finite(total, f"index of {node_id!r}")
+    total = _finite(total, f"index of {node_id!r}")
+    model.last_index = ((node_id, k), total)
+    return total
 
 
 def demand_weighted_index(net: Network, node_id: str, k: int = DEFAULT_K) -> float:

@@ -283,17 +283,19 @@ class _Model:
     ``pipe_adjacency[node]`` a node's ``(pipe, other end)`` pairs in pipe
     order and ``resistances[pipe]`` a pipe's resistance.
 
-    Three caches fill on use: ``last_solve`` holds the capacities of the
+    Four caches fill on use: ``last_solve`` holds the capacities of the
     most recent solve, the residuals it left (both tuples) and the kernel's
     list of pushes summed per arc; ``last_maps`` holds that solve's
     delivered, demand, pipe flow (every pipe's) and source outflow maps,
-    which each call copies; and ``to_goal`` maps each goal node to a pair
-    of lists: the cheapest resistance from every node to it, and every
-    node's successor ``(pipe, next node)`` on such a route (None at the goal
-    and where it cannot be reached).  A pipe's reverse residual can reach
-    twice its capacity, so ``overflowing_pipes`` lists the pipes whose
-    doubled capacity is not finite; a supply solve refuses such a network,
-    while unit-capacity connectivity flows on the same arrays are
+    which each call copies; ``last_index`` holds the ``(node id, K)`` key
+    and the value of the most recent finite Herrera node index, which a
+    repeated query returns as it is; and ``to_goal`` maps each goal node to
+    a pair of lists: the cheapest resistance from every node to it, and
+    every node's successor ``(pipe, next node)`` on such a route (None at
+    the goal and where it cannot be reached).  A pipe's reverse residual
+    can reach twice its capacity, so ``overflowing_pipes`` lists the pipes
+    whose doubled capacity is not finite; a supply solve refuses such a
+    network, while unit-capacity connectivity flows on the same arrays are
     unaffected.  ``source_ids`` and ``outflows`` list the sources' ids and
     outflows in their order, and ``junction_ids``, ``demands`` and
     ``required_heads`` the junctions' ids, design demands and required
@@ -321,6 +323,7 @@ class _Model:
     resistances: list[float]
     last_solve: tuple[tuple, tuple, list[float]] | None = None
     last_maps: tuple[dict, dict, dict, dict] | None = None
+    last_index: tuple[tuple[str, int], float] | None = None
     to_goal: dict[int, tuple[list[float], list[tuple[int, int] | None]]] = field(
         default_factory=dict)
 

@@ -9,8 +9,9 @@ its element type, its numeric fields and which of them are flows; ingest
 (:func:`network_from_dict`), :meth:`Network.to_dict` and the id lookups
 read it.  A network's fields are immutable after construction, but its
 first flow solve or path search caches a compiled model on it
-(:mod:`wdsres.hydraulics`), and each flow solve rewrites that model's memo
-of the last solve, so threads must not solve on one network at once.
+(:mod:`wdsres.hydraulics`).  Each flow solve rewrites that model's memo of
+the last solve, and each node-index query its memo of the last index, so
+threads must not solve or query on one network at once.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ same order and with the same messages.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -205,6 +206,9 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
 
 def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> None:
     n_components = len(net.pipes) + len(net.pumps)
+    # bool is an Integral, but True is no failure count
+    if isinstance(max_k, bool) or not isinstance(max_k, numbers.Integral):
+        raise ValidationError(f"max_k must be an integer, got {max_k!r}")
     if max_k < 0:
         raise ValidationError("max_k must be >= 0")
     if max_k > n_components:

@@ -1,5 +1,6 @@
 """Path-based indices against exhaustive path enumeration."""
 
+import dataclasses
 import math
 
 import pytest
@@ -113,6 +114,15 @@ class TestKShortestPaths:
     def test_k_must_be_positive(self, ring_network):
         with pytest.raises(ValidationError, match="k must be"):
             k_shortest_paths(ring_network, "J1", "R1", 0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_k_must_be_an_integer(self, ring_network, k):
+        # checked before the range and before the node ids
+        for query in (lambda: k_shortest_paths(ring_network, "J1", "nowhere", k),
+                      lambda: node_resilience_index(ring_network, "R1", k),
+                      lambda: node_index_table(ring_network, k)):
+            with pytest.raises(ValidationError, match=f"^k must be an integer, got {k!r}$"):
+                query()
 
 
 def _bits(paths):
@@ -504,3 +514,72 @@ class TestNodeIndexTable:
         assert [r[0] for r in rows] == sorted(mesh_network.junction_ids)
         for node_id, index, weighted in rows:
             assert weighted <= index + 1e-12
+
+
+def _fresh_index(net, node_id, k):
+    """The index and weighted index on a copy of ``net`` with a new model."""
+    return (node_resilience_index(dataclasses.replace(net), node_id, k),
+            demand_weighted_index(dataclasses.replace(net), node_id, k))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (start, goal) of each ``k_shortest_paths`` call the indices make."""
+    calls = []
+    search = graphmetrics.k_shortest_paths
+    monkeypatch.setattr(graphmetrics, "k_shortest_paths",
+                        lambda *args: calls.append(args[1:3]) or search(*args))
+    return calls
+
+
+class TestIndexMemo:
+    """The one-entry memo of the last node index on the compiled model."""
+
+    @given(problem=path_problems(), k=st.integers(1, 6))
+    @settings(max_examples=150)
+    def test_table_rows_equal_fresh_queries(self, problem, k):
+        net, _ = problem
+        for node_id, index, weighted in node_index_table(net, k):
+            assert (index, weighted) == _fresh_index(net, node_id, k)
+
+    def test_interleaved_queries_equal_fresh_ones(self, mesh_network):
+        model = hydraulics._model(mesh_network)
+        for node_id, k in [("A", 3), ("A", 2), ("B", 3), ("A", 3)]:
+            index = node_resilience_index(mesh_network, node_id, k)
+            assert model.last_index == ((node_id, k), index)
+            weighted = demand_weighted_index(mesh_network, node_id, k)
+            assert (index, weighted) == _fresh_index(mesh_network, node_id, k)
+
+    def test_a_hit_runs_no_search(self, mesh_network, searches):
+        index = node_resilience_index(mesh_network, "B", 3)
+        searches.clear()
+        assert node_resilience_index(mesh_network, "B", 3) == index
+        assert searches == []
+        node_resilience_index(mesh_network, "B", 2)
+        assert len(searches) == len(mesh_network.source_ids)
+
+    @pytest.mark.parametrize("node_id, k, error, message", [
+        ("S1", 3, InfiniteResilienceError, "is a source"),
+        ("nowhere", 3, ValidationError, "unknown node"),
+        ("A", 0, ValidationError, "k must be >= 1"),
+        ("tiny", 1, InfiniteResilienceError, "not a finite number"),
+    ])
+    def test_a_failed_query_leaves_the_memo(self, mesh_network, node_id, k, error, message):
+        # a junction whose one pipe has a subnormal resistance: its index overflows
+        net = make_network([*mesh_network.junctions, Junction("tiny", 0.0, 0.01, 30.0)],
+                           mesh_network.sources,
+                           [*mesh_network.pipes, make_pipe("pt", "S1", "tiny", length=1e-320)])
+        before = node_resilience_index(net, "A", 1)
+        memo = net._model.last_index
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                node_resilience_index(net, node_id, k)
+            assert net._model.last_index is memo
+        assert node_resilience_index(net, "A", 1) == before
+
+    def test_table_searches_each_pair_once(self, mesh_network, searches):
+        for net in (mesh_network, torus_network(5, 5)):
+            searches.clear()
+            node_index_table(net, k=3)
+            assert len(searches) == len(net.junctions) * len(net.sources)
+            assert len(set(searches)) == len(searches)

@@ -408,6 +408,16 @@ class TestConnectivityBuffering:
             connectivity_buffering(isolated, max_k=1)
         assert connectivity_buffering(minimal_network, max_k=0) == 0
 
+    @pytest.mark.parametrize("max_k", [1.5, 2.0, True, "2", None])
+    def test_max_k_must_be_an_integer(self, ring_network, max_k):
+        message = f"^max_k must be an integer, got {max_k!r}$"
+        with pytest.raises(ValidationError, match=message):
+            connectivity_buffering(ring_network, max_k=max_k)
+        with pytest.raises(ValidationError, match=message):
+            supply_buffering(ring_network, 0.5, max_k=max_k)
+        with pytest.raises(ValidationError, match=message):
+            buffering_capacity(ring_network, connectivity_feasibility(ring_network), max_k=max_k)
+
     def test_leaves_the_flow_memo_alone(self, mesh_network):
         before = hydraulics.allocate_flows(mesh_network)
         memo = mesh_network._model.last_solve
