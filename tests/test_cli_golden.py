@@ -1,4 +1,5 @@
-"""Byte goldens: the sha256 of every ``metric`` report and of ``list-metrics``.
+"""Byte goldens: the sha256 of every ``metric`` report, of ``list-metrics`` and
+of the ``catalog correlate`` matrix, printed and written with ``--out``.
 
 The inputs are the shared fixtures written to files.  Any change to a
 report's bytes (a key, a float's repr, the JSON layout) changes its hash,
@@ -40,12 +41,16 @@ CASES = {
     "balaei": (["metric", "balaei", "--indicators", "{indicators}"], None),
     "wpr": (["metric", "wpr", "--answers", "{answers}"], None),
     "list_metrics": (["list-metrics"], None),
+    "correlate": (["catalog", "correlate"], None),
+    "correlate_out": (["catalog", "correlate", "--out", "{matrix}"], "matrix"),
 }
 
 GOLDEN = {
     "balaei": "c10bfa75d2427b0445aabe3a375de7dbeac79d5d864da70fdf443a4bdf6da7d5",
     "buffering": "c825d3ff6302308b728de1c29efc45da503bcfd74c668a139a6e0e275a0b79b0",
     "buffering_supply": "d5f5908f767b46cfed647a916276db5d894966eea9448fbbe8a73d56bac71b42",
+    "correlate": "b25d93f3efda3bbbeb8f0db49fbeaff581eeefcd5ce539011c5f1de3f74efd2b",
+    "correlate_out": "b25d93f3efda3bbbeb8f0db49fbeaff581eeefcd5ce539011c5f1de3f74efd2b",
     "flow_resilience": "fc343f878eda7bab730592efcaa4f11e58bf0c663fe531e62087e47fac530ce4",
     "hashimoto": "63f1144acef7e9db17f77ea5a6739743aec39cbc558e1794e5e4778d4221047b",
     "hashimoto_per_node": "aee802465b4ba2eb41c1b895254393690da7dfa9db53b138a7c533e981053b60",
@@ -62,7 +67,8 @@ GOLDEN = {
 @pytest.fixture
 def files(tmp_path, ring_network, zhuang_series, hashimoto_series):
     paths = {name: tmp_path / name for name in
-             ("net", "state", "zhuang", "hashimoto", "nodes", "indicators", "answers")}
+             ("net", "state", "zhuang", "hashimoto", "nodes", "indicators", "answers",
+              "matrix")}
     save_network(ring_network, paths["net"])
     save_series(make_series(("J1", "J2", "J3"), [[0.01, 0.006, 0.01]],
                             [[0.01, 0.01, 0.01]], head=[[40.0, 35.0, 41.5]]),
