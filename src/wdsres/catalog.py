@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from math import isnan
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 # wdsres and `catalog counts` do not load it
 
 from .errors import ValidationError
-from .inputs import bundled, read_csv
+from .inputs import bundled, csv_text, read_csv
 from .wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 logger = logging.getLogger(__name__)
@@ -180,14 +181,12 @@ class CorrelationMatrix:
     def entry(self, a: str, b: str) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
 
-    def to_csv(self) -> str:
-        import numpy as np
+    def _table(self) -> tuple:
+        return ("", *self.labels), ((label, *("" if isnan(v) else v for v in row.tolist()))
+                                    for label, row in zip(self.labels, self.values))
 
-        lines = ["," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.values):
-            cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
-            lines.append(label + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> str:
+        return csv_text(*self._table())
 
 
 def pearson_matrix(records: Sequence[MetricRecord]) -> CorrelationMatrix:

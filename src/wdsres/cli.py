@@ -376,12 +376,11 @@ def catalog_correlate(catalog_path, out):
     _check_writable(out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     matrix = cat.pearson_matrix(records)
-    text = matrix.to_csv()
     if out:
-        Path(out).write_text(text)
+        write_csv(out, *matrix._table())
         click.echo(f"wrote {len(matrix.labels)}x{len(matrix.labels)} matrix to {out}")
     else:
-        click.echo(text, nl=False)
+        click.echo(matrix.to_csv(), nl=False)
     if matrix.undefined_labels:
         click.echo(
             f"warning: zero-variance columns {sorted(matrix.undefined_labels)}", err=True

@@ -73,13 +73,13 @@ fast without changing any route or any bit of a resistance:
 from __future__ import annotations
 
 import heapq
-import numbers
 from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from .hydraulics import _Model, _model
+from .inputs import is_integer
 from .network import Network
 
 DEFAULT_K = 5
@@ -100,8 +100,7 @@ class WeightedPath:
 
 
 def _check_k(k: int) -> None:
-    # bool is an Integral, but True is no search depth
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if not is_integer(k):
         raise ValidationError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValidationError("k must be >= 1")

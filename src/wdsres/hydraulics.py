@@ -54,11 +54,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 # numpy is imported inside each function that builds an array: importing it
-# takes longer than a structural metric runs, and those metrics build none;
-# hashlib likewise inside the digests
+# takes longer than a structural metric runs, and those metrics build none
 
 from .errors import ValidationError
-from .inputs import read_csv, write_csv
+from .inputs import read_csv, short_digest, write_csv
 from .network import Network, pipe_resistance
 
 SATISFACTORY = "S"
@@ -129,19 +128,10 @@ class HydraulicSeries:
         return float(self.delivered[t].sum()) / total_demand
 
     def digest(self) -> str:
-        import hashlib
-
-        import numpy as np
-
-        h = hashlib.sha256()
-        h.update(",".join(self.node_ids).encode())
-        # a 3600 s step and an all-steps window, hashed so that every
-        # inputs_digest keeps its value
-        h.update(repr(3600.0).encode())
-        h.update(repr((0, self.n_steps - 1)).encode())
-        for name in ("delivered", "demand", "head", "required_head"):
-            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
-        return h.hexdigest()[:12]
+        # a 3600 s step and an all-steps window keep old digests; the arrays are C-ordered
+        return short_digest(",".join(self.node_ids).encode(), repr(3600.0).encode(),
+                            repr((0, self.n_steps - 1)).encode(), self.delivered,
+                            self.demand, self.head, self.required_head)
 
 
 @dataclass(frozen=True)
@@ -161,10 +151,7 @@ class BinaryStateSeries:
             raise ValidationError(f"states must be 'S' or 'F', got {sorted(bad)}")
 
     def digest(self) -> str:
-        import hashlib
-
-        blob = ("".join(self.states) + repr(self.threshold) + repr(self.per_node)).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return short_digest(f"{''.join(self.states)}{self.threshold!r}{self.per_node!r}".encode())
 
 
 def load_series(path: str | Path) -> HydraulicSeries:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import numbers
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
@@ -89,12 +90,31 @@ def _converted(path, lineno: int, row: list[str], types) -> list:
         raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
+def csv_text(header: tuple[str, ...], rows: Iterable[Iterable]) -> str:
+    """``header``, then ``rows``, as CSV: ``\\n`` line ends, floats as ``repr``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(chain((header,), rows))
+    return buffer.getvalue()
+
+
 def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    """Write ``header``, then ``rows``: UTF-8, ``\\n`` line ends, floats as ``repr``."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write :func:`csv_text` of ``header`` and ``rows`` to ``path`` in UTF-8."""
+    Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
+
+
+def short_digest(*parts: bytes) -> str:
+    """The first 12 hex digits of the sha256 of ``parts``, fed in order."""
+    import hashlib  # here, so that loading a network does not import it
+
+    h = hashlib.sha256()
+    for part in parts:  # bytes, or an array's C-ordered buffer, hashed with no copy
+        h.update(part)
+    return h.hexdigest()[:12]
+
+
+def is_integer(value) -> bool:
+    """True for an integer, but not a bool: True is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_finite_number(value) -> bool:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .inputs import is_finite_number, json_rows, read_json
+from .inputs import is_finite_number, json_rows, read_json, short_digest
 
 M3S_PER_LPS = 1e-3
 
@@ -300,10 +300,7 @@ class Network:
 
     def digest(self) -> str:
         """Short stable identifier of the network contents."""
-        import hashlib  # here, so that loading a network does not import it
-
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return short_digest(json.dumps(self.to_dict(), sort_keys=True).encode())
 
 
 def _require(obj: Mapping, key: str, context: str):

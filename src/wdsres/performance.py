@@ -27,7 +27,6 @@ same order and with the same messages.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .hydraulics import FAILURE, SATISFACTORY, BinaryStateSeries, HydraulicSeries
+from .inputs import is_integer
 from .network import Network, Pipe
 
 # specific weight of water, N/m3
@@ -204,17 +204,17 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
                        inputs_digest=f"{net.digest()}+{state.digest()}")
 
 
-def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> None:
-    n_components = len(net.pipes) + len(net.pumps)
-    # bool is an Integral, but True is no failure count
-    if isinstance(max_k, bool) or not isinstance(max_k, numbers.Integral):
+def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> tuple:
+    pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))  # every failable component
+    if not is_integer(max_k):
         raise ValidationError(f"max_k must be an integer, got {max_k!r}")
     if max_k < 0:
         raise ValidationError("max_k must be >= 0")
-    if max_k > n_components:
-        raise ValidationError(f"max_k={max_k} exceeds the {n_components} failable components")
+    if max_k > len(pool):
+        raise ValidationError(f"max_k={max_k} exceeds the {len(pool)} failable components")
     if not baseline_feasible():
         raise BaselineInfeasibleError("the intact system already fails the feasibility check")
+    return pool
 
 
 def buffering_capacity(
@@ -231,8 +231,7 @@ def buffering_capacity(
     polynomial time, and for the supply criterion
     :func:`supply_buffering`, which gives it from far fewer solves.
     """
-    _check_buffering(net, max_k, lambda: feasibility(frozenset()))
-    pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
+    pool = _check_buffering(net, max_k, lambda: feasibility(frozenset()))
     for k in range(1, max_k + 1):
         for failed in combinations(pool, k):
             if not feasibility(frozenset(failed)):
@@ -314,10 +313,13 @@ def supply_feasibility(net: Network, threshold: float) -> Callable[[frozenset[st
 
     def feasible(failed: frozenset[str]) -> bool:
         alloc = hydraulics.allocate_flows(net, failed_pipes=failed - pump_ids)
-        # at zero demand nothing flows, and 0.0 clears the threshold's -1e-12
-        return alloc.total_delivered >= threshold * alloc.total_demand - 1e-12
+        return alloc.total_delivered >= _needed(threshold, alloc.total_demand)
 
     return feasible
+
+
+def _needed(threshold: float, total_demand: float) -> float:
+    return threshold * total_demand - 1e-12  # the supply bound, met by 0.0 at zero demand
 
 
 def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
@@ -405,16 +407,15 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     baseline = []
 
     def baseline_feasible() -> bool:
-        # the oracle's comparison, so at zero demand 0.0 passes here too
         baseline.append(hydraulics.allocate_flows(net))
-        return baseline[0].total_delivered >= threshold * baseline[0].total_demand - 1e-12
+        return baseline[0].total_delivered >= _needed(threshold, baseline[0].total_demand)
 
-    _check_buffering(net, max_k, baseline_feasible)
+    pool = _check_buffering(net, max_k, baseline_feasible)
     model = hydraulics._model(net)
     # the baseline's flow, kept before any fresh solve replaces the memo
     _, residual, sent = model.last_solve
     total_demand = baseline[0].total_demand
-    needed = threshold * total_demand - 1e-12
+    needed = _needed(threshold, total_demand)
     clears = needed + 1e-9 * total_demand
     pump_ids = frozenset(net.pump_ids)
     # pipe arcs follow the source arcs, one pair per pipe in pipe order
@@ -445,7 +446,6 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                     return rest_entry, single
         return None
 
-    pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))
     rank = {component: j for j, component in enumerate(pool)}
     intact_total, intact_support, _, _ = entry(baseline[0])
     # the intact flow crosses no arc, so it certifies the empty set

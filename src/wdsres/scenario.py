@@ -19,7 +19,6 @@ only), and :func:`_step_state` names the kinds whose events change a step:
 
 from __future__ import annotations
 
-import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,7 @@ from typing import Callable, Mapping
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
-from .inputs import is_finite_number, json_rows, read_json
+from .inputs import is_finite_number, is_integer, json_rows, read_json
 from .network import Network, _require
 from .performance import hashimoto_recovery, zhuang_availability
 
@@ -50,9 +49,9 @@ EVENT_KINDS = tuple(_KINDS)
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def _is_number(value, kind: type) -> bool:
-    # bool is an int subclass, but True is no count or factor
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _failure_pool(net: Network) -> list[str]:
+    """The pipes that random failures draw from and exhaustive mode walks, sorted."""
+    return sorted(net.pipe_ids)
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,8 @@ class Event:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValidationError(f"unknown event kind {self.kind!r}")
-        for name in ("onset", "repair"):
-            value = getattr(self, name)
-            if not _is_number(value, numbers.Integral):
+        for name, value in (("onset", self.onset), ("repair", self.repair)):
+            if not is_integer(value):
                 raise ValidationError(f"event {name} must be an integer, got {value!r}")
         if self.onset < 0:
             raise ValidationError("event onset must be >= 0")
@@ -84,7 +82,7 @@ class Event:
         if len(set(self.ids)) < len(self.ids):
             repeated = sorted(i for i, n in Counter(self.ids).items() if n > 1)
             raise ValidationError(f"{self.kind} lists ids more than once: {repeated}")
-        if self.count is not None and not _is_number(self.count, numbers.Integral):
+        if self.count is not None and not is_integer(self.count):
             raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
         if _KINDS[self.kind][1] is not None:  # a scaling kind
             if not (is_finite_number(self.factor) and self.factor > 0):
@@ -131,10 +129,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if not _is_number(self.seed, numbers.Integral):
+        if not is_integer(self.seed):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.horizon is not None:
-            if not _is_number(self.horizon, numbers.Integral):
+            if not is_integer(self.horizon):
                 raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
             if self.horizon < 1:
                 raise ValidationError("horizon must be >= 1")
@@ -173,7 +171,7 @@ def resolve_events(net: Network, spec: ScenarioSpec, rng: random.Random) -> tupl
     resolved = []
     for event in spec.events:
         if event.is_random:
-            pool = sorted(net.pipe_ids)
+            pool = _failure_pool(net)
             if event.count > len(pool):
                 raise ValidationError(f"cannot fail {event.count} of {len(pool)} pipes")
             drawn = tuple(sorted(rng.sample(pool, event.count)))
@@ -346,7 +344,7 @@ def monte_carlo(
         if len(random_events) != 1:
             raise ValidationError("exhaustive mode needs exactly one random event")
         count = random_events[0].count
-        pool = sorted(net.pipe_ids)
+        pool = _failure_pool(net)
         if n > comb(len(pool), count):
             raise ValidationError(
                 f"exhaustive mode: only {comb(len(pool), count)} failure sets exist"

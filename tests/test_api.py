@@ -189,6 +189,12 @@ def test_only_the_input_boundary_imports_csv():
     assert [p.name for p in MODULES if "csv" in _imported_modules(p)] == ["inputs.py"]
 
 
+@pytest.mark.parametrize("module", ["hashlib", "numbers"])
+def test_only_the_input_boundary_imports_the_digest_and_integer_rules(module):
+    # inputs.short_digest and inputs.is_integer are the only users
+    assert [p.name for p in MODULES if module in _imported_modules(p)] == ["inputs.py"]
+
+
 # public names that no code in the package or the benchmark names, and why each stays
 UNNAMED = {
     "save_network": "the documented writer of the network format",

@@ -1,5 +1,6 @@
 """The input boundary: every loader turns an unreadable file into exit 1."""
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -7,7 +8,7 @@ from wdsres.catalog import load_catalog
 from wdsres.cli import main
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import load_series
-from wdsres.inputs import read_csv
+from wdsres.inputs import is_integer, read_csv
 from wdsres.network import is_finite_number, load_network
 from wdsres.scenario import load_scenario
 from wdsres.scoremetrics import load_answers, load_checklist, load_indicators
@@ -141,3 +142,12 @@ def test_a_row_check_comes_before_a_later_rows_conversion(tmp_path, case):
 
 def test_finite_number_helper_still_importable_from_network():
     assert is_finite_number(1.5) and not is_finite_number(float("nan"))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, True), (0, True), (-2, True), (np.int64(4), True),
+    (True, False), (False, False), (2.0, False), (2.5, False), ("3", False), (None, False),
+], ids=repr)
+def test_an_integer_is_an_integral_that_is_not_a_bool(value, expected):
+    assert is_integer(value) is expected
+
