@@ -57,7 +57,7 @@ from typing import Iterable, Mapping
 # takes longer than a structural metric runs, and those metrics build none
 
 from .errors import ValidationError
-from .inputs import read_csv, short_digest, write_csv
+from .inputs import is_finite_number, read_csv, short_digest, write_csv
 from .network import Network, pipe_resistance
 
 SATISFACTORY = "S"
@@ -199,7 +199,7 @@ def save_series(series: HydraulicSeries, path: str | Path) -> None:
 
 
 def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold <= 1:
+    if not (is_finite_number(threshold) and 0 < threshold <= 1):
         raise ValidationError("threshold must lie in (0, 1]")
 
 

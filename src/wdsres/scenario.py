@@ -329,6 +329,8 @@ def monte_carlo(
     is checked before any replicate runs, whatever the metric.  Replicates
     run serially, in order.
     """
+    if not is_integer(n):
+        raise ValidationError(f"replicate count must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError("replicate count must be >= 1")
     if metric not in MC_METRICS:

@@ -18,6 +18,7 @@ from typing import Sequence
 # numpy is imported inside ward_linkage, so importing wdsres does not load it
 
 from .errors import ValidationError
+from .inputs import is_integer
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,18 @@ def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
     return merges
 
 
+def _check_cluster_count(k: int) -> None:
+    if not is_integer(k):
+        raise ValidationError(f"cluster count must be an integer, got {k!r}")
+
+
 def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
     """Flat labels 1..k after undoing the last k-1 merges.
 
     Label numbering follows the first record index in each cluster, so the
     cluster containing record 0 is always labelled 1.
     """
+    _check_cluster_count(k)
     if not 1 <= k <= n:
         raise ValidationError(f"cannot cut {n} records into {k} clusters")
     members: dict[int, list[int]] = {i: [i] for i in range(n)}

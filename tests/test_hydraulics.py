@@ -196,9 +196,11 @@ class TestClassifyStates:
         assert classify_states(series, 0.7, per_node=True).states == ("F",)
 
     def test_threshold_bounds(self, zhuang_series):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValidationError, match="threshold"):
+        # True once passed as 1.0, and a string raised a raw TypeError
+        for bad in (0.0, -0.1, 1.5, True, "0.5", None, float("nan"), float("inf")):
+            with pytest.raises(ValidationError) as info:
                 classify_states(zhuang_series, bad)
+            assert str(info.value) == "threshold must lie in (0, 1]"
 
     @given(
         ratios=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=12),

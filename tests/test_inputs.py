@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wdsres.catalog import load_catalog
+from wdsres.catalog import CLUSTER_FEATURES, load_catalog, ward_clustering
 from wdsres.cli import main
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import load_series
 from wdsres.inputs import is_integer, read_csv
 from wdsres.network import is_finite_number, load_network
-from wdsres.scenario import load_scenario
+from wdsres.scenario import Event, ScenarioSpec, load_scenario, monte_carlo
+from wdsres.wardclust import cut_clusters, ward_linkage
 from wdsres.scoremetrics import load_answers, load_checklist, load_indicators
 
 JSON_LOADERS = (load_network, load_scenario, load_checklist, load_answers)
@@ -151,3 +152,40 @@ def test_finite_number_helper_still_importable_from_network():
 def test_an_integer_is_an_integral_that_is_not_a_bool(value, expected):
     assert is_integer(value) is expected
 
+
+def _mc(n):
+    return lambda net: monte_carlo(
+        net, ScenarioSpec((Event("pipe_failure", 0, 2, count=1),), seed=1, horizon=2),
+        n, "zhuang")
+
+
+def _ward(k):
+    return lambda net: ward_clustering(load_catalog(), k)
+
+
+def _cut(k):
+    def run(net):
+        records = load_catalog()
+        merges = ward_linkage([[float(r.flag(c)) for c in CLUSTER_FEATURES] for r in records])
+        return cut_clusters(merges, len(records), k)
+    return run
+
+
+# before, n=True ran one replicate, k=True gave one cluster whose k was True,
+# and the floats raised a raw TypeError
+@pytest.mark.parametrize("run, message", [
+    (_mc(True), "replicate count must be an integer, got True"),
+    (_mc(2.5), "replicate count must be an integer, got 2.5"),
+    (_mc(2.0), "replicate count must be an integer, got 2.0"),
+    (_ward(True), "cluster count must be an integer, got True"),
+    (_ward(2.5), "cluster count must be an integer, got 2.5"),
+    (_ward(60.5), "cluster count must be an integer, got 60.5"),
+    (_cut(2.0), "cluster count must be an integer, got 2.0"),
+    (_cut(False), "cluster count must be an integer, got False"),
+    (_cut(0), "cannot cut 59 records into 0 clusters"),
+], ids=["mc-true", "mc-2.5", "mc-2.0", "ward-true", "ward-2.5", "ward-60.5", "cut-2.0",
+        "cut-false", "cut-0"])
+def test_counts_must_be_integers_before_their_range(ring_network, run, message):
+    with pytest.raises(ValidationError) as info:
+        run(ring_network)
+    assert str(info.value) == message
