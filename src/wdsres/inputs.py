@@ -1,12 +1,15 @@
-"""The one file boundary: how input files are opened, decoded and split, and
-how CSV outputs are written.
+"""The one file boundary, and the rules that the modules share.
 
 Every loader reads its file through :func:`read_json` or :func:`read_csv`,
 which also converts each CSV cell by its column's type, and then checks only
-the fields of its own format.  Every CSV output is written by :func:`write_csv`.
-Files are UTF-8.  A missing path, a directory, bytes that are not UTF-8,
-malformed or too deeply nested JSON, or a malformed, oversized or unconvertible
-CSV cell becomes a :class:`ValidationError`, which the CLI reports as exit 1.
+the fields of its own format.  Files are UTF-8.  A missing path, a directory,
+bytes that are not UTF-8, malformed or too deeply nested JSON, or a malformed,
+oversized or unconvertible CSV cell becomes a :class:`ValidationError`, which
+the CLI reports as exit 1.  The rules that the modules share are each defined
+here once: the CSV output dialect, for files (:func:`write_csv`) and printed
+text (:func:`csv_text`) alike; a digest, the first 12 hex digits of a sha256
+(:func:`short_digest`); an integer argument (:func:`is_integer`); and a finite
+real one (:func:`is_finite_number`).
 """
 
 from __future__ import annotations

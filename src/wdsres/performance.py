@@ -352,7 +352,11 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     certificate, ``c`` alone was certified by its pushes at level 1, and
     the two compose.
     The composed entry crossed the arcs of both and touched the pipes of
-    both.
+    both.  No set passes this way below ``max_k = 3``.  At level 1 a set's
+    own pipe holds no certificate yet.  At a last level of 2, the split
+    that ends in the new pipe is the arc index's own conflict test, which
+    sent the set here, and the other split is the same test mirrored; a
+    base without a certificate has nothing to compose.
 
     The rerouting certificate (Wollmer 1963; Ratliff, Sicilia & Lubore
     1975): on the residuals of the intact network's max flow, zero both

@@ -21,7 +21,7 @@ from wdsres.errors import (
     ValidationError,
 )
 from wdsres.hydraulics import BinaryStateSeries, classify_states
-from wdsres.network import Junction, Network, Pump, Source
+from wdsres.network import Junction, Network, Pump, Source, network_from_dict
 from wdsres.performance import (
     MetricValue,
     buffering_capacity,
@@ -39,6 +39,8 @@ from wdsres.performance import (
 )
 
 from .conftest import make_network, make_pipe, make_series, torus_network
+
+import netgen  # noqa: E402  (tests/conftest.py puts perfbench/ on sys.path)
 
 
 def states(text):
@@ -812,6 +814,27 @@ class TestSupplyBuffering:
         monkeypatch.setattr(performance, "_composes", counted)
         assert supply_buffering(torus_network(size, size), 0.99, max_k) == max_k
         assert len(calls) == checks
+
+    @pytest.mark.parametrize("make, max_k, refused, passed", [
+        ("torus", 2, 146, 0), ("netgen", 2, 120, 0),
+        ("torus", 3, 1305, 1145), ("netgen", 3, 1100, 1085),
+    ])
+    def test_composition_passes_no_set_below_max_k_3(self, monkeypatch, make, max_k,
+                                                     refused, passed):
+        # the supply_buffering docstring gives the argument; the 5 x 5 grids
+        # are tests/conftest.py's torus and the benchmark's supply grid
+        outcomes = []
+        composes = performance._composes
+
+        def counted(*args):
+            outcomes.append(composes(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(performance, "_composes", counted)
+        net = (torus_network(5, 5) if make == "torus"
+               else network_from_dict(netgen.grid_network(5, 5, 0)))
+        assert supply_buffering(net, 0.99, max_k) == max_k
+        assert (outcomes.count(False), outcomes.count(True)) == (refused, passed)
 
     def test_pumps_never_need_a_solve(self, ring_network, kernel_runs):
         pumped = make_network(ring_network.junctions, ring_network.sources,
