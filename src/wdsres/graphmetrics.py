@@ -40,6 +40,11 @@ fast without changing any route or any bit of a resistance:
   slack: no route costs less than the cheapest.  Where ``h[start]`` is
   ``inf`` (the goal cannot be reached, or every route overflows) the
   bound stays ``inf``.
+- A spur whose search could push nothing from its first node is not
+  searched: the search would settle the spur node alone and return None.
+  One scan of the spur node's pipes applies the search's own test there,
+  ``root + pipe + h[other]`` against the limit, skipping root nodes and
+  banned pipes as the search does.
 - Each spur search is bounded by a route it may take.  The reverse
   Dijkstra also keeps every node's successor on its cheapest route to the
   goal.  From each neighbour of the spur node that the spur may enter, that
@@ -50,11 +55,24 @@ fast without changing any route or any bit of a resistance:
   widened by the same slack: each prefix of the answer, or of a route
   tied with it, has cost plus ``h`` within about ``n * 2**-53`` of its
   total, as for the first search.  A neighbour whose pipe plus ``h``
-  could not lower the limit is not followed.
+  could not lower the limit is not followed.  The bound is taken in the
+  scan of the first-node test, from the pipes that pass it: a pipe that
+  fails it could not lower the limit either, as the slack exceeds the
+  rounding of ``root + (pipe + h)``, the other association.
+- Each accepted route marks its root nodes once, in a byte mask from
+  which the spur node is cleared as the spur index falls; each search
+  gets a copy.  A spur's root costs ``sum()`` of the route's resistances
+  up to the spur index, the same floats in the same order as its root
+  pipes', so no spur walks its root in Python.
 - A spur may not take the next pipe of an accepted route with the same
-  root.  Those pipes sit in a map from each root, which each accepted
-  route fills from its deviation index on (see below); before that
-  index its root and next pipe are its parent's.
+  root.  Each accepted route keeps those pipes in one set per spur index;
+  before its deviation index (see below) its root and next pipe are its
+  parent's, so it shares its parent's sets up to that index, adds its
+  own next pipe to the set at it, and has a set of its own after it.
+  The K-th route is never spurred, so it builds no sets.  Every banned
+  pipe leaves the spur node, so the search tests only that node's pipes
+  against them: it settles the spur node first, and no route returns to
+  a settled node.
 - An accepted route is spurred from the goal end first, so short spurs
   fill the candidates and lower the bound before the long ones run.  The
   order does not change the candidates: the bound only drops routes that
@@ -73,13 +91,14 @@ fast without changing any route or any bit of a resistance:
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from .hydraulics import _Model, _model
-from .inputs import is_integer
+from .inputs import is_finite_number, is_integer
 from .network import Network
 
 DEFAULT_K = 5
@@ -107,7 +126,7 @@ def _check_k(k: int) -> None:
 
 
 def _check_trim(trim_fraction: float) -> None:
-    if not 0 <= trim_fraction < 0.5:
+    if not is_finite_number(trim_fraction) or not 0 <= trim_fraction < 0.5:
         raise ValidationError("trim_fraction must lie in [0, 0.5)")
 
 
@@ -155,15 +174,27 @@ def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
 
     The heap key includes the pipe tuple, so among equal-resistance routes
     the lexicographically smallest wins.  ``done`` marks the settled nodes
-    and, on entry, the banned ones.  A push is dropped when
-    ``root_cost + cost + h[node]`` exceeds ``limit``.  Returns
+    and, on entry, the banned ones.  ``banned_pipes`` are pipes at
+    ``start``: only its own pipes are tested against them, as ``done``
+    keeps any later route from returning to ``start``.  A push is dropped
+    when ``root_cost + cost + h[node]`` exceeds ``limit``.  Returns
     (cost, pipes).
     """
     if start == goal:
         return 0.0, ()
     adjacency, weights = model.pipe_adjacency, model.resistances
     push, pop = heapq.heappush, heapq.heappop
-    heap = [(0.0, (), start)]
+    done[start] = 1
+    heap = []
+    for pid, other in adjacency[start]:
+        if done[other] or pid in banned_pipes:
+            continue
+        reach = 0.0 + weights[pid]
+        if root_cost + reach + h[other] > limit:
+            continue
+        heap.append((reach, (pid,), other))
+    # the keys are distinct, so they pop in one order however the heap is laid out
+    heapq.heapify(heap)
     while heap:
         cost, pipes, node = pop(heap)
         if done[node]:
@@ -174,7 +205,7 @@ def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
         # every node of the popped path was settled before the path was
         # extended past it: done also keeps it simple
         for pid, other in adjacency[node]:
-            if done[other] or pid in banned_pipes:
+            if done[other]:
                 continue
             reach = cost + weights[pid]
             if root_cost + reach + h[other] > limit:
@@ -183,108 +214,115 @@ def _spur_search(model: _Model, start: int, goal: int, done: bytearray,
     return None
 
 
-def _tree_limit(model: _Model, spur_node: int, goal: int, done: bytearray,
-                banned_pipes: set[int], h: list[float], succ: list,
-                root_cost: float, limit: float) -> float:
-    """``limit``, lowered by the routes that the spur search may take along
-    the reverse-Dijkstra tree.
-
-    Such a route leaves ``spur_node`` over a pipe that is not banned, to a
-    node that ``done`` does not mark, and then follows ``succ`` to ``goal``;
-    it is dropped where it meets a marked node, the spur node or a node
-    without a successor.  It is summed pipe by pipe from the spur node, as
-    :func:`_spur_search` sums it, so the spur's answer costs at most that,
-    and root plus it, widened by the slack, bounds the spur.  A neighbour
-    whose pipe plus ``h`` could not lower the limit is not followed.
-    """
-    weights, widen = model.resistances, 1.0 + _SLACK
-    for pid, node in model.pipe_adjacency[spur_node]:
-        if (done[node] or pid in banned_pipes
-                or (root_cost + (weights[pid] + h[node])) * widen >= limit):
-            continue
-        cost = 0.0 + weights[pid]
-        while node != goal:
-            step = succ[node]
-            if step is None:
-                break
-            pid, node = step
-            if done[node] or node == spur_node:
-                break
-            cost += weights[pid]
-        else:
-            limit = min(limit, (root_cost + cost) * widen)
-    return limit
-
-
 def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) -> list[WeightedPath]:
     """The k cheapest simple paths between two nodes, ascending.
 
     Yen's deviation scheme over the multigraph; fewer than k paths are
     returned when fewer exist, and a disconnected pair yields an empty
-    list.
+    list.  A route whose resistance rounds to 0.0, as a pipe's
+    ``friction * length / diameter`` can underflow, raises
+    InfiniteResilienceError: its inverse, its term in the index, is
+    unbounded.
     """
     _check_k(k)
     for node in (start, goal):
         if not net.is_node(node):
             raise ValidationError(f"unknown node {node!r}")
     model = _model(net)
-    weights, n_nodes = model.resistances, len(model.index)
+    adjacency, weights, n_nodes = model.pipe_adjacency, model.resistances, len(model.index)
     start, goal = model.index[start], model.index[goal]
     h, succ = _distances_to(model, goal)
+    widen = 1.0 + _SLACK
 
     # no route costs less than h[start]; inf * (1 + _SLACK) stays inf
-    first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h,
-                         h[start] * (1.0 + _SLACK))
+    first = _spur_search(model, start, goal, bytearray(n_nodes), set(), 0.0, h, h[start] * widen)
     if first is None:
         return []
-    # each route carries the spur index that produced it, its deviation index
-    accepted: list[tuple[float, tuple[int, ...], tuple[int, ...], int]] = []
-    # the pipes that accepted routes take next after each root, which a spur
-    # from that root may not take.  Each route adds its own from its deviation
-    # index on; below it, its root and next pipe are its parent's.
-    banned: dict[tuple[int, ...], set[int]] = {}
-
-    def accept(cost, pipes, deviation):
-        accepted.append((cost, pipes, _node_chain(model, start, pipes), deviation))
-        for i in range(deviation, len(pipes)):
-            banned.setdefault(pipes[:i], set()).add(pipes[i])
-
-    accept(*first, 0)
-    seen = {first[1]}
-    candidates: list[tuple[float, tuple[int, ...], int]] = []
-    # the k'-th cheapest candidate, k' = k - len(accepted), widened by the slack;
-    # accepting the cheapest candidate lowers k' by one and leaves it unchanged
-    limit = inf
-    while len(accepted) < k:
-        _, prev_pipes, prev_nodes, deviation = accepted[-1]
+    cost, pipes = first
+    if not pipes:  # start is goal
+        return [WeightedPath((), cost)]
+    if cost == 0.0:  # the cheapest route: if it is not 0.0, none is
+        raise InfiniteResilienceError(
+            f"route {tuple(model.pipe_ids[pid] for pid in pipes)} has resistance 0.0; "
+            "its inverse is not a finite number")
+    seen = {pipes}
+    # each candidate carries the spur index that produced it, its deviation
+    # index, and its parent's nodes and banned pipes; the first route's parent
+    # is the route of no pipes
+    candidates = [(cost, pipes, 0, (start,), [set()])]
+    accepted: list[tuple[float, tuple[int, ...]]] = []
+    # the candidates' costs, ascending, and the k'-th of them, k' = k -
+    # len(accepted), widened by the slack; accepting the cheapest candidate
+    # lowers k' by one and leaves the limit unchanged
+    costs, limit = [cost], inf
+    while candidates:
+        cost, pipes, deviation, parent_nodes, parent_bans = heapq.heappop(candidates)
+        del costs[0]
+        accepted.append((cost, pipes))
+        wanted = k - len(accepted)
+        if not wanted:
+            break  # the last route is never spurred
+        nodes = parent_nodes[:deviation] + _node_chain(model, parent_nodes[deviation],
+                                                        pipes[deviation:])
+        # per spur index i, the pipes banned after the root pipes[:i]; below
+        # the deviation index they are the parent's sets (module docstring)
+        bans = parent_bans[:deviation + 1]
+        bans[deviation].add(pipes[deviation])
+        bans += [{pid} for pid in pipes[deviation + 1:]]
+        route_weights = [weights[pid] for pid in pipes]
+        # the root nodes of the spur at index i are nodes[:i]
+        mask = bytearray(n_nodes)
+        for node in nodes[:-1]:
+            mask[node] = 1
         # goal end first: short spurs fill the candidates and tighten the limit
-        for i in reversed(range(deviation, len(prev_pipes))):
-            spur_node = prev_nodes[i]
-            root_pipes = prev_pipes[:i]
-            root_cost = sum(weights[pid] for pid in root_pipes)
-            banned_pipes = banned[root_pipes]
-            done = bytearray(n_nodes)
-            for node in prev_nodes[:i]:
-                done[node] = 1
-            spur = _spur_search(model, spur_node, goal, done, banned_pipes, root_cost, h,
-                                _tree_limit(model, spur_node, goal, done, banned_pipes, h,
-                                            succ, root_cost, limit))
+        for i in reversed(range(deviation, len(pipes))):
+            spur_node = nodes[i]
+            mask[spur_node] = 0
+            root_cost = sum(route_weights[:i])
+            banned = bans[i]
+            # one scan of the spur node's pipes: the search's own test at its
+            # first node, and for the pipes that pass, the route along the
+            # reverse-Dijkstra tree (see the module docstring)
+            bound, pushes = limit, False
+            for pid, node in adjacency[spur_node]:
+                if mask[node] or pid in banned:
+                    continue
+                w, to_goal = weights[pid], h[node]
+                if root_cost + w + to_goal > limit:
+                    continue
+                pushes = True
+                if (root_cost + (w + to_goal)) * widen >= bound:
+                    continue
+                tree_cost = w
+                while node != goal:
+                    step = succ[node]
+                    if step is None:
+                        break
+                    pid, node = step
+                    if mask[node] or node == spur_node:
+                        break
+                    tree_cost += weights[pid]
+                else:
+                    bound = min(bound, (root_cost + tree_cost) * widen)
+            if not pushes:
+                continue  # the search would settle the spur node alone and find nothing
+            spur = _spur_search(model, spur_node, goal, bytearray(mask), banned, root_cost, h,
+                                bound)
             if spur is None:
                 continue
             spur_cost, spur_pipes = spur
-            total_pipes = root_pipes + spur_pipes
+            total_pipes = pipes[:i] + spur_pipes
             if total_pipes in seen:
                 continue
             seen.add(total_pipes)
-            heapq.heappush(candidates, (root_cost + spur_cost, total_pipes, i))
-            wanted = k - len(accepted)
-            if len(candidates) >= wanted:
-                limit = heapq.nsmallest(wanted, candidates)[-1][0] * (1.0 + _SLACK)
-        if not candidates:
-            break
-        accept(*heapq.heappop(candidates))
-    return [WeightedPath(tuple(model.pipe_ids[pid] for pid in pipes), cost)
-            for cost, pipes, _, _ in accepted]
+            total_cost = root_cost + spur_cost
+            heapq.heappush(candidates, (total_cost, total_pipes, i, nodes, bans))
+            insort(costs, total_cost)
+            if len(costs) >= wanted:
+                limit = costs[wanted - 1] * widen
+    pipe_ids = model.pipe_ids
+    return [WeightedPath(tuple([pipe_ids[pid] for pid in pipes]), cost)
+            for cost, pipes in accepted]
 
 
 def _finite(value: float, what: str) -> float:

@@ -94,8 +94,13 @@ def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
     """Flat labels 1..k after undoing the last k-1 merges.
 
     Label numbering follows the first record index in each cluster, so the
-    cluster containing record 0 is always labelled 1.
+    cluster containing record 0 is always labelled 1.  ``n`` must be the
+    record count that the merges join, one more than their number.
     """
+    if not is_integer(n):
+        raise ValidationError(f"record count must be an integer, got {n!r}")
+    if len(merges) != n - 1:
+        raise ValidationError(f"{len(merges)} merges join {len(merges) + 1} records, not {n}")
     _check_cluster_count(k)
     if not 1 <= k <= n:
         raise ValidationError(f"cannot cut {n} records into {k} clusters")

@@ -163,16 +163,17 @@ def _ward(k):
     return lambda net: ward_clustering(load_catalog(), k)
 
 
-def _cut(k):
+def _cut(k, n=None):
     def run(net):
         records = load_catalog()
         merges = ward_linkage([[float(r.flag(c)) for c in CLUSTER_FEATURES] for r in records])
-        return cut_clusters(merges, len(records), k)
+        return cut_clusters(merges, len(records) if n is None else n, k)
     return run
 
 
 # before, n=True ran one replicate, k=True gave one cluster whose k was True,
-# and the floats raised a raw TypeError
+# the floats raised a raw TypeError, and a record count that the 58 merges do
+# not join gave labels for records that they do not describe
 @pytest.mark.parametrize("run, message", [
     (_mc(True), "replicate count must be an integer, got True"),
     (_mc(2.5), "replicate count must be an integer, got 2.5"),
@@ -183,8 +184,13 @@ def _cut(k):
     (_cut(2.0), "cluster count must be an integer, got 2.0"),
     (_cut(False), "cluster count must be an integer, got False"),
     (_cut(0), "cannot cut 59 records into 0 clusters"),
+    (_cut(5, 59.0), "record count must be an integer, got 59.0"),
+    (_cut(5, True), "record count must be an integer, got True"),
+    (_cut(5, 10), "58 merges join 59 records, not 10"),
+    (_cut(5, 60), "58 merges join 59 records, not 60"),
+    (_cut(0, 10), "58 merges join 59 records, not 10"),
 ], ids=["mc-true", "mc-2.5", "mc-2.0", "ward-true", "ward-2.5", "ward-60.5", "cut-2.0",
-        "cut-false", "cut-0"])
+        "cut-false", "cut-0", "cut-n-59.0", "cut-n-true", "cut-n-10", "cut-n-60", "cut-n-before-k"])
 def test_counts_must_be_integers_before_their_range(ring_network, run, message):
     with pytest.raises(ValidationError) as info:
         run(ring_network)
