@@ -34,15 +34,21 @@ and the supply buffering search uses it to reroute a failed pipe's flow
 around the failures, where the arcs it records bound the rerouted flow's
 support.
 
-The model also remembers its most recent solve: the capacities the kernel
-was given, the residuals it left, its sums of pushes and the four result
-maps built from them.  A solve with equal capacities copies these maps
-instead of running the kernel and building them again.  The kernel is
-deterministic and the capacities are its whole input, so the result is
-the one a fresh solve would give.  Scenario events are piecewise
-constant, so most timesteps of a scenario repeat the state of the step
-before them and hit this one-entry memo; a memo of more entries would
-keep one per failure set during a buffering search.
+The model also remembers its most recent solve, keyed by the call's
+validated inputs: the failed pipes and copies of the demand and supply
+factor maps.  It keeps the residuals the kernel left, its sums of pushes,
+the four result maps built from them and, once
+:func:`surrogate_allocation` asks for them, the one-row delivered, demand,
+head and required-head arrays, so each is built once per solve.  A call
+whose inputs equal the last solve's would pass the same checks and give
+the same capacities, so it skips the checks, the scaling and the capacity
+build and only copies the maps it hands out; the kernel is deterministic,
+so the result is the one a fresh solve would give.  Any other call runs
+the kernel, even if its capacities come out equal to the last solve's.
+Scenario events are piecewise constant, so most timesteps of a scenario
+repeat the state of the step before them and hit this one-entry memo; a
+memo of more entries would keep one per failure set during a buffering
+search.
 """
 
 from __future__ import annotations
@@ -85,6 +91,9 @@ class HydraulicSeries:
     def __post_init__(self):
         import numpy as np
 
+        # a string would pass as its characters
+        if isinstance(self.node_ids, str):
+            raise ValidationError("node ids must be a sequence of ids, not a string")
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
         for name in ("delivered", "demand", "head", "required_head"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -106,7 +115,7 @@ class HydraulicSeries:
         for name in ("demand", "head", "required_head"):
             if getattr(self, name).shape != shape:
                 raise ValidationError("all series arrays must share one shape")
-        if np.any(self.delivered < 0) or np.any(self.demand < 0):
+        if (self.delivered < 0).any() or (self.demand < 0).any():
             raise ValidationError("flows must be >= 0")
 
     @property
@@ -270,24 +279,27 @@ class _Model:
     ``pipe_adjacency[node]`` a node's ``(pipe, other end)`` pairs in pipe
     order and ``resistances[pipe]`` a pipe's resistance.
 
-    Four caches fill on use: ``last_solve`` holds the capacities of the
-    most recent solve, the residuals it left (both tuples) and the kernel's
+    Five caches fill on use: ``last_solve`` holds the key of the most recent
+    solve (its failed-pipe frozenset and its own copies of the demand and
+    supply factor maps), the residuals it left (a tuple) and the kernel's
     list of pushes summed per arc; ``last_maps`` holds that solve's
-    delivered, demand, pipe flow (every pipe's) and source outflow maps,
-    which each call copies; ``last_index`` holds the ``(node id, K)`` key
-    and the value of the most recent finite Herrera node index, which a
-    repeated query returns as it is; and ``to_goal`` maps each goal node to
-    a pair of lists: the cheapest resistance from every node to it, and
-    every node's successor ``(pipe, next node)`` on such a route (None at
-    the goal and where it cannot be reached).  A pipe's reverse residual
-    can reach twice its capacity, so ``overflowing_pipes`` lists the pipes
-    whose doubled capacity is not finite; a supply solve refuses such a
-    network, while unit-capacity connectivity flows on the same arrays are
-    unaffected.  ``source_ids`` and ``outflows`` list the sources' ids and
-    outflows in their order, and ``junction_ids``, ``demands`` and
-    ``required_heads`` the junctions' ids, design demands and required
-    heads in theirs, so a solve reads its unscaled capacities and its maps'
-    keys as they are.
+    delivered, demand, pipe flow (every intact pipe's) and source outflow
+    maps, which each call copies; ``last_rows`` holds its one-row delivered,
+    demand, head and required-head arrays, or None until
+    :func:`surrogate_allocation` builds them; ``last_index`` holds the
+    ``(node id, K)`` key and the value of the most recent finite Herrera
+    node index, which a repeated query returns as it is; and ``to_goal``
+    maps each goal node to a pair of lists: the cheapest resistance from
+    every node to it, and every node's successor ``(pipe, next node)`` on
+    such a route (None at the goal and where it cannot be reached).  A pipe's
+    reverse residual can reach twice its capacity, so ``overflowing_pipes``
+    lists the pipes whose doubled capacity is not finite; a supply solve
+    refuses such a network, while unit-capacity connectivity flows on the
+    same arrays are unaffected.  ``source_ids`` and ``outflows`` list the
+    sources' ids and outflows in their order, and ``junction_ids``,
+    ``demands`` and ``required_heads`` the junctions' ids, design demands
+    and required heads in theirs, so a solve reads its unscaled capacities
+    and its maps' keys as they are.
     """
 
     index: dict[str, int]
@@ -310,6 +322,7 @@ class _Model:
     resistances: list[float]
     last_solve: tuple[tuple, tuple, list[float]] | None = None
     last_maps: tuple[dict, dict, dict, dict] | None = None
+    last_rows: tuple | None = None
     last_index: tuple[tuple[str, int], float] | None = None
     to_goal: dict[int, tuple[list[float], list[tuple[int, int] | None]]] = field(
         default_factory=dict)
@@ -470,15 +483,32 @@ def allocate_flows(
     reach).  The surrogate has no pressure model, so pumps play no part in
     the routing.
 
-    A call whose capacities (pipes after failures, sources and demands
-    after scaling) equal those of the network's previous solve reuses that
-    solve instead of running the max-flow kernel.  The maps are built once
-    per solve, copied per call, and are identical to those of a new solve.
-    Each map is built in one pass over a slice of the residuals or of the
-    per-arc pushes, keyed by the model's ids, with every pipe in the pipe
-    map; each call drops its failed pipes' keys from its own copy, so the
-    caller owns every map it is given.
+    A call whose failed pipes and factor maps equal those of the network's
+    previous solve reuses that solve: it skips the checks, the scaling and
+    the capacity build, which an equal call passed before, and only copies
+    the maps.  Any other call runs the max-flow kernel.  The maps are built
+    once per solve, each in one pass over a slice of the residuals or of
+    the per-arc pushes, keyed by the model's ids, with every intact pipe in
+    the pipe map, and are identical to those of a new solve; each call gets
+    copies, so the caller owns every map it is given.  The one-row arrays of
+    :func:`surrogate_allocation` are likewise built once per solve.
     """
+    failed_pipes = frozenset(failed_pipes)
+    model = net._model
+    # the solve's own copies of the factor maps: a map changed in place since
+    # then no longer compares equal, and a nan factor never does
+    if (model is None or model.last_solve is None or model.last_solve[0]
+            != (failed_pipes, demand_factors or {}, supply_factors or {})):
+        model = _solve(net, failed_pipes, demand_factors, supply_factors)
+    delivered, demand_map, pipe_flows, source_out = model.last_maps
+    return FlowAllocation(delivered.copy(), demand_map.copy(), pipe_flows.copy(),
+                          source_out.copy())
+
+
+def _solve(net: Network, failed_pipes: frozenset[str], demand_factors: Mapping | None,
+           supply_factors: Mapping | None) -> _Model:
+    """Check the inputs of :func:`allocate_flows`, run the kernel on their
+    capacities and make the result the model's last solve."""
     failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
@@ -489,8 +519,6 @@ def allocate_flows(
     if not net._by_id["sources"].keys() >= supply_factors.keys():
         for key in supply_factors:
             net.source(key)
-    # a factor > 0 keeps the sign of a zero demand or outflow, so two calls
-    # with equal capacities also agree on their signed zeros
     if not all(0 < f < inf for f in (*demand_factors.values(), *supply_factors.values())):
         raise ValidationError("demand and supply factors must be finite and > 0")
 
@@ -521,27 +549,22 @@ def allocate_flows(
     caps[0:first_pipe_arc:2] = outflows
     caps[first_demand_arc::2] = demands
 
-    key = tuple(caps)
-    if model.last_solve is None or model.last_solve[0] != key:
-        sent = [0.0] * len(caps)
-        _edmonds_karp(caps, model.heads, model.adjacency,
-                      model.super_source, model.super_sink, inf, sent)
-        model.last_solve = (key, tuple(caps), sent)
-        # equal capacities hold equal demands and outflows, signed zeros
-        # included, so these maps serve every call that hits this solve
-        model.last_maps = (
-            dict(zip(model.junction_ids, map(sub, demands, caps[first_demand_arc::2]))),
-            dict(zip(model.junction_ids, demands)),
-            dict(zip(model.pipe_ids, map(sub, sent[first_pipe_arc:first_demand_arc:2],
-                                         sent[first_pipe_arc + 1:first_demand_arc:2]))),
-            dict(zip(model.source_ids, map(sub, outflows, caps[0:first_pipe_arc:2]))),
-        )
-    delivered, demand_map, pipe_flows, source_out = (m.copy() for m in model.last_maps)
-    # failing a zero-capacity pipe leaves the capacities equal, so the failed
-    # pipes differ between hits; deleting keys keeps the order of the others
+    sent = [0.0] * len(caps)
+    _edmonds_karp(caps, model.heads, model.adjacency,
+                  model.super_source, model.super_sink, inf, sent)
+    model.last_solve = ((failed_pipes, demand_factors, supply_factors), tuple(caps), sent)
+    pipe_flows = dict(zip(model.pipe_ids, map(sub, sent[first_pipe_arc:first_demand_arc:2],
+                                             sent[first_pipe_arc + 1:first_demand_arc:2])))
     for pipe_id in failed_pipes:
-        del pipe_flows[pipe_id]
-    return FlowAllocation(delivered, demand_map, pipe_flows, source_out)
+        del pipe_flows[pipe_id]  # deleting keys keeps the order of the others
+    model.last_maps = (
+        dict(zip(model.junction_ids, map(sub, demands, caps[first_demand_arc::2]))),
+        dict(zip(model.junction_ids, demands)),
+        pipe_flows,
+        dict(zip(model.source_ids, map(sub, outflows, caps[0:first_pipe_arc:2]))),
+    )
+    model.last_rows = None
+    return model
 
 
 def surrogate_allocation(
@@ -554,17 +577,19 @@ def surrogate_allocation(
     (:func:`allocate_flows` takes the same arguments).
 
     Heads are a declared fiction: ``h = h*`` for nodes receiving any flow
-    (or demanding none), ``h = 0`` for unsupplied nodes.
+    (or demanding none), ``h = 0`` for unsupplied nodes.  The rows are
+    built once per solve, so a call that reuses a solve reuses its rows.
     """
-    import numpy as np
-
     alloc = allocate_flows(net, failed_pipes, demand_factors, supply_factors)
-    # the maps follow the compiled model's junctions, which are sorted by id
-    node_ids = net._model.junction_ids
-    n = len(node_ids)
-    delivered = np.fromiter(alloc.delivered.values(), float, n).reshape(1, n)
-    demand = np.fromiter(alloc.demands.values(), float, n).reshape(1, n)
-    h_star = np.array([net._model.required_heads])
-    supplied = (delivered > 0) | (demand == 0)
-    head = np.where(supplied, h_star, 0.0)
-    return HydraulicSeries(node_ids, delivered, demand, head, h_star)
+    model = net._model
+    if model.last_rows is None:  # the rows of the solve that alloc came from
+        import numpy as np
+
+        # the maps follow the compiled model's junctions, which are sorted by id
+        n = len(model.junction_ids)
+        delivered = np.fromiter(alloc.delivered.values(), float, n).reshape(1, n)
+        demand = np.fromiter(alloc.demands.values(), float, n).reshape(1, n)
+        h_star = np.array([model.required_heads])
+        supplied = (delivered > 0) | (demand == 0)
+        model.last_rows = (delivered, demand, np.where(supplied, h_star, 0.0), h_star)
+    return HydraulicSeries(model.junction_ids, *model.last_rows)

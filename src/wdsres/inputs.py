@@ -117,7 +117,9 @@ def short_digest(*parts: bytes) -> str:
 
 def is_integer(value) -> bool:
     """True for an integer, but not a bool: True is no count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int first: the ABC check is slow, and a bool's type is not int
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_finite_number(value) -> bool:

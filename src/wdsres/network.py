@@ -40,6 +40,17 @@ def _invalid(element, name: str, rule: str = "") -> ValidationError:
     return ValidationError(f"{where}: {name} {rule}")
 
 
+def _not_a_number(element, exc: TypeError) -> Exception:
+    """The error for an element whose range check raised ``exc``: a value
+    that does not compare with numbers, such as a string or None, is named
+    as the first numeric field, in field order, that is not a finite number."""
+    numbers = next(names for kind, names, _ in _SECTIONS.values() if isinstance(element, kind))
+    for name in numbers:
+        if not is_finite_number(getattr(element, name)):
+            return _invalid(element, name)
+    return exc
+
+
 @dataclass(frozen=True)
 class Junction:
     """Demand node with a design demand and a required head."""
@@ -50,12 +61,15 @@ class Junction:
     required_head: float
 
     def __post_init__(self):
-        if not -inf < self.elevation < inf:
-            raise _invalid(self, "elevation")
-        if not 0 <= self.design_demand < inf:
-            raise _invalid(self, "design_demand", "must be >= 0")
-        if not 0 <= self.required_head < inf:
-            raise _invalid(self, "required_head", "must be >= 0")
+        try:
+            if not -inf < self.elevation < inf:
+                raise _invalid(self, "elevation")
+            if not 0 <= self.design_demand < inf:
+                raise _invalid(self, "design_demand", "must be >= 0")
+            if not 0 <= self.required_head < inf:
+                raise _invalid(self, "required_head", "must be >= 0")
+        except TypeError as exc:
+            raise _not_a_number(self, exc) from None
 
 
 @dataclass(frozen=True)
@@ -67,10 +81,13 @@ class Source:
     outflow: float
 
     def __post_init__(self):
-        if not 0 < self.total_head < inf:
-            raise _invalid(self, "total_head", "must be > 0")
-        if not 0 <= self.outflow < inf:
-            raise _invalid(self, "outflow", "must be >= 0")
+        try:
+            if not 0 < self.total_head < inf:
+                raise _invalid(self, "total_head", "must be > 0")
+            if not 0 <= self.outflow < inf:
+                raise _invalid(self, "outflow", "must be >= 0")
+        except TypeError as exc:
+            raise _not_a_number(self, exc) from None
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,11 @@ class Pump:
     power: float
 
     def __post_init__(self):
-        if not 0 <= self.power < inf:
-            raise _invalid(self, "power", "must be >= 0")
+        try:
+            if not 0 <= self.power < inf:
+                raise _invalid(self, "power", "must be >= 0")
+        except TypeError as exc:
+            raise _not_a_number(self, exc) from None
 
 
 @dataclass(frozen=True)
@@ -100,21 +120,29 @@ class Pipe:
     capacity: float
 
     def __post_init__(self):
-        if len(self.endpoints) != 2:
+        # a two-character string is no pair of node ids, and a number no sequence
+        try:
+            endpoints = () if isinstance(self.endpoints, str) else tuple(self.endpoints)
+        except TypeError:
+            endpoints = ()
+        if len(endpoints) != 2:
             raise ValidationError(f"pipe {self.id!r}: endpoints must name two nodes")
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
+        object.__setattr__(self, "endpoints", endpoints)
         if self.endpoints[0] == self.endpoints[1]:
             raise ValidationError(f"pipe {self.id!r}: self-loops are not allowed")
-        if not 0 < self.length < inf:
-            raise _invalid(self, "length", "must be > 0")
-        if not 0 < self.diameter < inf:
-            raise _invalid(self, "diameter", "must be > 0")
-        if not 0 < self.friction_factor < inf:
-            raise _invalid(self, "friction_factor", "must be > 0")
-        if not 0 <= self.repair_rate < inf:
-            raise _invalid(self, "repair_rate", "must be >= 0")
-        if not 0 <= self.capacity < inf:
-            raise _invalid(self, "capacity", "must be >= 0")
+        try:
+            if not 0 < self.length < inf:
+                raise _invalid(self, "length", "must be > 0")
+            if not 0 < self.diameter < inf:
+                raise _invalid(self, "diameter", "must be > 0")
+            if not 0 < self.friction_factor < inf:
+                raise _invalid(self, "friction_factor", "must be > 0")
+            if not 0 <= self.repair_rate < inf:
+                raise _invalid(self, "repair_rate", "must be >= 0")
+            if not 0 <= self.capacity < inf:
+                raise _invalid(self, "capacity", "must be >= 0")
+        except TypeError as exc:
+            raise _not_a_number(self, exc) from None
 
 
 def pipe_resistance(pipe: Pipe) -> float:
@@ -309,13 +337,6 @@ def _require(obj: Mapping, key: str, context: str):
     return obj[key]
 
 
-def _num(obj: Mapping, key: str, context: str) -> float:
-    value = _require(obj, key, context)
-    if not is_finite_number(value):
-        raise ValidationError(f"{context}: field {key!r} must be a finite number")
-    return float(value)
-
-
 def network_from_dict(data: Mapping) -> Network:
     """Build a validated :class:`Network` from the documented JSON layout.
 
@@ -336,24 +357,43 @@ def network_from_dict(data: Mapping) -> Network:
 
 def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
     """The elements of one file section.  A pipe's endpoints are checked
-    before its id; every other field is checked in field order."""
+    before its id; every other field is checked in field order.  The checks
+    run inline, in one pass over the row, and the row's name is built only
+    for an error."""
     kind, numbers, flows = _SECTIONS[section]
-    label = kind.__name__.lower()
+    fields = tuple((name, scale if name in flows else 1.0) for name in numbers)
+    missing = object()
     elements = []
     for row in rows:
-        context = f"{label} {row.get('id', '?')!r}"
         endpoints = ()  # a pipe's one non-numeric field after its id
         if kind is Pipe:
-            pair = _require(row, "endpoints", context)
+            pair = row.get("endpoints", missing)
+            if pair is missing:
+                raise _row_error(kind, row, "missing field 'endpoints'")
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValidationError(f"{context}: endpoints must be a pair of node ids")
+                raise _row_error(kind, row, "endpoints must be a pair of node ids")
             endpoints = ((str(pair[0]), str(pair[1])),)
-        values = [str(_require(row, "id", context)), *endpoints]
-        for name in numbers:
-            value = _num(row, name, context)
-            values.append(value * scale if name in flows else value)
+        element_id = row.get("id", missing)
+        if element_id is missing:
+            raise _row_error(kind, row, "missing field 'id'")
+        values = [str(element_id), *endpoints]
+        for name, factor in fields:
+            value = row.get(name, missing)
+            # a float from JSON is the common case; an int becomes a float
+            if type(value) is not float or not -inf < value < inf:
+                if value is missing:
+                    raise _row_error(kind, row, f"missing field {name!r}")
+                if not is_finite_number(value):
+                    raise _row_error(kind, row, f"field {name!r} must be a finite number")
+                value = float(value)
+            values.append(value * factor)
         elements.append(kind(*values))
     return tuple(elements)
+
+
+def _row_error(kind: type, row: Mapping, problem: str) -> ValidationError:
+    """The error for a file row that failed a check, named by its kind and id."""
+    return ValidationError(f"{kind.__name__.lower()} {row.get('id', '?')!r}: {problem}")
 
 
 def load_network(path: str | Path) -> Network:

@@ -164,6 +164,14 @@ class TestHydraulicSeries:
             HydraulicSeries(node_ids, **arrays)
         assert str(info.value) == message
 
+    def test_node_ids_must_not_be_a_string(self, zhuang_series):
+        arrays = {n: getattr(zhuang_series, n)
+                  for n in ("delivered", "demand", "head", "required_head")}
+        assert len(zhuang_series.node_ids) == 2  # so "ab" would pass as ("a", "b")
+        with pytest.raises(ValidationError) as info:
+            HydraulicSeries("ab", **arrays)
+        assert str(info.value) == "node ids must be a sequence of ids, not a string"
+
     def test_node_index(self, zhuang_series):
         assert zhuang_series.node_index("n2") == 1
         with pytest.raises(ValidationError, match="unknown node 'n3' in series"):
@@ -810,6 +818,73 @@ class TestLastSolveMemo:
         assert buffering_capacity(mesh_network, counted, max_k=2) == 2
         assert len(checked) == 1 + 8 + comb(8, 2)
         assert len(kernel_runs) == len(checked)
+
+
+class TestSolveRecord:
+    """The last solve is keyed by the call's inputs: its failed pipes and its
+    own copies of the factor maps."""
+
+    def test_a_factor_map_changed_in_place_gets_a_new_solve(self, mesh_network, kernel_runs):
+        factors = {"A": 2.0}
+        allocate_flows(mesh_network, demand_factors=factors)
+        factors["A"] = 3.0
+        factors["B"] = 0.5
+        got = allocate_flows(mesh_network, demand_factors=factors)
+        assert len(kernel_runs) == 2
+        assert got == allocate_flows(dataclasses.replace(mesh_network), demand_factors=factors)
+        assert got.demands["A"] == 3.0 * mesh_network.junction("A").design_demand
+
+    # each bad call follows a valid one that it differs from in one entry
+    @pytest.mark.parametrize("valid, bad, message", [
+        ({"demand_factors": {"A": 2.0}}, {"demand_factors": {"A": float("nan")}},
+         "demand and supply factors must be finite and > 0"),
+        ({"supply_factors": {"S1": 2.0}}, {"supply_factors": {"S1": float("nan")}},
+         "demand and supply factors must be finite and > 0"),
+        ({"demand_factors": {"A": 2.0}}, {"demand_factors": {"A": 2.0, "X1": 2.0}},
+         "unknown junction 'X1'"),
+        ({"failed_pipes": {"p1"}}, {"failed_pipes": {"p1", "x"}},
+         "unknown pipe ids in failure set: ['x']"),
+    ], ids=["nan-demand", "nan-supply", "unknown-junction", "unknown-pipe"])
+    def test_a_bad_input_after_a_valid_call_is_still_refused(self, mesh_network, valid, bad,
+                                                             message):
+        allocate_flows(mesh_network, **valid)
+        with pytest.raises(ValidationError) as info:
+            allocate_flows(mesh_network, **bad)
+        assert str(info.value) == message
+
+    def test_equal_capacities_from_other_inputs_run_the_kernel(self, kernel_runs):
+        # failing p1, which carries nothing, leaves every capacity as it was
+        net = make_network(
+            [Junction("J1", 0.0, 0.01, 30.0)], [Source("S", 100.0, 0.05)],
+            [make_pipe("p1", "S", "J1", capacity=0.0), make_pipe("p2", "S", "J1")])
+        intact = allocate_flows(net)
+        failed = allocate_flows(net, failed_pipes={"p1"})
+        assert len(kernel_runs) == 2
+        assert failed.delivered == intact.delivered
+        assert failed.pipe_flows == {"p2": intact.pipe_flows["p2"]}
+
+    def test_a_repeated_state_gives_equal_read_only_series(self, mesh_network, kernel_runs):
+        kwargs = {"failed_pipes": {"p3"}, "demand_factors": {"A": 2.5}}
+        first = surrogate_allocation(mesh_network, **kwargs)
+        second = surrogate_allocation(mesh_network, **kwargs)
+        assert len(kernel_runs) == 1
+        assert second.digest() == first.digest()
+        assert second.digest() == surrogate_allocation(
+            dataclasses.replace(mesh_network), **kwargs).digest()
+        for name in ("delivered", "demand", "head", "required_head"):
+            a, b = getattr(first, name), getattr(second, name)
+            np.testing.assert_array_equal(a, b)
+            assert a is not b and not a.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = -1.0
+
+    def test_a_direct_solve_leaves_no_stale_rows(self, mesh_network):
+        intact = surrogate_allocation(mesh_network)
+        # failing p7 cuts D and E off, so the rows change
+        allocate_flows(mesh_network, failed_pipes={"p7"})
+        got = surrogate_allocation(mesh_network, failed_pipes={"p7"})
+        want = surrogate_allocation(dataclasses.replace(mesh_network), failed_pipes={"p7"})
+        assert got.digest() == want.digest() != intact.digest()
 
 
 class TestSurrogateSeries:

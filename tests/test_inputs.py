@@ -1,5 +1,8 @@
 """The input boundary: every loader turns an unreadable file into exit 1."""
 
+from enum import IntEnum
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -148,6 +151,9 @@ def test_finite_number_helper_still_importable_from_network():
 @pytest.mark.parametrize("value, expected", [
     (3, True), (0, True), (-2, True), (np.int64(4), True),
     (True, False), (False, False), (2.0, False), (2.5, False), ("3", False), (None, False),
+    (2**100, True), (np.int32(-1), True), (np.uint8(7), True), (IntEnum("E", "A").A, True),
+    (np.bool_(True), False), (np.float64(3.0), False), (Fraction(3), False),
+    (Fraction(1, 2), False),
 ], ids=repr)
 def test_an_integer_is_an_integral_that_is_not_a_bool(value, expected):
     assert is_integer(value) is expected

@@ -278,8 +278,9 @@ RANGE_CASES = [
 class TestElementConstructors:
     """The checks an element makes when it is built directly, not from a file."""
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                             ids=["nan", "inf", "-inf"])
+    # a string, None and a complex number do not compare with numbers at all
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", None, 1j],
+                             ids=["nan", "inf", "-inf", "str", "none", "complex"])
     @pytest.mark.parametrize("section, field", FIELD_CASES)
     def test_non_finite_number(self, section, field, value):
         element = ELEMENTS[section]
@@ -297,7 +298,13 @@ class TestElementConstructors:
             dataclasses.replace(element, **{field: value})
         assert str(info.value) == f"{kind} {element.id!r}: {field} must be {rule}"
 
-    @pytest.mark.parametrize("endpoints", [("R1",), ("R1", "J1", "J2")])
+    def test_the_first_field_that_is_not_a_number_is_named(self):
+        with pytest.raises(ValidationError) as info:
+            Junction("J1", 0.0, None, "x")
+        assert str(info.value) == "junction 'J1': field 'design_demand' must be a finite number"
+
+    # a two-character string would otherwise name the nodes "A" and "B"
+    @pytest.mark.parametrize("endpoints", [("R1",), ("R1", "J1", "J2"), "AB", 5])
     def test_pipe_endpoints_not_a_pair(self, endpoints):
         with pytest.raises(ValidationError) as info:
             dataclasses.replace(ELEMENTS["pipes"], endpoints=endpoints)
