@@ -18,11 +18,21 @@ searches.  The scenario fails
 300 random pipes, enough to cut junctions off in every replicate, so the
 four zhuang values differ and the digest pins the interpolated quantiles
 too.  The 30x30 zhuang run also hashes its ``--replicates-csv`` file.
+
+On those grids every buffering answer is the cap.  So connectivity
+``metric buffering --max-k 3`` runs on thinned 30x30 and 60x60 grids too
+(:func:`thinned_network`, seed 0), where a few junctions keep three pipes
+and the answer is below the cap, and ``metric herrera`` on the thinned
+30x30 grid.  Each thinned buffering case also checks that its value lies
+strictly between 0 and ``max_k``, so a generator change that brings back
+the trivial answer fails.
 """
 
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +43,34 @@ from wdsres.cli import main
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import netgen  # noqa: E402
+
+
+def thinned_network(rows: int, cols: int, seed: int) -> dict:
+    """``netgen.grid_network`` with some junction-to-junction pipes dropped.
+
+    Those pipes are taken in a seeded order, and each is dropped if both of
+    its ends keep at least three pipes, until a quarter of them is dropped
+    or none is left.  The source feeds, the values and the ids of the other
+    pipes are the grid's.
+    """
+    doc = netgen.grid_network(rows, cols, seed)
+    sources = {s["id"] for s in doc["sources"]}
+    pipes = doc["pipes"]
+    inner = [i for i, p in enumerate(pipes) if sources.isdisjoint(p["endpoints"])]
+    random.Random(f"thinned-{rows}x{cols}-{seed}").shuffle(inner)
+    degree = Counter(end for p in pipes for end in p["endpoints"])
+    dropped = set()
+    for i in inner:
+        if len(dropped) == len(inner) // 4:
+            break
+        a, b = pipes[i]["endpoints"]
+        if degree[a] > 3 and degree[b] > 3:
+            degree[a] -= 1
+            degree[b] -= 1
+            dropped.add(i)
+    doc["pipes"] = [p for i, p in enumerate(pipes) if i not in dropped]
+    return doc
+
 
 SPEC = {
     "events": [
@@ -53,6 +91,12 @@ CASES = {
                    "--out", "{report}"], ("report",)),
     "buffering_60": (["metric", "buffering", "--network", "{net60}", "--max-k", "3",
                       "--out", "{report}"], ("report",)),
+    "buffering_thin": (["metric", "buffering", "--network", "{thin}", "--max-k", "3",
+                        "--out", "{report}"], ("report",)),
+    "buffering_thin_60": (["metric", "buffering", "--network", "{thin60}", "--max-k", "3",
+                           "--out", "{report}"], ("report",)),
+    "herrera_thin": (["metric", "herrera", "--network", "{thin}", "--K", "5", "--trim", "0.1",
+                      "--nodes-out", "{nodes}", "--out", "{report}"], ("report", "nodes")),
     "supply": (["metric", "buffering", "--network", "{net}", "--threshold", "0.99",
                 "--max-k", "1", "--out", "{report}"], ("report",)),
     "supply_k2": (["metric", "buffering", "--network", "{net14}", "--threshold", "0.99",
@@ -78,6 +122,9 @@ CASES = {
                 "--out", "{series}"], ("series", "stdout")),
 }
 
+# the connectivity cases on thinned grids, whose answer is below --max-k 3
+BELOW_THE_CAP = {"buffering_thin", "buffering_thin_60"}
+
 GOLDEN = {
     "herrera": {"report": "59494090bcdd1025b1d8169b2a3bbd7988dbb059dd3c6147b512bc2602634d86",
                 "nodes": "42ffc8fd79da4b6aa680aa20e96f5cd8ecf2e472d9a3dbcd8c38b0e9dcaa4042"},
@@ -87,6 +134,13 @@ GOLDEN = {
     "buffering": {"report": "c66223ca290f51bcade3b32d20f8af04448db8c1334bd738f3736c265818803d"},
     "buffering_60": {
         "report": "a90431817f1cca56fe1058f76795d7861287246e504b3294ec02f6eeb38de239"},
+    "buffering_thin": {
+        "report": "8992cae9ae152abed4f74252bb4e8d4e330d441c831fb940cb236f366555dbd5"},
+    "buffering_thin_60": {
+        "report": "2fadde827ad7a68a2333989e9936180916758b0272f574e2430f5d6a7ff09bcf"},
+    "herrera_thin": {
+        "report": "316696f4b83babe095f739c03ee56227ca7649527bacff699aa20be62f475c0f",
+        "nodes": "c63a61540c619956873f32460c400be5f703ea1e1c8c1c007d9d6a803ee66554"},
     "mc": {"report": "b73ca278369ea0ac60af3b719defba8db701185fd240d5c975f5a3a2c232c8eb",
            "replicates": "ea262dfd81277d448f2d06ed679fc6447113cfdf36f78f3e8cae34a553d4f7a6"},
     "mc_60": {"report": "5d14dd9289a25316c41db4fd3626bd35554b8da5e122551b27710d760b84d61e"},
@@ -114,9 +168,13 @@ def inputs(tmp_path_factory):
     net = netgen.write_network(directory / "net.json", 30, 30, 0)
     net14 = netgen.write_network(directory / "net14.json", 14, 14, 0)
     net60 = netgen.write_network(directory / "net60.json", 60, 60, 0)
+    thinned = {}
+    for name, size in (("thin", 30), ("thin60", 60)):
+        thinned[name] = directory / f"{name}.json"
+        thinned[name].write_text(json.dumps(thinned_network(size, size, 0), indent=1) + "\n")
     spec = directory / "spec.json"
     spec.write_text(json.dumps(SPEC))
-    return {"net": net, "net14": net14, "net60": net60, "spec": spec}
+    return {"net": net, "net14": net14, "net60": net60, "spec": spec, **thinned}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -132,3 +190,5 @@ def test_reports_match_the_recorded_digests(inputs, tmp_path, case):
         for name in hashed
     }
     assert digests == GOLDEN[case]
+    if case in BELOW_THE_CAP:
+        assert 0 < json.loads(paths["report"].read_text())["value"] < 3
