@@ -11,6 +11,13 @@ pipe-id order: on the ``OVERFLOWING`` test network ``('m1', 'm2')`` comes
 before ``('i2', 'm2')``, both of resistance ``inf``, because the first
 search reaches B over the cheaper pipe m1.
 
+:func:`k_shortest_paths` checks its arguments and names each route's
+pipes.  The search behind it, :func:`_cheapest_routes`, returns each
+route as its resistance and its tuple of pipe numbers, and
+:func:`node_resilience_index` reads those pairs straight from it, so an
+index builds no :class:`WeightedPath` and no tuple of pipe ids.  It is
+the same search, so the index sums the same floats in the same order.
+
 The K cheapest routes come from Yen's (1971) deviation scheme, and its
 float arithmetic is part of the result: every heap is keyed by
 ``(resistance, pipe tuple)``, a spur's root costs ``sum()`` of its root
@@ -229,8 +236,17 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
         if not net.is_node(node):
             raise ValidationError(f"unknown node {node!r}")
     model = _model(net)
+    pipe_ids = model.pipe_ids
+    return [WeightedPath(tuple([pipe_ids[pid] for pid in pipes]), cost)
+            for cost, pipes in _cheapest_routes(model, model.index[start], model.index[goal], k)]
+
+
+def _cheapest_routes(model: _Model, start: int, goal: int,
+                     k: int) -> list[tuple[float, tuple[int, ...]]]:
+    """The search of :func:`k_shortest_paths` between two node numbers of
+    ``model``, for a checked ``k``: the ``(resistance, pipe-number tuple)``
+    of each route, ascending."""
     adjacency, weights, n_nodes = model.pipe_adjacency, model.resistances, len(model.index)
-    start, goal = model.index[start], model.index[goal]
     h, succ = _distances_to(model, goal)
     widen = 1.0 + _SLACK
 
@@ -240,7 +256,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
         return []
     cost, pipes = first
     if not pipes:  # start is goal
-        return [WeightedPath((), cost)]
+        return [first]
     if cost == 0.0:  # the cheapest route: if it is not 0.0, none is
         raise InfiniteResilienceError(
             f"route {tuple(model.pipe_ids[pid] for pid in pipes)} has resistance 0.0; "
@@ -320,9 +336,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
             insort(costs, total_cost)
             if len(costs) >= wanted:
                 limit = costs[wanted - 1] * widen
-    pipe_ids = model.pipe_ids
-    return [WeightedPath(tuple([pipe_ids[pid] for pid in pipes]), cost)
-            for cost, pipes in accepted]
+    return accepted
 
 
 def _finite(value: float, what: str) -> float:
@@ -356,12 +370,14 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
     last = model.last_index
     if last is not None and last[0] == (node_id, k):
         return last[1]
+    start = model.index[node_id]
     total = 0.0
-    for source_id in sorted(net.source_ids):
-        paths = k_shortest_paths(net, node_id, source_id, k)
-        if not paths:
+    # the sources are the model's first nodes, in id order
+    for goal in range(len(model.source_ids)):
+        routes = _cheapest_routes(model, start, goal, k)
+        if not routes:
             continue
-        inv = sum(1.0 / p.resistance for p in paths)
+        inv = sum(1.0 / cost for cost, _ in routes)
         total += inv / k
     total = _finite(total, f"index of {node_id!r}")
     model.last_index = ((node_id, k), total)

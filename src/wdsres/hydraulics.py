@@ -29,10 +29,11 @@ same next path (:func:`_edmonds_karp` gives the argument).  On a 14x14
 torus at design demand, all 196 pushes share one search.  Pipe flows are
 the kernel's per-arc sums of pushes, which no residual can round away.
 The same kernel, given a finite amount, moves it between any two nodes of
-a residual array: connectivity buffering stops it at the bound it needs,
-and the supply buffering search uses it to reroute a failed pipe's flow
-around the failures, where the arcs it records bound the rerouted flow's
-support.
+a residual array.  Connectivity buffering pushes the bound it needs, on
+unit pipe capacities, between the two ends of each edge of a spanning
+tree.  The supply buffering search uses it to reroute a failed pipe's
+flow around the failures, where the arcs it records bound the rerouted
+flow's support.
 
 The model also remembers its most recent solve, keyed by the call's
 validated inputs: the failed pipes and copies of the demand and supply

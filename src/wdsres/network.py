@@ -42,8 +42,9 @@ def _invalid(element, name: str, rule: str = "") -> ValidationError:
 
 def _not_a_number(element, exc: TypeError) -> Exception:
     """The error for an element whose range check raised ``exc``: a value
-    that does not compare with numbers, such as a string or None, is named
-    as the first numeric field, in field order, that is not a finite number."""
+    that does not compare with numbers, such as a string or None, or a bool,
+    which the checks raise for, is named as the first numeric field, in
+    field order, that is not a finite number, as the file path names it."""
     numbers = next(names for kind, names, _ in _SECTIONS.values() if isinstance(element, kind))
     for name in numbers:
         if not is_finite_number(getattr(element, name)):
@@ -62,6 +63,9 @@ class Junction:
 
     def __post_init__(self):
         try:
+            if (type(self.elevation) is bool or type(self.design_demand) is bool
+                    or type(self.required_head) is bool):
+                raise TypeError  # a bool compares as a number
             if not -inf < self.elevation < inf:
                 raise _invalid(self, "elevation")
             if not 0 <= self.design_demand < inf:
@@ -82,6 +86,8 @@ class Source:
 
     def __post_init__(self):
         try:
+            if type(self.total_head) is bool or type(self.outflow) is bool:
+                raise TypeError  # a bool compares as a number
             if not 0 < self.total_head < inf:
                 raise _invalid(self, "total_head", "must be > 0")
             if not 0 <= self.outflow < inf:
@@ -97,6 +103,8 @@ class Pump:
 
     def __post_init__(self):
         try:
+            if type(self.power) is bool:
+                raise TypeError  # a bool compares as a number
             if not 0 <= self.power < inf:
                 raise _invalid(self, "power", "must be >= 0")
         except TypeError as exc:
@@ -131,6 +139,10 @@ class Pipe:
         if self.endpoints[0] == self.endpoints[1]:
             raise ValidationError(f"pipe {self.id!r}: self-loops are not allowed")
         try:
+            if (type(self.length) is bool or type(self.diameter) is bool
+                    or type(self.friction_factor) is bool or type(self.repair_rate) is bool
+                    or type(self.capacity) is bool):
+                raise TypeError  # a bool compares as a number
             if not 0 < self.length < inf:
                 raise _invalid(self, "length", "must be > 0")
             if not 0 < self.diameter < inf:

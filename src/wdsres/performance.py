@@ -9,7 +9,8 @@ CLI adds only each metric's own extras to it.
 
 Buffering capacity (k-resilience) comes three ways.  Under the
 connectivity criterion :func:`connectivity_buffering` computes it exactly
-in polynomial time from edge-disjoint paths (Menger's theorem).  Under the
+in polynomial time from edge-disjoint paths (Menger's theorem), with one
+local flow per edge of a spanning tree (Gomory & Hu 1961).  Under the
 supply criterion :func:`supply_buffering` walks the failure sets but
 solves only those that neither a smaller subset's flow, solved or
 rerouted, nor a rerouting of the intact network's flow settles; most
@@ -240,48 +241,78 @@ def buffering_capacity(
 
 
 def connectivity_buffering(net: Network, max_k: int = 2) -> int:
-    """Buffering capacity under the connectivity criterion, by Menger's theorem.
+    """Buffering capacity under the connectivity criterion, from local flows
+    along a spanning tree.
 
     Returns ``buffering_capacity(net, connectivity_feasibility(net), max_k)``,
-    with the same errors, without enumerating failure sets.  With every
-    source merged into one super-source, the fewest pipe failures that cut
-    junction ``j`` off equal the number of edge-disjoint super-source-to-``j``
-    paths, ``lambda_j`` (Menger 1927).  Parallel pipes count separately,
-    pipes between two sources cross no such cut, and pumps carry no
-    connectivity.  Every set of at most k failures leaves all junctions
-    connected iff k < lambda = min_j lambda_j, so the answer is
+    with the same errors, without enumerating failure sets.  Merge every
+    source into one node s*.  Parallel pipes count separately, pipes
+    between two sources become loops at s* and cross no cut, and pumps
+    carry no connectivity.  The fewest pipe failures that cut junction
+    ``j`` off equal the number of edge-disjoint s*-to-``j`` paths,
+    ``lambda(s*, j)`` (Menger 1927), and every set of at most k failures
+    leaves all junctions connected iff k < lambda = min_j lambda(s*, j).
+    Every node but s* is a junction, so a minimum cut of the merged
+    multigraph separates s* from some junction, and lambda is its edge
+    connectivity.  Edge connectivity obeys lambda(u, w) >= min(lambda(u, v),
+    lambda(v, w)), so for any spanning tree, lambda is the least
+    lambda(p, c) over the tree's edges (p, c) (Gomory & Hu 1961): some
+    tree edge crosses a minimum cut, and none crosses less.  The answer is
     ``min(max_k, lambda - 1)``.
 
-    Each ``lambda_j`` is a flow on the network's compiled flow model with
-    unit pipe capacities, in which only ``j``'s demand arc is open.  The
-    kernel pushes at most the smallest ``lambda_j`` found so far, at most
-    ``max_k + 1``, into that arc, so a junction costs at most that many
-    augmenting paths, and one that takes them all ends without the search
-    that would find no more.
+    The tree is a breadth-first walk of the pipes from the sources, which
+    also answers the baseline check: it reaches every junction or not.  A
+    junction reached from a source hangs from s*.  Each tree edge then
+    gets one flow on the network's compiled flow model, with unit pipe
+    capacities, ``max_k + 1`` on every arc between the super-source and a
+    source, either way, so that a flow may pass through s*, and no demand
+    arc open.  The kernel pushes at most the smallest lambda(p, c) found so
+    far, at most ``max_k + 1``, from p to c; a flow that stops short gives
+    lambda(p, c) exactly, and the bound drops to it.  Unit capacities keep
+    every push an exact integer.  All flows run on one list of residuals,
+    and after each one the arcs it crossed, the keys of its pushes, are set
+    back.  Most flows find their paths next to their edge, and the search
+    ends at the first tree edge that a single pipe failure cuts.  The
+    flow per junction that this replaced is kept in the tests
+    (``tests/reference_flow.py``) as a second oracle for networks where
+    enumeration is out of reach.
     """
-    _check_buffering(
-        net, max_k, lambda: net.reachable_from_sources().issuperset(net.junction_ids)
-    )
+    model = hydraulics._model(net)
+    n_sources = len(model.source_ids)
+    tree = []  # (p, c) in the flow model's numbering, with s* for a source
+
+    def walk() -> bool:
+        seen = bytearray(len(model.index))
+        seen[:n_sources] = b"\x01" * n_sources
+        queue = list(range(n_sources))
+        for node in queue:
+            parent = model.super_source if node < n_sources else node
+            for _, other in model.pipe_adjacency[node]:
+                if not seen[other]:
+                    seen[other] = 1
+                    queue.append(other)
+                    tree.append((parent, other))
+        return len(queue) == len(seen)
+
+    _check_buffering(net, max_k, walk)
 
     # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
     lam = max_k + 1
     if lam == 1:
         return 0
-    model = hydraulics._model(net)
-    base = [0.0] * len(model.heads)
-    for k in range(len(model.source_ids)):
-        base[2 * k] = float(lam)
-    for ai in model.pipe_arcs.values():
-        base[ai] = base[ai ^ 1] = 1.0
-    unread = [0.0] * len(base)
-    for k in range(len(model.junction_ids)):
-        caps = base.copy()
-        demand_arc = model.first_demand_arc + 2 * k
-        caps[demand_arc] = float(lam)
-        hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
-                                 model.super_source, model.super_sink, lam, unread)
-        # unit capacities keep every residual an exact integer
-        lam -= int(caps[demand_arc])
+    # the source arcs, then the pipe arcs, then the demand arcs
+    n_pipe_arcs = model.first_demand_arc - 2 * n_sources
+    base = ([float(lam)] * (2 * n_sources) + [1.0] * n_pipe_arcs
+            + [0.0] * (len(model.heads) - model.first_demand_arc))
+    caps = base.copy()
+    for p, c in tree:
+        sent = defaultdict(float)
+        if not hydraulics._edmonds_karp(caps, model.heads, model.adjacency, p, c, lam, sent):
+            # what reached c: each arc out of c gained what came in on its reverse
+            lam = int(sum(caps[ai] - base[ai] for ai, _ in model.adjacency[c]))
+        for ai in sent:
+            caps[ai] = base[ai]
+            caps[ai ^ 1] = base[ai ^ 1]
         if lam == 1:
             break
     return min(max_k, lam - 1)

@@ -15,7 +15,11 @@ checks the resume rule alone.  ``restarting_push`` is the capped push that
 the supply buffering search used before that kernel took a cap: it starts
 every search afresh and records the arcs it crosses, so agreement with the
 capped kernel between any two nodes checks the resume rule on targets
-other than the sink.
+other than the sink.  ``reference_connectivity_buffering`` is connectivity
+buffering as it was before the spanning-tree walk: a flow from the merged
+sources to each junction in turn, with the baseline check read from
+``Network.reachable_from_sources``.  It reaches grids where enumerating
+failure sets is out of reach.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping
 
+from wdsres import hydraulics
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import FlowAllocation
 from wdsres.network import Network
+from wdsres.performance import _check_buffering
 
 
 def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[int]],
@@ -212,3 +218,32 @@ def reference_allocate_flows(
         src.id: source_caps[src.id] - arcs[source_arc[src.id]][2] for src in sources
     }
     return FlowAllocation(delivered, demands, pipe_flows, source_out)
+
+
+def reference_connectivity_buffering(net: Network, max_k: int = 2) -> int:
+    _check_buffering(
+        net, max_k, lambda: net.reachable_from_sources().issuperset(net.junction_ids)
+    )
+
+    # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
+    lam = max_k + 1
+    if lam == 1:
+        return 0
+    model = hydraulics._model(net)
+    base = [0.0] * len(model.heads)
+    for k in range(len(model.source_ids)):
+        base[2 * k] = float(lam)
+    for ai in model.pipe_arcs.values():
+        base[ai] = base[ai ^ 1] = 1.0
+    unread = [0.0] * len(base)
+    for k in range(len(model.junction_ids)):
+        caps = base.copy()
+        demand_arc = model.first_demand_arc + 2 * k
+        caps[demand_arc] = float(lam)
+        hydraulics._edmonds_karp(caps, model.heads, model.adjacency,
+                                 model.super_source, model.super_sink, lam, unread)
+        # unit capacities keep every residual an exact integer
+        lam -= int(caps[demand_arc])
+        if lam == 1:
+            break
+    return min(max_k, lam - 1)

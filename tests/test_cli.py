@@ -192,7 +192,8 @@ class TestMetricCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the path search ran")
 
-        monkeypatch.setattr(graphmetrics, "k_shortest_paths", refuse)
+        # both the index and k_shortest_paths search through it
+        monkeypatch.setattr(graphmetrics, "_cheapest_routes", refuse)
         nodes_csv = tmp_path / "nodes.csv"
         result = runner.invoke(
             main,

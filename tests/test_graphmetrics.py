@@ -409,6 +409,25 @@ class TestNodeResilienceIndex:
         with pytest.raises(InfiniteResilienceError, match="not a finite number"):
             node_resilience_index(net, "A", 1)
 
+    @given(problem=path_problems(), k=st.integers(1, 8))
+    @example(problem=(TIED, []), k=4)
+    @example(problem=(OVERFLOWING, []), k=5)
+    @example(problem=(ROUNDING, []), k=2)
+    @example(problem=(LATTICE, []), k=12)
+    @example(problem=(SPUR_ROUNDING, []), k=2)
+    @settings(max_examples=200)
+    def test_equals_the_sum_over_k_shortest_paths_bit_for_bit(self, problem, k):
+        net, _ = problem
+        for junction in net.junction_ids:
+            want = 0.0
+            for source in sorted(net.source_ids):
+                paths = k_shortest_paths(net, junction, source, k)
+                if paths:
+                    want += sum(1.0 / p.resistance for p in paths) / k
+            # a copy has a model of its own, whose memo cannot answer
+            got = node_resilience_index(dataclasses.replace(net), junction, k)
+            assert got.hex() == want.hex(), junction
+
     def test_sums_over_sources(self, mesh_network):
         lone = node_resilience_index(mesh_network, "A", 2)
         # removing the second source can only lower the sum
@@ -533,10 +552,14 @@ def _fresh_index(net, node_id, k):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The (start, goal) of each ``k_shortest_paths`` call the indices make."""
+    """The (start, goal) node numbers of each path search the indices make.
+
+    Both ``k_shortest_paths`` and the indices search through
+    ``_cheapest_routes``, so a search through either entry is counted.
+    """
     calls = []
-    search = graphmetrics.k_shortest_paths
-    monkeypatch.setattr(graphmetrics, "k_shortest_paths",
+    search = graphmetrics._cheapest_routes
+    monkeypatch.setattr(graphmetrics, "_cheapest_routes",
                         lambda *args: calls.append(args[1:3]) or search(*args))
     return calls
 

@@ -3,7 +3,7 @@
 import collections
 import dataclasses
 import itertools
-from math import comb
+from math import comb, inf
 from unittest import mock
 
 import numpy as np
@@ -500,16 +500,20 @@ def kernel_inputs(solve):
     adjacency, s, t, amount, residuals)`` with the restarting kernel's residuals.
 
     ``solve`` runs on the restarting kernel, so it takes the same steps as
-    it did before the kernel learned to resume.  That kernel records no
-    pushes, so the pushes handed back to ``solve`` come from the compiled
-    kernel run on a copy of the same input.
+    it did before the kernel learned to resume: a max flow for an infinite
+    ``amount``, and otherwise a push capped at ``amount``.  That kernel
+    records no pushes, so the pushes handed back to ``solve`` come from the
+    compiled kernel run on a copy of the same input.
     """
     runs = []
     kernel = hydraulics._edmonds_karp
 
     def restarting(caps, heads, adjacency, s, t, amount, sent):
         given = caps.copy()
-        restarting_edmonds_karp(caps, heads, adjacency, s, t)
+        if amount == inf:
+            restarting_edmonds_karp(caps, heads, adjacency, s, t)
+        else:
+            restarting_push(caps, heads, adjacency, s, t, amount, set())
         runs.append((given, heads, adjacency, s, t, amount, caps.copy()))
         return kernel(given.copy(), heads, adjacency, s, t, amount, sent)
 
@@ -693,14 +697,17 @@ class TestResumingKernel:
         assert set(sent) == crossed
 
     def test_connectivity_work_on_the_torus(self):
-        # every junction takes its 3 paths and then stops; running on to a
-        # max flow took a fourth, failed search each (784 searches, 124852 reads)
+        # every tree edge takes its 3 paths and then stops, and most paths
+        # stay next to their edge.  A flow from the merged sources to every
+        # junction read the super-source's arcs 3 * 196 times and 85848 arc
+        # lists in all; running each on to a max flow took a fourth, failed
+        # search each (784 searches, 124852 reads)
         net = torus_network(14, 14)
         model = hydraulics._model(net)
         counted = model.adjacency = CountingAdjacency(model.adjacency)
         assert connectivity_buffering(net, 2) == 2
-        assert counted.reads[model.super_source] == 3 * 196
-        assert sum(counted.reads.values()) == 85848
+        assert counted.reads[model.super_source] == 26
+        assert sum(counted.reads.values()) == 3813
 
 
 def _diamond():

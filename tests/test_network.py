@@ -278,9 +278,12 @@ RANGE_CASES = [
 class TestElementConstructors:
     """The checks an element makes when it is built directly, not from a file."""
 
-    # a string, None and a complex number do not compare with numbers at all
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", None, 1j],
-                             ids=["nan", "inf", "-inf", "str", "none", "complex"])
+    # a string, None and a complex number do not compare with numbers at all,
+    # and a bool compares as one but is refused, as the file path refuses it
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", None, 1j,
+                                       True, False],
+                             ids=["nan", "inf", "-inf", "str", "none", "complex", "true",
+                                  "false"])
     @pytest.mark.parametrize("section, field", FIELD_CASES)
     def test_non_finite_number(self, section, field, value):
         element = ELEMENTS[section]
@@ -302,6 +305,14 @@ class TestElementConstructors:
         with pytest.raises(ValidationError) as info:
             Junction("J1", 0.0, None, "x")
         assert str(info.value) == "junction 'J1': field 'design_demand' must be a finite number"
+        with pytest.raises(ValidationError) as info:
+            Junction("J", True, 0.01, 30.0)
+        assert str(info.value) == "junction 'J': field 'elevation' must be a finite number"
+        # a bool after a value out of range: the checks name the first field
+        # that is not a finite number, so the bool is named before the range
+        with pytest.raises(ValidationError) as info:
+            make_pipe("p1", "R1", "J1", length=-1.0, capacity=True)
+        assert str(info.value) == "pipe 'p1': field 'capacity' must be a finite number"
 
     # a two-character string would otherwise name the nodes "A" and "B"
     @pytest.mark.parametrize("endpoints", [("R1",), ("R1", "J1", "J2"), "AB", 5])

@@ -39,6 +39,8 @@ from wdsres.performance import (
 )
 
 from .conftest import make_network, make_pipe, make_series, torus_network
+from .reference_flow import reference_connectivity_buffering
+from .test_scale import thinned_network
 
 import netgen  # noqa: E402  (tests/conftest.py puts perfbench/ on sys.path)
 
@@ -362,12 +364,86 @@ def connectivity_problems(draw):
     return net, draw(st.integers(-1, 4))
 
 
+@st.composite
+def connectivity_multigraphs(draw):
+    """A small random multigraph, with pumps, and a search depth in [0, 5].
+
+    Each drawn pipe comes with up to two parallel pipes, pipes may join two
+    sources, and a junction may be left without a pipe, so the intact
+    network can fail the baseline check.  Few nodes and many parallel
+    pipes give values up to 5.
+    """
+    n_sources = draw(st.integers(1, 3))
+    n_junctions = draw(st.integers(1, 3))
+    nodes = [f"R{i}" for i in range(n_sources)] + [f"J{i}" for i in range(n_junctions)]
+    ends = st.tuples(st.integers(0, len(nodes) - 1), st.integers(1, len(nodes) - 1),
+                     st.integers(1, 3))
+    pipes = []
+    for a, step, copies in draw(st.lists(ends, min_size=1, max_size=7)):
+        for _ in range(copies):
+            pipes.append(make_pipe(f"p{len(pipes)}", nodes[a], nodes[(a + step) % len(nodes)]))
+    pumps = [Pump(f"b{i}", 1.0) for i in range(draw(st.integers(0, 2)))]
+    net = make_network(
+        [Junction(f"J{i}", 0.0, 0.01, 30.0) for i in range(n_junctions)],
+        [Source(f"R{i}", 100.0, 0.05) for i in range(n_sources)],
+        pipes,
+        pumps,
+    )
+    return net, draw(st.integers(0, 5))
+
+
+def _parallel(n_pipes):
+    """One source and one junction joined by ``n_pipes`` parallel pipes."""
+    return make_network([Junction("J", 0.0, 0.01, 30.0)], [Source("R", 100.0, 0.05)],
+                        [make_pipe(f"q{i}", "R", "J") for i in range(n_pipes)])
+
+
+def _chain_between_sources():
+    """Junctions J0, J1 and J2 in a chain from source R0 to source R1.
+
+    The tree edge J0-J1 has a second path only through the merged
+    sources, so no single failure cuts a junction off.
+    """
+    return make_network([Junction(f"J{i}", 0.0, 0.01, 30.0) for i in range(3)],
+                        [Source("R0", 100.0, 0.05), Source("R1", 100.0, 0.05)],
+                        [make_pipe("a", "R0", "J0"), make_pipe("b", "J0", "J1"),
+                         make_pipe("c", "J1", "J2"), make_pipe("d", "J2", "R1")])
+
+
 class TestConnectivityBuffering:
     @given(problem=connectivity_problems())
     @settings(max_examples=400)
     def test_equals_the_subset_enumeration(self, problem):
         net, max_k = problem
         assert _outcome(lambda: connectivity_buffering(net, max_k)) == _enumerated(net, max_k)
+
+    @given(problem=connectivity_multigraphs())
+    @settings(max_examples=300)
+    # every value from 0 to 5
+    @example(problem=(_parallel(1), 5))
+    @example(problem=(_parallel(2), 5))
+    @example(problem=(_parallel(3), 5))
+    @example(problem=(_parallel(4), 5))
+    @example(problem=(_parallel(5), 5))
+    @example(problem=(_parallel(6), 5))
+    @example(problem=(_chain_between_sources(), 2))
+    def test_tree_walk_equals_a_flow_per_junction_and_the_enumeration(self, problem):
+        net, max_k = problem
+        got = _outcome(lambda: connectivity_buffering(net, max_k))
+        # a copy has a model of its own
+        assert got == _outcome(lambda: reference_connectivity_buffering(
+            dataclasses.replace(net), max_k))
+        assert got == _enumerated(net, max_k)
+
+    # grids where enumeration is out of reach: the torus answers the cap,
+    # the thinned grids answer below it
+    @pytest.mark.parametrize("size", [14, 20])
+    def test_equals_a_flow_per_junction_on_grids(self, size):
+        for doc in (netgen.grid_network(size, size, 0), thinned_network(size, size, 0)):
+            net = network_from_dict(doc)
+            for max_k in (1, 2, 3, 5):
+                assert connectivity_buffering(net, max_k) == (
+                    reference_connectivity_buffering(dataclasses.replace(net), max_k))
 
     @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
     def test_fixtures_match_the_enumeration(self, ring_network, tree_network, mesh_network,
@@ -447,8 +523,12 @@ class TestConnectivityBuffering:
         # enumeration would test about 85M failure sets of at most 3 pipes
         assert math.comb(len(net.pipes), 3) > 85_000_000
         assert connectivity_buffering(net, max_k=max_k) == 3
-        assert len(searches) == 1
-        assert 0 < len(kernels) <= net.n_junctions * (max_k + 2)
+        # the one search is the walk of the spanning tree, which also answers
+        # the baseline check, so no reachability search runs
+        assert searches == []
+        # one flow of max_k + 1 units per tree edge, that is per junction
+        assert len(kernels) == net.n_junctions
+        assert {args[5] for args in kernels} == {max_k + 1}
 
 
 # capacities and demands with rounding in their sums, exact zeros, and a
