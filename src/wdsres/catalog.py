@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 # wdsres and `catalog counts` do not load it
 
 from .errors import ValidationError
-from .inputs import bundled, csv_text, read_csv
-from .wardclust import Merge, _check_cluster_count, cut_clusters, partition_agreement, ward_linkage
+from .inputs import bundled, check_integer, csv_text, read_csv
+from .wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 logger = logging.getLogger(__name__)
 
@@ -241,7 +241,7 @@ class ClusteringResult:
 def ward_clustering(records: Sequence[MetricRecord], k: int = 5) -> ClusteringResult:
     """Agglomerate the records' :data:`CLUSTER_FEATURES` flag vectors and cut
     into k clusters."""
-    _check_cluster_count(k)
+    check_integer(k, "cluster count")
     if k > len(records):
         raise ValidationError(f"cannot form {k} clusters from {len(records)} records")
     data = [[float(r.flag(c)) for c in CLUSTER_FEATURES] for r in records]

@@ -22,7 +22,7 @@ import click
 from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
-from .inputs import DATA_DIR, write_csv
+from .inputs import DATA_DIR, check_integer, write_csv
 from .network import load_network
 from .performance import MetricValue
 from .scenario import MC_METRICS, apply_scenario, load_scenario, monte_carlo
@@ -141,7 +141,7 @@ def _metric_user_severity(opts) -> dict:
 def _metric_herrera(opts) -> dict:
     net = load_network(_need(opts["network"], "--network"))
     # the aggregate checks --trim only after the path search; reject it before
-    graphmetrics._check_k(opts["k"])
+    check_integer(opts["k"], "k", 1)
     graphmetrics._check_trim(opts["trim"])
     rows = graphmetrics.node_index_table(net, k=opts["k"])
     # the aggregate can still overflow: compute it before writing anything

@@ -105,7 +105,7 @@ from typing import Iterable
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from .hydraulics import _Model, _model
-from .inputs import is_finite_number, is_integer
+from .inputs import check_integer, is_finite_number
 from .network import Network
 
 DEFAULT_K = 5
@@ -123,13 +123,6 @@ class WeightedPath:
         object.__setattr__(self, "pipes", tuple(self.pipes))
         if self.pipes and self.resistance <= 0:
             raise ValidationError("a non-empty path must have positive resistance")
-
-
-def _check_k(k: int) -> None:
-    if not is_integer(k):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
 
 
 def _check_trim(trim_fraction: float) -> None:
@@ -231,7 +224,7 @@ def k_shortest_paths(net: Network, start: str, goal: str, k: int = DEFAULT_K) ->
     InfiniteResilienceError: its inverse, its term in the index, is
     unbounded.
     """
-    _check_k(k)
+    check_integer(k, "k", 1)
     for node in (start, goal):
         if not net.is_node(node):
             raise ValidationError(f"unknown node {node!r}")
@@ -358,7 +351,7 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
     is, from a one-entry memo on the network's compiled model; a query that
     fails leaves the memo as it was.
     """
-    _check_k(k)
+    check_integer(k, "k", 1)
     if node_id in set(net.source_ids):
         raise InfiniteResilienceError(
             f"{node_id!r} is a source; its resilience index is unbounded"

@@ -478,21 +478,23 @@ def allocate_flows(
     The routing maximises total delivered flow subject to pipe capacities,
     source outflow limits and per-junction demands; deliveries never exceed
     demand.  ``demand_factors`` / ``supply_factors`` apply per-id
-    multipliers; every factor must be a finite number > 0, and the scaled
-    demands, their sum and the scaled source outflows must stay finite, as
-    must twice each pipe capacity (the most a pipe's residual capacity can
-    reach).  The surrogate has no pressure model, so pumps play no part in
-    the routing.
+    multipliers; every factor must be a finite number > 0, not a bool, and
+    the scaled demands, their sum and the scaled source outflows must stay
+    finite, as must twice each pipe capacity (the most a pipe's residual
+    capacity can reach).  The surrogate has no pressure model, so pumps play
+    no part in the routing.
 
     A call whose failed pipes and factor maps equal those of the network's
     previous solve reuses that solve: it skips the checks, the scaling and
     the capacity build, which an equal call passed before, and only copies
-    the maps.  Any other call runs the max-flow kernel.  The maps are built
-    once per solve, each in one pass over a slice of the residuals or of
-    the per-arc pushes, keyed by the model's ids, with every intact pipe in
-    the pipe map, and are identical to those of a new solve; each call gets
-    copies, so the caller owns every map it is given.  The one-row arrays of
-    :func:`surrogate_allocation` are likewise built once per solve.
+    the maps.  So a bool factor passes where the previous solve had a factor
+    it equals (``True == 1.0``).  Any other call runs the max-flow kernel.
+    The maps are built once per solve, each in one pass over a slice of the
+    residuals or of the per-arc pushes, keyed by the model's ids, with every
+    intact pipe in the pipe map, and are identical to those of a new solve;
+    each call gets copies, so the caller owns every map it is given.  The
+    one-row arrays of :func:`surrogate_allocation` are likewise built once
+    per solve.
     """
     failed_pipes = frozenset(failed_pipes)
     model = net._model
@@ -520,7 +522,8 @@ def _solve(net: Network, failed_pipes: frozenset[str], demand_factors: Mapping |
     if not net._by_id["sources"].keys() >= supply_factors.keys():
         for key in supply_factors:
             net.source(key)
-    if not all(0 < f < inf for f in (*demand_factors.values(), *supply_factors.values())):
+    if not all(is_finite_number(f) and f > 0
+               for f in (*demand_factors.values(), *supply_factors.values())):
         raise ValidationError("demand and supply factors must be finite and > 0")
 
     model = _model(net)

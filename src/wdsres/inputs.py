@@ -8,8 +8,9 @@ oversized or unconvertible CSV cell becomes a :class:`ValidationError`, which
 the CLI reports as exit 1.  The rules that the modules share are each defined
 here once: the CSV output dialect, for files (:func:`write_csv`) and printed
 text (:func:`csv_text`) alike; a digest, the first 12 hex digits of a sha256
-(:func:`short_digest`); an integer argument (:func:`is_integer`); and a finite
-real one (:func:`is_finite_number`).
+(:func:`short_digest`); an integer argument (:func:`is_integer`), and its
+check and errors (:func:`check_integer`); and a finite real one
+(:func:`is_finite_number`).
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def is_integer(value) -> bool:
     # a plain int first: the ABC check is slow, and a bool's type is not int
     return type(value) is int or (isinstance(value, numbers.Integral)
                                   and not isinstance(value, bool))
+
+
+def check_integer(value, name: str, least: int | None = None) -> None:
+    """Raise unless ``value`` is an integer (:func:`is_integer`) and, given
+    ``least``, at least ``least``; ``name`` names it in the error."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}")
 
 
 def is_finite_number(value) -> bool:

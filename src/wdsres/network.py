@@ -5,10 +5,14 @@ sources are nodes, pipes are edges (parallel pipes are allowed, self-loops
 are not), pumps are stand-alone powered components.  All quantities are SI
 internally (m, m3/s, W); files may declare flows in L/s and are converted
 on ingest.  One table, ``_SECTIONS``, gives each section of a network file
-its element type, its numeric fields and which of them are flows; ingest
-(:func:`network_from_dict`), :meth:`Network.to_dict` and the id lookups
-read it.  A network's fields are immutable after construction, but its
-first flow solve or path search caches a compiled model on it
+its element type, its numeric fields with each one's range and which of
+them are flows; ingest (:func:`network_from_dict`), the element
+constructors' range checks, :meth:`Network.to_dict` and the id lookups
+read it.  An element with several bad fields, built from a file or
+directly, is named by the first field in field order that is not a finite
+number (a bool is none) or, when every field is one, by the first field
+out of its range.  A network's fields are immutable after construction,
+but its first flow solve or path search caches a compiled model on it
 (:mod:`wdsres.hydraulics`).  Each flow solve rewrites that model's memo of
 the last solve, and each node-index query its memo of the last index, so
 threads must not solve or query on one network at once.
@@ -19,8 +23,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, ulp
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -29,27 +34,6 @@ from .inputs import is_finite_number, json_rows, read_json, short_digest
 M3S_PER_LPS = 1e-3
 
 FLOW_UNITS = ("m3s", "lps")
-
-
-def _invalid(element, name: str, rule: str = "") -> ValidationError:
-    """The error for an element field that failed its one-comparison check:
-    a value that is not a finite number is named as such before ``rule``."""
-    where = f"{type(element).__name__.lower()} {element.id!r}"
-    if not is_finite_number(getattr(element, name)):
-        return ValidationError(f"{where}: field {name!r} must be a finite number")
-    return ValidationError(f"{where}: {name} {rule}")
-
-
-def _not_a_number(element, exc: TypeError) -> Exception:
-    """The error for an element whose range check raised ``exc``: a value
-    that does not compare with numbers, such as a string or None, or a bool,
-    which the checks raise for, is named as the first numeric field, in
-    field order, that is not a finite number, as the file path names it."""
-    numbers = next(names for kind, names, _ in _SECTIONS.values() if isinstance(element, kind))
-    for name in numbers:
-        if not is_finite_number(getattr(element, name)):
-            return _invalid(element, name)
-    return exc
 
 
 @dataclass(frozen=True)
@@ -62,18 +46,7 @@ class Junction:
     required_head: float
 
     def __post_init__(self):
-        try:
-            if (type(self.elevation) is bool or type(self.design_demand) is bool
-                    or type(self.required_head) is bool):
-                raise TypeError  # a bool compares as a number
-            if not -inf < self.elevation < inf:
-                raise _invalid(self, "elevation")
-            if not 0 <= self.design_demand < inf:
-                raise _invalid(self, "design_demand", "must be >= 0")
-            if not 0 <= self.required_head < inf:
-                raise _invalid(self, "required_head", "must be >= 0")
-        except TypeError as exc:
-            raise _not_a_number(self, exc) from None
+        _check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -85,15 +58,7 @@ class Source:
     outflow: float
 
     def __post_init__(self):
-        try:
-            if type(self.total_head) is bool or type(self.outflow) is bool:
-                raise TypeError  # a bool compares as a number
-            if not 0 < self.total_head < inf:
-                raise _invalid(self, "total_head", "must be > 0")
-            if not 0 <= self.outflow < inf:
-                raise _invalid(self, "outflow", "must be >= 0")
-        except TypeError as exc:
-            raise _not_a_number(self, exc) from None
+        _check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -102,13 +67,7 @@ class Pump:
     power: float
 
     def __post_init__(self):
-        try:
-            if type(self.power) is bool:
-                raise TypeError  # a bool compares as a number
-            if not 0 <= self.power < inf:
-                raise _invalid(self, "power", "must be >= 0")
-        except TypeError as exc:
-            raise _not_a_number(self, exc) from None
+        _check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -138,23 +97,7 @@ class Pipe:
         object.__setattr__(self, "endpoints", endpoints)
         if self.endpoints[0] == self.endpoints[1]:
             raise ValidationError(f"pipe {self.id!r}: self-loops are not allowed")
-        try:
-            if (type(self.length) is bool or type(self.diameter) is bool
-                    or type(self.friction_factor) is bool or type(self.repair_rate) is bool
-                    or type(self.capacity) is bool):
-                raise TypeError  # a bool compares as a number
-            if not 0 < self.length < inf:
-                raise _invalid(self, "length", "must be > 0")
-            if not 0 < self.diameter < inf:
-                raise _invalid(self, "diameter", "must be > 0")
-            if not 0 < self.friction_factor < inf:
-                raise _invalid(self, "friction_factor", "must be > 0")
-            if not 0 <= self.repair_rate < inf:
-                raise _invalid(self, "repair_rate", "must be >= 0")
-            if not 0 <= self.capacity < inf:
-                raise _invalid(self, "capacity", "must be >= 0")
-        except TypeError as exc:
-            raise _not_a_number(self, exc) from None
+        _check_numbers(self)
 
 
 def pipe_resistance(pipe: Pipe) -> float:
@@ -162,16 +105,43 @@ def pipe_resistance(pipe: Pipe) -> float:
 
 
 # network file section -> (element type, its numeric fields in field order,
-# the flows among them, which a file may give in L/s).  Every element's
-# first field is its id; a pipe's endpoints come between its id and its
-# numbers.
+# each with its range rule, and the flows among them, which a file may give
+# in L/s).  Every element's first field is its id; a pipe's endpoints come
+# between its id and its numbers.
 _SECTIONS = {
-    "junctions": (Junction, ("elevation", "design_demand", "required_head"), {"design_demand"}),
-    "sources": (Source, ("total_head", "outflow"), {"outflow"}),
-    "pumps": (Pump, ("power",), set()),
-    "pipes": (Pipe, ("length", "diameter", "friction_factor", "repair_rate", "capacity"),
-              {"capacity"}),
+    "junctions": (Junction, (("elevation", ""), ("design_demand", ">= 0"),
+                             ("required_head", ">= 0")), {"design_demand"}),
+    "sources": (Source, (("total_head", "> 0"), ("outflow", ">= 0")), {"outflow"}),
+    "pumps": (Pump, (("power", ">= 0"),), set()),
+    "pipes": (Pipe, (("length", "> 0"), ("diameter", "> 0"), ("friction_factor", "> 0"),
+                     ("repair_rate", ">= 0"), ("capacity", ">= 0")), {"capacity"}),
 }
+
+# the least float each range rule allows: a float is in range when
+# least <= value < inf, and finite then too
+_LEAST = {"": -float_info.max, ">= 0": 0.0, "> 0": ulp(0.0)}
+
+# element type -> its numeric fields as (name, rule, least)
+_CHECKS = {kind: tuple((name, rule, _LEAST[rule]) for name, rule in numbers)
+           for kind, numbers, _ in _SECTIONS.values()}
+
+
+def _check_numbers(element) -> None:
+    """Check an element's numeric fields against their rules in ``_SECTIONS``,
+    naming the first that is not a finite number, else the first out of range."""
+    checks = _CHECKS[type(element)]
+    for name, rule, least in checks:
+        value = getattr(element, name)
+        # a float in range is the common case, and every row a file gives
+        if type(value) is float and least <= value < inf:
+            continue
+        if is_finite_number(value) and least <= value:
+            continue  # an int, or another real type, in range
+        where = f"{type(element).__name__.lower()} {element.id!r}"
+        for other, *_ in checks:
+            if not is_finite_number(getattr(element, other)):
+                raise ValidationError(f"{where}: field {other!r} must be a finite number")
+        raise ValidationError(f"{where}: {name} must be {rule}")
 
 
 def _lookup(by_id: dict, element_id: str, kind: str):
@@ -332,7 +302,7 @@ class Network:
                 row = {"id": element.id}
                 if kind is Pipe:
                     row["endpoints"] = list(element.endpoints)
-                for name in numbers:
+                for name, _ in numbers:
                     row[name] = getattr(element, name)
                 rows.append(row)
             data[section] = rows
@@ -373,7 +343,7 @@ def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
     run inline, in one pass over the row, and the row's name is built only
     for an error."""
     kind, numbers, flows = _SECTIONS[section]
-    fields = tuple((name, scale if name in flows else 1.0) for name in numbers)
+    fields = tuple((name, scale if name in flows else 1.0) for name, _ in numbers)
     missing = object()
     elements = []
     for row in rows:

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .hydraulics import FAILURE, SATISFACTORY, BinaryStateSeries, HydraulicSeries
-from .inputs import is_integer
+from .inputs import check_integer
 from .network import Network, Pipe
 
 # specific weight of water, N/m3
@@ -207,10 +207,7 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
 
 def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> tuple:
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))  # every failable component
-    if not is_integer(max_k):
-        raise ValidationError(f"max_k must be an integer, got {max_k!r}")
-    if max_k < 0:
-        raise ValidationError("max_k must be >= 0")
+    check_integer(max_k, "max_k", 0)
     if max_k > len(pool):
         raise ValidationError(f"max_k={max_k} exceeds the {len(pool)} failable components")
     if not baseline_feasible():

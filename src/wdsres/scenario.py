@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
-from .inputs import is_finite_number, is_integer, json_rows, read_json
+from .inputs import check_integer, is_finite_number, json_rows, read_json
 from .network import Network, _require
 from .performance import hashimoto_recovery, zhuang_availability
 
@@ -66,9 +66,8 @@ class Event:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValidationError(f"unknown event kind {self.kind!r}")
-        for name, value in (("onset", self.onset), ("repair", self.repair)):
-            if not is_integer(value):
-                raise ValidationError(f"event {name} must be an integer, got {value!r}")
+        check_integer(self.onset, "event onset")
+        check_integer(self.repair, "event repair")
         if self.onset < 0:
             raise ValidationError("event onset must be >= 0")
         if self.repair <= self.onset:
@@ -82,8 +81,8 @@ class Event:
         if len(set(self.ids)) < len(self.ids):
             repeated = sorted(i for i, n in Counter(self.ids).items() if n > 1)
             raise ValidationError(f"{self.kind} lists ids more than once: {repeated}")
-        if self.count is not None and not is_integer(self.count):
-            raise ValidationError(f"{self.kind} count must be an integer, got {self.count!r}")
+        if self.count is not None:
+            check_integer(self.count, f"{self.kind} count")
         if _KINDS[self.kind][1] is not None:  # a scaling kind
             if not (is_finite_number(self.factor) and self.factor > 0):
                 raise ValidationError(f"{self.kind} needs a finite factor > 0, "
@@ -129,13 +128,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if not is_integer(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        check_integer(self.seed, "seed")
         if self.horizon is not None:
-            if not is_integer(self.horizon):
-                raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
-            if self.horizon < 1:
-                raise ValidationError("horizon must be >= 1")
+            check_integer(self.horizon, "horizon", 1)
 
     def to_dict(self) -> dict:
         data: dict = {"events": [e.to_dict() for e in self.events], "seed": self.seed}
@@ -329,10 +324,7 @@ def monte_carlo(
     is checked before any replicate runs, whatever the metric.  Replicates
     run serially, in order.
     """
-    if not is_integer(n):
-        raise ValidationError(f"replicate count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError("replicate count must be >= 1")
+    check_integer(n, "replicate count", 1)
     if metric not in MC_METRICS:
         raise ValidationError(
             f"unknown metric {metric!r}; choose from {sorted(MC_METRICS)}"

@@ -18,7 +18,7 @@ from typing import Sequence
 # numpy is imported inside ward_linkage, so importing wdsres does not load it
 
 from .errors import ValidationError
-from .inputs import is_integer
+from .inputs import check_integer
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
     return merges
 
 
-def _check_cluster_count(k: int) -> None:
-    if not is_integer(k):
-        raise ValidationError(f"cluster count must be an integer, got {k!r}")
-
-
 def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
     """Flat labels 1..k after undoing the last k-1 merges.
 
@@ -97,11 +92,10 @@ def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
     cluster containing record 0 is always labelled 1.  ``n`` must be the
     record count that the merges join, one more than their number.
     """
-    if not is_integer(n):
-        raise ValidationError(f"record count must be an integer, got {n!r}")
+    check_integer(n, "record count")
     if len(merges) != n - 1:
         raise ValidationError(f"{len(merges)} merges join {len(merges) + 1} records, not {n}")
-    _check_cluster_count(k)
+    check_integer(k, "cluster count")
     if not 1 <= k <= n:
         raise ValidationError(f"cannot cut {n} records into {k} clusters")
     members: dict[int, list[int]] = {i: [i] for i in range(n)}

@@ -859,6 +859,15 @@ class TestSolveRecord:
             allocate_flows(mesh_network, **bad)
         assert str(info.value) == message
 
+    # a string, None and a complex number do not compare with numbers, and a
+    # bool compares as one but is no factor
+    @pytest.mark.parametrize("value", ["x", None, 1j, True], ids=repr)
+    @pytest.mark.parametrize("factors, key", [("demand_factors", "A"), ("supply_factors", "S1")])
+    def test_a_factor_that_is_not_a_number_is_refused(self, mesh_network, factors, key, value):
+        with pytest.raises(ValidationError) as info:
+            allocate_flows(mesh_network, **{factors: {key: value}})
+        assert str(info.value) == "demand and supply factors must be finite and > 0"
+
     def test_equal_capacities_from_other_inputs_run_the_kernel(self, kernel_runs):
         # failing p1, which carries nothing, leaves every capacity as it was
         net = make_network(

@@ -11,7 +11,7 @@ from wdsres.catalog import CLUSTER_FEATURES, load_catalog, ward_clustering
 from wdsres.cli import main
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import load_series
-from wdsres.inputs import is_integer, read_csv
+from wdsres.inputs import check_integer, is_integer, read_csv
 from wdsres.network import is_finite_number, load_network
 from wdsres.scenario import Event, ScenarioSpec, load_scenario, monte_carlo
 from wdsres.wardclust import cut_clusters, ward_linkage
@@ -157,6 +157,24 @@ def test_finite_number_helper_still_importable_from_network():
 ], ids=repr)
 def test_an_integer_is_an_integral_that_is_not_a_bool(value, expected):
     assert is_integer(value) is expected
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (2.0, None, "n must be an integer, got 2.0"),
+    (True, 0, "n must be an integer, got True"),
+    (None, 1, "n must be an integer, got None"),
+    (0, 1, "n must be >= 1"),
+    (-1, 0, "n must be >= 0"),
+], ids=repr)
+def test_check_integer_refuses(value, least, message):
+    with pytest.raises(ValidationError) as info:
+        check_integer(value, "n", least)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, least", [(0, None), (-5, None), (0, 0), (1, 1), (np.int64(3), 1)])
+def test_check_integer_accepts(value, least):
+    assert check_integer(value, "n", least) is None
 
 
 def _mc(n):

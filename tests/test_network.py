@@ -314,12 +314,50 @@ class TestElementConstructors:
             make_pipe("p1", "R1", "J1", length=-1.0, capacity=True)
         assert str(info.value) == "pipe 'p1': field 'capacity' must be a finite number"
 
+    def test_a_string_after_a_value_out_of_range_is_named(self):
+        with pytest.raises(ValidationError) as info:
+            Junction("J1", 0.0, -1.0, "x")
+        assert str(info.value) == "junction 'J1': field 'required_head' must be a finite number"
+
     # a two-character string would otherwise name the nodes "A" and "B"
     @pytest.mark.parametrize("endpoints", [("R1",), ("R1", "J1", "J2"), "AB", 5])
     def test_pipe_endpoints_not_a_pair(self, endpoints):
         with pytest.raises(ValidationError) as info:
             dataclasses.replace(ELEMENTS["pipes"], endpoints=endpoints)
         assert str(info.value) == "pipe 'p1': endpoints must name two nodes"
+
+
+# a float in range, one out of range, 0.0, nan, +-inf, a bool, an int, a string and None
+GRID_VALUES = (2.5, -1.0, 0.0, float("nan"), float("inf"), float("-inf"), True, 2, "x", None)
+
+
+def _outcome(build):
+    """What ``build`` returns, or the message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("section", list(NUMERIC_FIELDS))
+def test_file_rows_and_constructors_agree(section):
+    """Every row of a grid of field values gives the same element, or the
+    same message, read from a file as built directly."""
+    element = ELEMENTS[section]
+    fields = NUMERIC_FIELDS[section][1]
+    doc = minimal_doc()
+    row = {"id": element.id}
+    if section == "pipes":
+        row["endpoints"] = list(element.endpoints)
+    disagree = []
+    for values in itertools.product(GRID_VALUES, repeat=len(fields)):
+        numbers = dict(zip(fields, values))
+        doc[section] = [row | numbers]
+        from_file = _outcome(lambda: getattr(network_from_dict(doc), section)[0])
+        direct = _outcome(lambda: dataclasses.replace(element, **numbers))
+        if from_file != direct:
+            disagree.append((values, from_file, direct))
+    assert disagree == []
 
 
 def _network(**changes):
