@@ -17,14 +17,15 @@ import json
 import logging
 from math import isnan
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-# numpy is imported inside the functions that build arrays, so importing
-# wdsres and `catalog counts` do not load it
+# numpy is imported inside the correlation matrix's functions, so importing
+# wdsres and the `catalog counts`, `cluster` and `dendrogram` commands do not load it
 
 from .errors import ValidationError
-from .inputs import bundled, check_integer, csv_text, read_csv
+from .inputs import bundled, check_integer, csv_text, is_integer, read_csv, write_text
 from .wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 logger = logging.getLogger(__name__)
@@ -46,7 +47,7 @@ _HEADER = ("metric", "citation", *FLAG_COLUMNS, "CL")
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One catalogued metric: name, citation key, flags and cluster label."""
+    """One catalogued metric: name, citation key, flags and cluster label, as plain ints."""
 
     name: str
     citation: str
@@ -54,15 +55,17 @@ class MetricRecord:
     cluster: int
 
     def __post_init__(self):
-        object.__setattr__(self, "flags", tuple(int(f) for f in self.flags))
-        if len(self.flags) != len(FLAG_COLUMNS):
+        flags = tuple(self.flags)
+        if len(flags) != len(FLAG_COLUMNS):
             raise ValidationError(
                 f"record {self.name!r}: expected {len(FLAG_COLUMNS)} flags"
             )
-        if any(f not in (0, 1) for f in self.flags):
+        if not all(is_integer(f) and f in (0, 1) for f in flags):
             raise ValidationError(f"record {self.name!r}: flags must be 0 or 1")
-        if not 1 <= self.cluster <= 5:
+        if not (is_integer(self.cluster) and 1 <= self.cluster <= 5):
             raise ValidationError(f"record {self.name!r}: cluster must be 1..5")
+        object.__setattr__(self, "flags", tuple(map(int, flags)))
+        object.__setattr__(self, "cluster", int(self.cluster))
 
     def flag(self, code: str) -> int:
         try:
@@ -121,10 +124,13 @@ def find_record(records: Iterable[MetricRecord], name: str, citation: str | None
 
 @dataclass(frozen=True)
 class CatalogSummary:
-    total: int
     flag_counts: dict[str, int]
     function_histogram: dict[int, int]
     property_histogram: dict[int, int]
+
+    @property
+    def total(self) -> int:
+        return sum(self.function_histogram.values())
 
     @property
     def flag_shares(self) -> dict[str, float]:
@@ -145,14 +151,13 @@ def summary_counts(records: Sequence[MetricRecord]) -> CatalogSummary:
     """Per-flag counts and shares plus function/property multiplicity."""
     if not records:
         raise ValidationError("summary of an empty catalog is undefined")
-    total = len(records)
     counts = {code: sum(r.flag(code) for r in records) for code in FLAG_COLUMNS}
     function_hist = {k: 0 for k in range(len(FUNCTION_FLAGS) + 1)}
     property_hist = {k: 0 for k in range(len(PROPERTY_FLAGS) + 1)}
     for record in records:
         function_hist[record.function_count()] += 1
         property_hist[record.property_count()] += 1
-    return CatalogSummary(total, counts, function_hist, property_hist)
+    return CatalogSummary(counts, function_hist, property_hist)
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,11 @@ class CorrelationMatrix:
     """Symmetric Pearson matrix over catalog flag columns.
 
     Entries touching a zero-variance column are undefined and stored as
-    NaN; the offending labels are listed in ``undefined_labels``.
+    NaN, on the diagonal too; the offending labels are ``undefined_labels``.
     """
 
     labels: tuple[str, ...]
     values: np.ndarray
-    undefined_labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
         import numpy as np
@@ -177,6 +181,11 @@ class CorrelationMatrix:
         n = len(self.labels)
         if values.shape != (n, n):
             raise ValidationError("correlation matrix shape does not match labels")
+
+    @property
+    def undefined_labels(self) -> frozenset[str]:
+        return frozenset(label for label, v in zip(self.labels, self.values.diagonal().tolist())
+                         if isnan(v))
 
     def entry(self, a: str, b: str) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
@@ -198,20 +207,14 @@ def pearson_matrix(records: Sequence[MetricRecord]) -> CorrelationMatrix:
     data = np.array([r.flags for r in records], dtype=float)
     centered = data - data.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
-    undefined = {c for c, nrm in zip(FLAG_COLUMNS, norms) if nrm == 0}
     n = len(FLAG_COLUMNS)
     values = np.full((n, n), np.nan)
-    for i in range(n):
-        if FLAG_COLUMNS[i] in undefined:
-            continue
-        values[i, i] = 1.0
-        for j in range(i + 1, n):
-            if FLAG_COLUMNS[j] in undefined:
-                continue
-            r = float(centered[:, i] @ centered[:, j] / (norms[i] * norms[j]))
-            values[i, j] = r
-            values[j, i] = r
-    return CorrelationMatrix(FLAG_COLUMNS, values, frozenset(undefined))
+    defined = [i for i in range(n) if norms[i] != 0]
+    values[defined, defined] = 1.0
+    for i, j in combinations(defined, 2):
+        r = float(centered[:, i] @ centered[:, j] / (norms[i] * norms[j]))
+        values[i, j] = values[j, i] = r
+    return CorrelationMatrix(FLAG_COLUMNS, values)
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,6 @@ class ClusteringResult:
     leaf_names: tuple[str, ...]
     merges: tuple[Merge, ...]
     labels: tuple[int, ...]
-    k: int
 
     def __post_init__(self):
         object.__setattr__(self, "leaf_names", tuple(self.leaf_names))
@@ -230,8 +232,10 @@ class ClusteringResult:
         hs = [m.height for m in self.merges]
         if any(b < a - 1e-9 for a, b in zip(hs, hs[1:])):
             raise ValidationError("merge heights must be nondecreasing")
-        if len(set(self.labels)) != self.k:
-            raise ValidationError(f"expected {self.k} nonempty clusters")
+
+    @property
+    def k(self) -> int:
+        return len(set(self.labels))
 
     @property
     def n(self) -> int:
@@ -246,13 +250,7 @@ def ward_clustering(records: Sequence[MetricRecord], k: int = 5) -> ClusteringRe
         raise ValidationError(f"cannot form {k} clusters from {len(records)} records")
     data = [[float(r.flag(c)) for c in CLUSTER_FEATURES] for r in records]
     merges = ward_linkage(data)
-    labels = cut_clusters(merges, len(records), k)
-    return ClusteringResult(
-        tuple(r.name for r in records),
-        tuple(merges),
-        tuple(labels),
-        k,
-    )
+    return ClusteringResult(tuple(r.name for r in records), merges, cut_clusters(merges, k))
 
 
 def reference_agreement(records: Sequence[MetricRecord], result: ClusteringResult) -> float:
@@ -260,13 +258,12 @@ def reference_agreement(records: Sequence[MetricRecord], result: ClusteringResul
     return partition_agreement(list(result.labels), [r.cluster for r in records])
 
 
-def dendrogram_export(result: ClusteringResult, path: str | Path, text: bool = False) -> None:
-    """Write the merge tree as JSON; optionally a plain-text render too.
+def dendrogram_export(result: ClusteringResult, path: str | Path) -> None:
+    """Write the merge tree as JSON; :func:`dendrogram_text` renders it.
 
     The JSON keeps leaves, merges (child ids and heights) and the flat
     labels, enough to rebuild the partition without recomputing.
     """
-    path = Path(path)
     data = {
         "leaves": list(result.leaf_names),
         "k": result.k,
@@ -274,9 +271,7 @@ def dendrogram_export(result: ClusteringResult, path: str | Path, text: bool = F
         "merges": [[m.left, m.right, m.height, m.size] for m in result.merges],
         "labels": list(result.labels),
     }
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    if text:
-        path.with_suffix(".txt").write_text(dendrogram_text(result))
+    write_text(path, json.dumps(data, indent=2) + "\n")
 
 
 def dendrogram_text(result: ClusteringResult) -> str:

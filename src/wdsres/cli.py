@@ -22,7 +22,7 @@ import click
 from . import graphmetrics, hydraulics, performance, scoremetrics
 from .errors import ComputationError, ValidationError
 from .hydraulics import classify_states, load_series, save_series
-from .inputs import DATA_DIR, check_integer, write_csv
+from .inputs import DATA_DIR, check_integer, write_csv, write_text
 from .network import load_network
 from .performance import MetricValue
 from .scenario import MC_METRICS, apply_scenario, load_scenario, monte_carlo
@@ -93,7 +93,7 @@ def _need(value, flag: str):
 def _write_json(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        write_text(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -419,11 +419,13 @@ def catalog_dendrogram(catalog_path, k, out, text):
     """Export the full merge tree."""
     from . import catalog as cat
 
-    _check_writable(out, Path(out).with_suffix(".txt") if text and out else None,
-                    inputs=(catalog_path,))
+    text_out = Path(out).with_suffix(".txt") if text else None
+    _check_writable(out, text_out, inputs=(catalog_path,))
     records = cat.load_catalog(catalog_path)
     result = cat.ward_clustering(records, k=k)
-    cat.dendrogram_export(result, out, text=text)
+    cat.dendrogram_export(result, out)
+    if text_out:
+        write_text(text_out, cat.dendrogram_text(result))
     click.echo(f"wrote {len(result.merges)} merges to {out}")
 
 

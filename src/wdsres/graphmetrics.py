@@ -302,12 +302,10 @@ def _cheapest_routes(model: _Model, start: int, goal: int,
                 pushes = True
                 if (root_cost + (w + to_goal)) * widen >= bound:
                     continue
+                # below bound, h[node] is finite: each node but the goal has a tree step
                 tree_cost = w
                 while node != goal:
-                    step = succ[node]
-                    if step is None:
-                        break
-                    pid, node = step
+                    pid, node = succ[node]
                     if mask[node] or node == spur_node:
                         break
                     tree_cost += weights[pid]

@@ -2,15 +2,16 @@
 
 Every loader reads its file through :func:`read_json` or :func:`read_csv`,
 which also converts each CSV cell by its column's type, and then checks only
-the fields of its own format.  Files are UTF-8.  A missing path, a directory,
-bytes that are not UTF-8, malformed or too deeply nested JSON, or a malformed,
-oversized or unconvertible CSV cell becomes a :class:`ValidationError`, which
-the CLI reports as exit 1.  The rules that the modules share are each defined
-here once: the CSV output dialect, for files (:func:`write_csv`) and printed
-text (:func:`csv_text`) alike; a digest, the first 12 hex digits of a sha256
-(:func:`short_digest`); an integer argument (:func:`is_integer`), and its
-check and errors (:func:`check_integer`); and a finite real one
-(:func:`is_finite_number`).
+the fields of its own format; every output file is written through
+:func:`write_text`.  Files are UTF-8, whatever the locale.  A missing path, a
+directory, bytes that are not UTF-8, malformed or too deeply nested JSON, or
+a malformed, oversized or unconvertible CSV cell becomes a
+:class:`ValidationError`, which the CLI reports as exit 1.  The rules that
+the modules share are each defined here once: the CSV output dialect, for
+files (:func:`write_csv`) and printed text (:func:`csv_text`) alike; a
+digest, the first 12 hex digits of a sha256 (:func:`short_digest`); an
+integer argument (:func:`is_integer`), and its check and errors
+(:func:`check_integer`); and a finite real one (:func:`is_finite_number`).
 """
 
 from __future__ import annotations
@@ -101,9 +102,14 @@ def csv_text(header: tuple[str, ...], rows: Iterable[Iterable]) -> str:
     return buffer.getvalue()
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8, line ends untranslated."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    """Write :func:`csv_text` of ``header`` and ``rows`` to ``path`` in UTF-8."""
-    Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
+    """Write :func:`csv_text` of ``header`` and ``rows`` to ``path``."""
+    write_text(path, csv_text(header, rows))
 
 
 def short_digest(*parts: bytes) -> str:

@@ -29,7 +29,7 @@ from sys import float_info
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .inputs import is_finite_number, json_rows, read_json, short_digest
+from .inputs import is_finite_number, json_rows, read_json, short_digest, write_text
 
 M3S_PER_LPS = 1e-3
 
@@ -385,4 +385,4 @@ def load_network(path: str | Path) -> Network:
 
 def save_network(net: Network, path: str | Path) -> None:
     """Write the canonical JSON form (stable ordering, SI units)."""
-    Path(path).write_text(json.dumps(net.to_dict(), indent=2) + "\n")
+    write_text(path, json.dumps(net.to_dict(), indent=2) + "\n")

@@ -1,21 +1,21 @@
 """Agglomerative clustering with Ward's minimum-variance criterion.
 
-Implemented from the Lance-Williams recurrence on squared inter-cluster
-distances, so the module stands alone without a statistics dependency.
-Merge heights are the usual Ward distances (for two singletons simply
-their Euclidean distance); with this update rule the height sequence is
-nondecreasing.  Ties are broken by cluster creation order, which for
-singletons is the input record order, making every run reproducible.
+Implemented in plain Python from the Lance-Williams recurrence on squared
+inter-cluster distances, so the module loads neither numpy nor a statistics
+dependency.  Merge heights are the usual Ward distances (for two singletons
+simply their Euclidean distance); with this update rule the height sequence
+is nondecreasing.  Ties are broken by cluster creation order, which for
+singletons is the input record order, making every run reproducible.  On
+0/1 flag rows, as the catalog gives, every squared distance is an exact
+integer, so the tree does not depend on the order of any sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import sqrt
 from typing import Sequence
-
-# numpy is imported inside ward_linkage, so importing wdsres does not load it
 
 from .errors import ValidationError
 from .inputs import check_integer
@@ -36,40 +36,27 @@ class Merge:
 
 def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
     """Full agglomeration of the rows of ``data``; n-1 merges."""
-    import numpy as np
-
-    X = np.asarray(data, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
+    try:
+        rows = [[float(v) for v in row] for row in data]
+    except TypeError:  # a row that is a number, or a cell that is a sequence
+        rows = []
+    if len(rows) < 2 or len({len(row) for row in rows}) > 1:
         raise ValidationError("clustering needs a 2-d matrix with at least two rows")
-    n = X.shape[0]
+    n = len(rows)
 
     size = {i: 1 for i in range(n)}
-    active = list(range(n))
-    d2: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        diffs = X[i + 1 :] - X[i]
-        for off, j in enumerate(range(i + 1, n)):
-            d2[(i, j)] = float(diffs[off] @ diffs[off])
+    active = list(range(n))  # ascending: merged ids exceed every id before them
+    d2 = {(i, j): sum((a - b) ** 2 for a, b in zip(rows[i], rows[j]))
+          for i, j in combinations(active, 2)}
 
     merges: list[Merge] = []
-    next_id = n
     while len(active) > 1:
-        best_key = None
-        best_pair = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                key = d2[(i, j)]
-                if best_key is None or key < best_key or (
-                    key == best_key and (i, j) < best_pair
-                ):
-                    best_key = key
-                    best_pair = (i, j)
-        i, j = best_pair
+        # the first minimum in lexicographic order: a tie goes to the smallest pair
+        i, j = min(combinations(active, 2), key=d2.__getitem__)
+        best = d2[(i, j)]
         merged_size = size[i] + size[j]
-        merges.append(Merge(i, j, sqrt(best_key), merged_size))
-        k = next_id
-        next_id += 1
+        merges.append(Merge(i, j, sqrt(best), merged_size))
+        k = n + len(merges) - 1
         active.remove(i)
         active.remove(j)
         # Lance-Williams update for Ward's criterion on squared distances
@@ -78,23 +65,21 @@ def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
             dmj = d2[(min(m, j), max(m, j))]
             nm = size[m]
             d2[(m, k)] = (
-                (size[i] + nm) * dmi + (size[j] + nm) * dmj - nm * best_key
+                (size[i] + nm) * dmi + (size[j] + nm) * dmj - nm * best
             ) / (merged_size + nm)
         size[k] = merged_size
         active.append(k)
     return merges
 
 
-def cut_clusters(merges: list[Merge], n: int, k: int) -> list[int]:
+def cut_clusters(merges: list[Merge], k: int) -> list[int]:
     """Flat labels 1..k after undoing the last k-1 merges.
 
-    Label numbering follows the first record index in each cluster, so the
-    cluster containing record 0 is always labelled 1.  ``n`` must be the
-    record count that the merges join, one more than their number.
+    The merges join ``len(merges) + 1`` records.  Label numbering follows
+    the first record index in each cluster, so the cluster containing
+    record 0 is always labelled 1.
     """
-    check_integer(n, "record count")
-    if len(merges) != n - 1:
-        raise ValidationError(f"{len(merges)} merges join {len(merges) + 1} records, not {n}")
+    n = len(merges) + 1
     check_integer(k, "cluster count")
     if not 1 <= k <= n:
         raise ValidationError(f"cannot cut {n} records into {k} clusters")

@@ -83,6 +83,11 @@ PARAMETERS = {
     "node_index_table": ["net", "k"],
     "ward_clustering": ["records", "k"],
     "pearson_matrix": ["records"],
+    "cut_clusters": ["merges", "k"],
+    "dendrogram_export": ["result", "path"],
+    "ClusteringResult": ["leaf_names", "merges", "labels"],
+    "CorrelationMatrix": ["labels", "values"],
+    "CatalogSummary": ["flag_counts", "function_histogram", "property_histogram"],
     "load_network": ["path"],
     "network_from_dict": ["data"],
 }

@@ -9,6 +9,8 @@ import pytest
 from wdsres.catalog import (
     CLUSTER_FEATURES,
     FLAG_COLUMNS,
+    ClusteringResult,
+    CorrelationMatrix,
     MetricRecord,
     dendrogram_export,
     dendrogram_text,
@@ -20,7 +22,7 @@ from wdsres.catalog import (
     ward_clustering,
 )
 from wdsres.errors import ValidationError
-from wdsres.wardclust import cut_clusters, partition_agreement, ward_linkage
+from wdsres.wardclust import Merge, cut_clusters, partition_agreement, ward_linkage
 
 
 def record(name, flags, cluster=1, citation="x"):
@@ -29,6 +31,13 @@ def record(name, flags, cluster=1, citation="x"):
 
 def flags_from(codes):
     return tuple(1 if c in codes else 0 for c in FLAG_COLUMNS)
+
+
+def catalog_file(tmp_path, *rows):
+    path = tmp_path / "catalog.csv"
+    path.write_text("\n".join(("metric,citation," + ",".join(FLAG_COLUMNS) + ",CL", *rows))
+                    + "\n")
+    return path
 
 
 class TestLoadCatalog:
@@ -81,11 +90,60 @@ class TestLoadCatalog:
         ((0,) * 12, 1, "record 'x': expected 13 flags"),
         ((0,) * 13, 0, "record 'x': cluster must be 1..5"),
         ((0,) * 13, 6, "record 'x': cluster must be 1..5"),
-    ], ids=["twelve-flags", "cluster-0", "cluster-6"])
+        # before, these four were truncated by int() or accepted
+        ((1.7,) + (0,) * 12, 1, "record 'x': flags must be 0 or 1"),
+        (("1",) + (0,) * 12, 1, "record 'x': flags must be 0 or 1"),
+        ((True,) + (0,) * 12, 1, "record 'x': flags must be 0 or 1"),
+        ((0,) * 13, 2.9, "record 'x': cluster must be 1..5"),
+    ], ids=["twelve-flags", "cluster-0", "cluster-6", "flag-1.7", "flag-str", "flag-true",
+            "cluster-2.9"])
     def test_record_checks(self, flags, cluster, message):
         with pytest.raises(ValidationError) as info:
             record("x", flags, cluster)
         assert str(info.value) == message
+
+    def test_numpy_integers_stored_as_ints(self):
+        row = record("x", np.ones(13, dtype=np.int64), np.int64(2))
+        assert [type(f) for f in row.flags] == [int] * 13
+        assert type(row.cluster) is int
+        assert json.loads(json.dumps(summary_counts([row]).to_dict()))["total"] == 1
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = catalog_file(tmp_path)
+        with pytest.raises(ValidationError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path}: catalog holds no records"
+
+    def test_row_warnings(self, tmp_path, caplog):
+        flags = dict.fromkeys(FLAG_COLUMNS, "0") | {"PB": "1"}
+        no_function = ",".join(flags.values())
+        both_times = ",".join((flags | {"A": "1", "TI": "1", "TD": "1"}).values())
+        path = catalog_file(tmp_path, f"idle,x,{no_function},1", f"twice,x,{both_times},1")
+        with caplog.at_level("WARNING", logger="wdsres.catalog"):
+            load_catalog(path)
+        assert caplog.messages == ["catalog row 'idle' carries no function flag",
+                                   "catalog row 'twice' is both TI and TD"]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: ward_linkage([[1.0]]), "clustering needs a 2-d matrix with at least two rows"),
+    (lambda: ward_linkage([[1.0], [1.0, 2.0]]),
+     "clustering needs a 2-d matrix with at least two rows"),
+    (lambda: partition_agreement([], []), "labelings must not be empty"),
+    (lambda: find_record(load_catalog(), "nope"), "no catalog record named 'nope'"),
+    (lambda: summary_counts([]), "summary of an empty catalog is undefined"),
+    (lambda: pearson_matrix(load_catalog()[:1]), "correlation needs at least two records"),
+    (lambda: load_catalog()[0].flag("ZZ"), "unknown flag column 'ZZ'"),
+    (lambda: CorrelationMatrix(("a", "b"), np.zeros((3, 3))),
+     "correlation matrix shape does not match labels"),
+    (lambda: ClusteringResult(("a", "b", "c"), (Merge(0, 1, 2.0, 2), Merge(2, 3, 1.0, 3)),
+                              (1, 1, 1)), "merge heights must be nondecreasing"),
+], ids=["ward-one-row", "ward-ragged", "agreement-empty", "find-no-match", "summary-empty",
+        "pearson-one-record", "unknown-flag", "matrix-shape", "falling-heights"])
+def test_error_messages(run, message):
+    with pytest.raises(ValidationError) as info:
+        run()
+    assert str(info.value) == message
 
 
 class TestSummaryCounts:
@@ -190,7 +248,7 @@ class TestWardLinkage:
         np.testing.assert_allclose(got_heights, sorted(expected[:, 2]), atol=1e-9)
         # flat partitions agree too
         expected_labels = scipy_hierarchy.fcluster(expected, t=5, criterion="maxclust")
-        got_labels = cut_clusters(merges, len(records), 5)
+        got_labels = cut_clusters(merges, 5)
         assert partition_agreement(got_labels, list(expected_labels)) == 1.0
 
     def test_heights_nondecreasing(self):
@@ -214,7 +272,7 @@ class TestWardLinkage:
                 sorted(m.height for m in merges), sorted(expected[:, 2]), atol=1e-8
             )
             for k in (2, 3, min(5, n)):
-                mine = cut_clusters(merges, n, k)
+                mine = cut_clusters(merges, k)
                 theirs = scipy_hierarchy.fcluster(expected, t=k, criterion="maxclust")
                 assert partition_agreement(mine, list(theirs)) == 1.0, (n, dims, k)
 
@@ -223,14 +281,14 @@ class TestWardLinkage:
         merges = ward_linkage(data)
         assert merges[0].height == 0.0
         assert merges[1].height == 0.0
-        labels = cut_clusters(merges, 5, 3)
+        labels = cut_clusters(merges, 3)
         assert labels[0] == labels[2]
         assert labels[1] == labels[3]
 
     def test_two_block_fixture_recovered(self):
         block_a = [[1, 1, 0, 0]] * 4
         block_b = [[0, 0, 1, 1]] * 5
-        labels = cut_clusters(ward_linkage(block_a + block_b), 9, 2)
+        labels = cut_clusters(ward_linkage(block_a + block_b), 2)
         assert len(set(labels[:4])) == 1
         assert len(set(labels[4:])) == 1
         assert labels[0] != labels[-1]

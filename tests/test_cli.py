@@ -14,6 +14,7 @@ import wdsres
 from wdsres.catalog import FLAG_COLUMNS
 from wdsres.cli import main
 from wdsres.hydraulics import load_series, save_series
+from wdsres.inputs import bundled
 from wdsres.network import Junction, Source, save_network
 from wdsres.performance import todini_index
 from wdsres.scoremetrics import load_checklist
@@ -702,6 +703,28 @@ class TestCatalogCommands:
         tree = json.loads(out.read_text())
         assert len(tree["merges"]) == 58
 
+    def test_dendrogram_text_is_utf8_in_a_c_locale(self, tmp_path):
+        # before, the .txt was written in the locale's encoding: under C, a
+        # non-ASCII name raised UnicodeEncodeError and left an empty file
+        lines = bundled("catalog.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(lines[0] + "résilience 抵抗" + lines[1][lines[1].index(","):]
+                           + "".join(lines[2:]), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(wdsres.__file__).parents[1])}
+        texts = []
+        for name, locale in (("utf8", {"PYTHONUTF8": "1"}),
+                             ("c", {"LC_ALL": "C", "PYTHONUTF8": "0",
+                                    "PYTHONCOERCECLOCALE": "0"})):
+            out = tmp_path / f"{name}.json"
+            run = subprocess.run(
+                [sys.executable, "-m", "wdsres.cli", "catalog", "dendrogram",
+                 "--catalog", str(catalog), "--out", str(out), "--text"],
+                capture_output=True, env=env | locale)
+            assert run.returncode == 0, run.stderr
+            texts.append(out.with_suffix(".txt").read_bytes())
+        assert "- résilience 抵抗 [cluster".encode() in texts[0]
+        assert texts[1] == texts[0]
+
     def test_correlate_prints_what_out_writes(self, runner, tmp_path):
         out = tmp_path / "matrix.csv"
         runner.invoke(main, ["catalog", "correlate", "--out", str(out)])
@@ -1074,6 +1097,12 @@ STARTUP_CASES = {
         ("numpy",), {"report.json": '"value": 0.625'}),
     "catalog counts": (["catalog", "counts", "--out", "{tmp}/report.json"],
                        ("numpy",), {"report.json": '"total": 59'}),
+    "catalog cluster": (["catalog", "cluster", "--out", "{tmp}/labels.csv"],
+                        ("numpy",), {"labels.csv": "\nmeasure of performance (MOP),"}),
+    "catalog dendrogram --text": (
+        ["catalog", "dendrogram", "--out", "{tmp}/tree.json", "--text"],
+        ("numpy",), {"tree.json": '"k": 5',
+                     "tree.txt": "- measure of performance (MOP) [cluster 1]"}),
     "--help": (["--help"], ("numpy",), {"stdout": "Usage:"}),
     "scenario mc": (
         ["scenario", "mc", "--network", "{net}", "--spec", "{spec}", "--n", "3",

@@ -52,6 +52,12 @@ class TestKShortestPaths:
                 else:
                     assert (got[0].resistance, got[0].pipes) == oracle[0]
 
+    @pytest.mark.parametrize("start, goal", [("nowhere", "S"), ("A", "nowhere")])
+    def test_unknown_node_rejected(self, two_route_network, start, goal):
+        with pytest.raises(ValidationError) as info:
+            k_shortest_paths(two_route_network, start, goal, 1)
+        assert str(info.value) == "unknown node 'nowhere'"
+
     def test_triangle_two_routes(self, two_route_network):
         paths = k_shortest_paths(two_route_network, "A", "S", 2)
         assert [p.resistance for p in paths] == [pytest.approx(40.0), pytest.approx(80.0)]

@@ -64,6 +64,12 @@ class TestMetricValue:
     def test_value_without_a_range_gets_no_warning(self):
         assert MetricValue("m", -1e9, None).warnings == ()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValidationError) as info:
+            MetricValue("m", value, None)
+        assert str(info.value) == "metric 'm' produced a non-finite value"
+
 
 class TestHashimotoRecovery:
     def test_ten_step_fixture(self, hashimoto_series):
@@ -181,6 +187,12 @@ class TestFlowBasedResilience:
         series = make_series(("J1",), [[0.01]], [[0.01]])
         with pytest.raises(ValidationError, match="do not match"):
             flow_based_resilience(ring_network, series)
+
+    def test_zero_demand_head_product_is_undefined(self):
+        series = make_series(("J1",), [[0.0]], [[0.0]], head=[[40.0]])
+        with pytest.raises(UndefinedInputError) as info:
+            flow_based_resilience(self.one_node_net(), series)
+        assert str(info.value) == "flow-based resilience needs a positive demand-head product"
 
 
 class TestUserFunctionality:

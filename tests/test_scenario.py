@@ -18,6 +18,7 @@ from wdsres.performance import zhuang_availability
 from wdsres.scenario import (
     MC_METRICS,
     Event,
+    MonteCarloResult,
     ScenarioSpec,
     apply_scenario,
     load_scenario,
@@ -28,6 +29,11 @@ from .conftest import make_network, make_pipe, torus_network
 
 
 class TestEventValidation:
+    def test_onset_below_zero(self):
+        with pytest.raises(ValidationError) as info:
+            Event("pipe_failure", onset=-1, repair=1, ids=("p1",))
+        assert str(info.value) == "event onset must be >= 0"
+
     def test_repair_after_onset(self):
         with pytest.raises(ValidationError, match="repair"):
             Event("pipe_failure", onset=3, repair=3, ids=("p1",))
@@ -231,6 +237,11 @@ class TestMonteCarlo:
         return ScenarioSpec(
             (Event("pipe_failure", 0, 3, count=1),), seed=seed, horizon=3
         )
+
+    def test_result_without_replicates_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            MonteCarloResult("zhuang", (), 0)
+        assert str(info.value) == "a Monte Carlo result needs at least one replicate"
 
     def test_single_replicate_summary(self, ring_network):
         result = monte_carlo(ring_network, self.single_failure_spec(), 1, "zhuang")

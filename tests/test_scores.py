@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from wdsres.errors import ValidationError
 from wdsres.scoremetrics import (
     WPR_CATEGORIES,
+    Criterion,
     Indicator,
+    WprChecklist,
     balaei_aggregate,
     load_answers,
     load_checklist,
@@ -49,6 +51,11 @@ class TestIndicator:
 
 
 class TestBalaeiAggregate:
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            balaei_aggregate([])
+        assert str(info.value) == "indicator list must not be empty"
+
     def test_single_full_indicator(self):
         for weight in (0.1, 1.0, 7.0):
             assert balaei_aggregate([Indicator("x", 2.0, 2.0, weight)]) == pytest.approx(1.0)
@@ -95,6 +102,16 @@ class TestBalaeiAggregate:
 
 
 class TestChecklist:
+    def test_criterion_with_unknown_category_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            Criterion("c", "nope", ("x",))
+        assert str(info.value) == "criterion 'c': unknown category 'nope'"
+
+    def test_empty_checklist_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            WprChecklist(())
+        assert str(info.value) == "checklist must contain criteria"
+
     def test_default_has_36_criteria(self):
         checklist = load_checklist()
         assert checklist.total == 36
