@@ -229,6 +229,10 @@ class ClusteringResult:
         object.__setattr__(self, "leaf_names", tuple(self.leaf_names))
         object.__setattr__(self, "merges", tuple(self.merges))
         object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
+        # a tree that joins every leaf has one merge fewer than it has leaves
+        if len(self.merges) != self.n - 1 or len(self.labels) != self.n:
+            raise ValidationError(
+                "a clustering needs one merge fewer than its leaves and one label per leaf")
         hs = [m.height for m in self.merges]
         if any(b < a - 1e-9 for a, b in zip(hs, hs[1:])):
             raise ValidationError("merge heights must be nondecreasing")

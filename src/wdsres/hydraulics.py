@@ -41,11 +41,12 @@ factor maps.  It keeps the residuals the kernel left, its sums of pushes,
 the four result maps built from them and, once
 :func:`surrogate_allocation` asks for them, the one-row delivered, demand,
 head and required-head arrays, so each is built once per solve.  A call
-whose inputs equal the last solve's would pass the same checks and give
-the same capacities, so it skips the checks, the scaling and the capacity
-build and only copies the maps it hands out; the kernel is deterministic,
-so the result is the one a fresh solve would give.  Any other call runs
-the kernel, even if its capacities come out equal to the last solve's.
+whose inputs equal the last solve's, every factor a plain ``float`` or
+``int``, would pass the same checks and give the same capacities, so it
+skips the checks, the scaling and the capacity build and only copies the
+maps it hands out; the kernel is deterministic, so the result is the one
+a fresh solve would give.  Any other call runs the checks and the kernel,
+even if its capacities come out equal to the last solve's.
 Scenario events are piecewise constant, so most timesteps of a scenario
 repeat the state of the step before them and hit this one-entry memo; a
 memo of more entries would keep one per failure set during a buffering
@@ -485,10 +486,10 @@ def allocate_flows(
     no part in the routing.
 
     A call whose failed pipes and factor maps equal those of the network's
-    previous solve reuses that solve: it skips the checks, the scaling and
-    the capacity build, which an equal call passed before, and only copies
-    the maps.  So a bool factor passes where the previous solve had a factor
-    it equals (``True == 1.0``).  Any other call runs the max-flow kernel.
+    previous solve, every factor a plain ``float`` or ``int``, reuses that
+    solve: it skips the checks, the scaling and the capacity build, which
+    an equal call passed before, and only copies the maps.  Any other call,
+    one with ``True`` for a factor of 1.0 too, runs the checks and the kernel.
     The maps are built once per solve, each in one pass over a slice of the
     residuals or of the per-arc pushes, keyed by the model's ids, with every
     intact pipe in the pipe map, and are identical to those of a new solve;
@@ -497,11 +498,14 @@ def allocate_flows(
     per solve.
     """
     failed_pipes = frozenset(failed_pipes)
+    factors = (demand_factors or {}, supply_factors or {})
     model = net._model
     # the solve's own copies of the factor maps: a map changed in place since
-    # then no longer compares equal, and a nan factor never does
-    if (model is None or model.last_solve is None or model.last_solve[0]
-            != (failed_pipes, demand_factors or {}, supply_factors or {})):
+    # then no longer compares equal, and a nan factor never does; True does
+    # equal 1.0, but only a float or an int is a factor
+    if (model is None or model.last_solve is None
+            or model.last_solve[0] != (failed_pipes, *factors)
+            or not {type(f) for m in factors for f in m.values()} <= {float, int}):
         model = _solve(net, failed_pipes, demand_factors, supply_factors)
     delivered, demand_map, pipe_flows, source_out = model.last_maps
     return FlowAllocation(delivered.copy(), demand_map.copy(), pipe_flows.copy(),
@@ -515,13 +519,10 @@ def _solve(net: Network, failed_pipes: frozenset[str], demand_factors: Mapping |
     failed_pipes = net.validate_failed_sets(failed_pipes)
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
-    # one set test per map; the loop finds the first unknown id in map order
-    if not net._by_id["junctions"].keys() >= demand_factors.keys():
-        for key in demand_factors:
-            net.junction(key)
-    if not net._by_id["sources"].keys() >= supply_factors.keys():
-        for key in supply_factors:
-            net.source(key)
+    for key in demand_factors:  # the first unknown id in map order is named
+        net.junction(key)
+    for key in supply_factors:
+        net.source(key)
     if not all(is_finite_number(f) and f > 0
                for f in (*demand_factors.values(), *supply_factors.values())):
         raise ValidationError("demand and supply factors must be finite and > 0")
@@ -535,14 +536,9 @@ def _solve(net: Network, failed_pipes: frozenset[str], demand_factors: Mapping |
     for pipe_id in failed_pipes:
         ai = model.pipe_arcs[pipe_id]
         caps[ai] = caps[ai ^ 1] = 0.0
-    # x * 1.0 is x, signed zeros included, so without factors the base
-    # values serve as they are
-    outflows = model.outflows
-    if supply_factors:
-        outflows = [x * supply_factors.get(i, 1.0) for i, x in zip(model.source_ids, outflows)]
-    demands = model.demands
-    if demand_factors:
-        demands = [x * demand_factors.get(i, 1.0) for i, x in zip(model.junction_ids, demands)]
+    # x * 1.0 is x for a float, signed zeros included, and an int's float
+    outflows = [x * supply_factors.get(i, 1.0) for i, x in zip(model.source_ids, model.outflows)]
+    demands = [x * demand_factors.get(i, 1.0) for i, x in zip(model.junction_ids, model.demands)]
     # finite inputs can overflow when scaled; an inf demand, outflow or
     # demand total would give nan allocations and ratios
     if not (isfinite(sum(demands)) and all(map(isfinite, outflows))):

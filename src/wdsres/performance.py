@@ -205,14 +205,17 @@ def todini_index(net: Network, state: HydraulicSeries) -> MetricValue:
                        inputs_digest=f"{net.digest()}+{state.digest()}")
 
 
-def _check_buffering(net: Network, max_k: int, baseline_feasible: Callable[[], bool]) -> tuple:
+def _check_buffering(net: Network, max_k: int) -> tuple:
     pool = tuple(sorted((*net.pipe_ids, *net.pump_ids)))  # every failable component
     check_integer(max_k, "max_k", 0)
     if max_k > len(pool):
         raise ValidationError(f"max_k={max_k} exceeds the {len(pool)} failable components")
-    if not baseline_feasible():
-        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
     return pool
+
+
+def _check_baseline(feasible: bool) -> None:
+    if not feasible:
+        raise BaselineInfeasibleError("the intact system already fails the feasibility check")
 
 
 def buffering_capacity(
@@ -229,7 +232,8 @@ def buffering_capacity(
     polynomial time, and for the supply criterion
     :func:`supply_buffering`, which gives it from far fewer solves.
     """
-    pool = _check_buffering(net, max_k, lambda: feasibility(frozenset()))
+    pool = _check_buffering(net, max_k)
+    _check_baseline(feasibility(frozenset()))
     for k in range(1, max_k + 1):
         for failed in combinations(pool, k):
             if not feasibility(frozenset(failed)):
@@ -275,28 +279,23 @@ def connectivity_buffering(net: Network, max_k: int = 2) -> int:
     enumeration is out of reach.
     """
     model = hydraulics._model(net)
+    _check_buffering(net, max_k)
     n_sources = len(model.source_ids)
     tree = []  # (p, c) in the flow model's numbering, with s* for a source
+    seen = bytearray(len(model.index))
+    seen[:n_sources] = b"\x01" * n_sources
+    queue = list(range(n_sources))
+    for node in queue:
+        parent = model.super_source if node < n_sources else node
+        for _, other in model.pipe_adjacency[node]:
+            if not seen[other]:
+                seen[other] = 1
+                queue.append(other)
+                tree.append((parent, other))
+    _check_baseline(len(queue) == len(seen))
 
-    def walk() -> bool:
-        seen = bytearray(len(model.index))
-        seen[:n_sources] = b"\x01" * n_sources
-        queue = list(range(n_sources))
-        for node in queue:
-            parent = model.super_source if node < n_sources else node
-            for _, other in model.pipe_adjacency[node]:
-                if not seen[other]:
-                    seen[other] = 1
-                    queue.append(other)
-                    tree.append((parent, other))
-        return len(queue) == len(seen)
-
-    _check_buffering(net, max_k, walk)
-
-    # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
+    # every junction is connected, so lambda >= 1 and at max_k = 0 the first flow ends the search
     lam = max_k + 1
-    if lam == 1:
-        return 0
     # the source arcs, then the pipe arcs, then the demand arcs
     n_pipe_arcs = model.first_demand_arc - 2 * n_sources
     base = ([float(lam)] * (2 * n_sources) + [1.0] * n_pipe_arcs
@@ -436,19 +435,14 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
     level checks 146 pairs for composition, 354 without the index.
     """
     hydraulics._check_threshold(threshold)
-    baseline = []
-
-    def baseline_feasible() -> bool:
-        baseline.append(hydraulics.allocate_flows(net))
-        return baseline[0].total_delivered >= _needed(threshold, baseline[0].total_demand)
-
-    pool = _check_buffering(net, max_k, baseline_feasible)
+    pool = _check_buffering(net, max_k)
+    baseline = hydraulics.allocate_flows(net)
+    needed = _needed(threshold, baseline.total_demand)
+    _check_baseline(baseline.total_delivered >= needed)
     model = hydraulics._model(net)
     # the baseline's flow, kept before any fresh solve replaces the memo
     _, residual, sent = model.last_solve
-    total_demand = baseline[0].total_demand
-    needed = _needed(threshold, total_demand)
-    clears = needed + 1e-9 * total_demand
+    clears = needed + 1e-9 * baseline.total_demand
     pump_ids = frozenset(net.pump_ids)
     # pipe arcs follow the source arcs, one pair per pipe in pipe order
     first_pipe_arc = 2 * len(model.source_ids)
@@ -479,17 +473,18 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
         return None
 
     rank = {component: j for j, component in enumerate(pool)}
-    intact_total, intact_support, _, _ = entry(baseline[0])
+    intact_total, intact_support, _, _ = entry(baseline)
     # the intact flow crosses no arc, so it certifies the empty set
     previous = {(): (intact_total, intact_support, (), ())}
     rerouting = intact_total >= clears
     caps = list(residual)
     singles = {}  # the level-1 certificates, by pipe: crossed arcs and entry
     inv = {}  # arc -> the pipes whose level-1 certificate crossed it
-    uncertified = sorted(map(rank.__getitem__, intact_support))
     for k in range(1, max_k + 1):
         last = k == max_k
         current = {}
+        # read at the last level, when singles holds every level-1 certificate
+        uncertified = sorted(rank[p] for p in intact_support if p not in singles)
         for base, base_entry in previous.items():
             start = rank[base[-1]] + 1 if base else 0
             if not last or base_entry[0] < clears:
@@ -525,6 +520,8 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                             parent = rerouted_entry(tuple(pushes))
                             if k == 1 and not last:
                                 singles[failed[0]] = frozenset(pushes), parent
+                                for ai in pushes:
+                                    inv.setdefault(ai, []).append(failed[0])
                         else:
                             alloc = hydraulics.allocate_flows(net, failed_pipes=failed)
                             if alloc.total_delivered < needed:
@@ -533,11 +530,6 @@ def supply_buffering(net: Network, threshold: float, max_k: int = 2) -> int:
                 if not last:  # the last level keeps no entry
                     current[failed] = parent
         previous = current
-        if k == 1 and not last:
-            for pipe_id, (crossed, _) in singles.items():
-                for ai in crossed:
-                    inv.setdefault(ai, []).append(pipe_id)
-            uncertified = sorted(rank[p] for p in intact_support if p not in singles)
     return max_k
 
 

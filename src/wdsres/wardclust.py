@@ -18,7 +18,7 @@ from math import sqrt
 from typing import Sequence
 
 from .errors import ValidationError
-from .inputs import check_integer
+from .inputs import check_integer, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,15 @@ class Merge:
 def ward_linkage(data: Sequence[Sequence[float]]) -> list[Merge]:
     """Full agglomeration of the rows of ``data``; n-1 merges."""
     try:
-        rows = [[float(v) for v in row] for row in data]
-    except TypeError:  # a row that is a number, or a cell that is a sequence
+        rows = [list(row) for row in data]
+    except TypeError:  # a row that is a number
         rows = []
     if len(rows) < 2 or len({len(row) for row in rows}) > 1:
         raise ValidationError("clustering needs a 2-d matrix with at least two rows")
+    # a nan cell would give nan heights, and a bool or a string is no coordinate
+    if not all(is_finite_number(v) for row in rows for v in row):
+        raise ValidationError("clustering needs a matrix of finite numbers")
+    rows = [[float(v) for v in row] for row in rows]
     n = len(rows)
 
     size = {i: 1 for i in range(n)}

@@ -31,7 +31,7 @@ from wdsres import hydraulics
 from wdsres.errors import ValidationError
 from wdsres.hydraulics import FlowAllocation
 from wdsres.network import Network
-from wdsres.performance import _check_buffering
+from wdsres.performance import _check_baseline, _check_buffering
 
 
 def reference_edmonds_karp(n_nodes: int, arcs: list[list], adjacency: list[list[int]],
@@ -221,9 +221,8 @@ def reference_allocate_flows(
 
 
 def reference_connectivity_buffering(net: Network, max_k: int = 2) -> int:
-    _check_buffering(
-        net, max_k, lambda: net.reachable_from_sources().issuperset(net.junction_ids)
-    )
+    _check_buffering(net, max_k)
+    _check_baseline(net.reachable_from_sources().issuperset(net.junction_ids))
 
     # every junction is connected, so lambda >= 1 and max_k = 0 needs no flow
     lam = max_k + 1

@@ -200,6 +200,14 @@ def test_only_the_input_boundary_imports_the_digest_and_integer_rules(module):
     assert [p.name for p in MODULES if module in _imported_modules(p)] == ["inputs.py"]
 
 
+def test_only_the_network_module_reads_its_id_maps():
+    # Network._by_id is the network's own index; other modules go through its lookups
+    readers = [p.name for p in MODULES if any(
+        isinstance(node, ast.Attribute) and node.attr == "_by_id"
+        for node in ast.walk(ast.parse(p.read_text())))]
+    assert readers == ["network.py"]
+
+
 # public names that no code in the package or the benchmark names, and why each stays
 UNNAMED = {
     "save_network": "the documented writer of the network format",

@@ -138,8 +138,17 @@ class TestLoadCatalog:
      "correlation matrix shape does not match labels"),
     (lambda: ClusteringResult(("a", "b", "c"), (Merge(0, 1, 2.0, 2), Merge(2, 3, 1.0, 3)),
                               (1, 1, 1)), "merge heights must be nondecreasing"),
+    *((lambda cell=cell: ward_linkage([[cell], [1.0], [2.0]]),
+       "clustering needs a matrix of finite numbers")
+      for cell in (float("nan"), float("inf"), -float("inf"), "1.0", None, True)),
+    (lambda: ClusteringResult(("a", "b"), (), (1, 1)),
+     "a clustering needs one merge fewer than its leaves and one label per leaf"),
+    (lambda: ClusteringResult(("a", "b"), (Merge(0, 1, 1.0, 2),), (1,)),
+     "a clustering needs one merge fewer than its leaves and one label per leaf"),
 ], ids=["ward-one-row", "ward-ragged", "agreement-empty", "find-no-match", "summary-empty",
-        "pearson-one-record", "unknown-flag", "matrix-shape", "falling-heights"])
+        "pearson-one-record", "unknown-flag", "matrix-shape", "falling-heights", "ward-nan",
+        "ward-inf", "ward-minus-inf", "ward-string", "ward-none", "ward-bool", "no-merges",
+        "labels-short"])
 def test_error_messages(run, message):
     with pytest.raises(ValidationError) as info:
         run()

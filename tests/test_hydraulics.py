@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+from decimal import Decimal
 from math import comb, inf
 from unittest import mock
 
@@ -851,7 +852,12 @@ class TestSolveRecord:
          "unknown junction 'X1'"),
         ({"failed_pipes": {"p1"}}, {"failed_pipes": {"p1", "x"}},
          "unknown pipe ids in failure set: ['x']"),
-    ], ids=["nan-demand", "nan-supply", "unknown-junction", "unknown-pipe"])
+        # each equals 1.0, but only a float or an int is a factor
+        *(({"demand_factors": {"A": 1.0}}, {"demand_factors": {"A": value}},
+           "demand and supply factors must be finite and > 0")
+          for value in (True, Decimal(1), 1 + 0j, np.True_)),
+    ], ids=["nan-demand", "nan-supply", "unknown-junction", "unknown-pipe", "bool", "decimal",
+            "complex", "numpy-bool"])
     def test_a_bad_input_after_a_valid_call_is_still_refused(self, mesh_network, valid, bad,
                                                              message):
         allocate_flows(mesh_network, **valid)
@@ -867,6 +873,15 @@ class TestSolveRecord:
         with pytest.raises(ValidationError) as info:
             allocate_flows(mesh_network, **{factors: {key: value}})
         assert str(info.value) == "demand and supply factors must be finite and > 0"
+
+    @pytest.mark.parametrize("factors", [{}, {"demand_factors": {"J1": 2.0}}], ids=["none", "J1"])
+    def test_int_fields_give_float_maps(self, factors):
+        net = make_network(
+            [Junction("J1", 0, 1, 30), Junction("J2", 0, 2, 30)], [Source("S", 100, 4)],
+            [make_pipe("p1", "S", "J1", capacity=3), make_pipe("p2", "J1", "J2", capacity=1)])
+        alloc = allocate_flows(net, **factors)
+        for values in (alloc.delivered, alloc.demands, alloc.pipe_flows, alloc.source_outflows):
+            assert [type(v) for v in values.values()] == [float] * len(values)
 
     def test_equal_capacities_from_other_inputs_run_the_kernel(self, kernel_runs):
         # failing p1, which carries nothing, leaves every capacity as it was

@@ -313,6 +313,23 @@ class TestBufferingCapacity:
         with pytest.raises(BaselineInfeasibleError):
             buffering_capacity(ring_network, lambda failed: False)
 
+    # J2 hangs on no pipe, so the intact network fails both criteria
+    @pytest.mark.parametrize("search", [
+        lambda net, max_k: buffering_capacity(net, connectivity_feasibility(net), max_k),
+        connectivity_buffering,
+        lambda net, max_k: supply_buffering(net, 1.0, max_k),
+    ], ids=["enumeration", "connectivity", "supply"])
+    def test_the_depth_is_checked_before_the_baseline(self, search):
+        net = make_network(
+            [Junction("J1", 0.0, 0.01, 30.0), Junction("J2", 0.0, 0.01, 30.0)],
+            [Source("R1", 100.0, 0.05)], [make_pipe("p1", "R1", "J1")])
+        with pytest.raises(ValidationError) as info:
+            search(net, 2)
+        assert str(info.value) == "max_k=2 exceeds the 1 failable components"
+        with pytest.raises(BaselineInfeasibleError) as info:
+            search(net, 1)
+        assert str(info.value) == "the intact system already fails the feasibility check"
+
     def test_max_k_capped_by_components(self, minimal_network):
         with pytest.raises(ValidationError, match="exceeds"):
             buffering_capacity(
