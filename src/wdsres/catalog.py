@@ -80,18 +80,13 @@ class MetricRecord:
         return sum(self.flag(c) for c in PROPERTY_FLAGS)
 
 
-def _catalog_file(path: str | Path | None = None) -> str | Path:
-    """The file :func:`load_catalog` reads: ``path``, or the bundled dataset."""
-    return bundled("catalog.csv") if path is None else path
-
-
 def load_catalog(path: str | Path | None = None) -> list[MetricRecord]:
     """Read a categorisation CSV; defaults to the bundled dataset.
 
     Rows without any function flag or without any quantification flag are
     kept as-is and logged as warnings, matching the source data.
     """
-    path = _catalog_file(path)
+    path = bundled("catalog.csv") if path is None else path
     records: list[MetricRecord] = []
     types = (str.strip, str.strip, *(int,) * len(FLAG_COLUMNS), int)
     for _, (name, citation, *flags, cluster) in read_csv(path, _HEADER, "catalog", types):

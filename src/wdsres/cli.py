@@ -55,7 +55,7 @@ def _check_writable(*paths, inputs=()) -> None:
     overwrite the other, an output that resolves to one of the command's
     ``inputs``, which it would overwrite, and an output inside the package's
     data directory, whose files other commands read by default.  ``inputs``
-    are the files the command reads, a bundled default included.
+    are the files the command reads; a bundled default is in that directory.
 
     Commands call this before any work, so a bad path costs no computation
     and leaves no partial output; ``_guarded`` reports the error.
@@ -221,8 +221,6 @@ METRICS = {
 @_guarded
 def metric_cmd(name, **opts):
     """Compute one named metric and emit a JSON report."""
-    if name == "wpr":  # the bundled default is an input too, which no output may replace
-        opts["checklist"] = scoremetrics._checklist_file(opts["checklist"])
     _check_writable(opts["out"], opts["nodes_out"], inputs=[
         opts[flag] for flag in ("network", "series", "indicators", "checklist", "answers")
     ])
@@ -322,19 +320,8 @@ def scenario_mc(network, spec_path, n, metric_name, horizon, seed, threshold,
 # catalog
 # ---------------------------------------------------------------------------
 
-def _catalog_file(ctx, param, path):
-    """The file a command reads its catalog from, the bundled dataset by default.
-
-    Only the commands that read the catalog import ``catalog`` (and with it
-    ``wardclust`` and ``logging``), so a metric or scenario run never loads it.
-    """
-    from . import catalog
-
-    return catalog._catalog_file(path)
-
-
-_catalog_option = click.option("--catalog", "catalog_path", help="Alternative catalog CSV.",
-                               callback=_catalog_file)
+# each catalog command imports ``catalog``, so a metric or scenario run never loads it
+_catalog_option = click.option("--catalog", "catalog_path", help="Alternative catalog CSV.")
 
 
 @main.group(name="catalog")

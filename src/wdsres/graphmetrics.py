@@ -105,7 +105,7 @@ from typing import Iterable
 
 from .errors import InfiniteResilienceError, UndefinedInputError, ValidationError
 from .hydraulics import _Model, _model
-from .inputs import check_integer, is_finite_number
+from .inputs import check_ids, check_integer, is_finite_number
 from .network import Network
 
 DEFAULT_K = 5
@@ -120,7 +120,7 @@ class WeightedPath:
     resistance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pipes", tuple(self.pipes))
+        object.__setattr__(self, "pipes", check_ids(self.pipes, "path pipes"))
         if self.pipes and self.resistance <= 0:
             raise ValidationError("a non-empty path must have positive resistance")
 
@@ -350,12 +350,10 @@ def node_resilience_index(net: Network, node_id: str, k: int = DEFAULT_K) -> flo
     fails leaves the memo as it was.
     """
     check_integer(k, "k", 1)
-    if node_id in set(net.source_ids):
-        raise InfiniteResilienceError(
-            f"{node_id!r} is a source; its resilience index is unbounded"
-        )
     if not net.is_node(node_id):
         raise ValidationError(f"unknown node {node_id!r}")
+    if node_id in set(net.source_ids):
+        raise InfiniteResilienceError(f"{node_id!r} is a source; its resilience index is unbounded")
     model = _model(net)
     # one read: the key tested and the value returned come from one entry
     last = model.last_index

@@ -43,10 +43,10 @@ the four result maps built from them and, once
 head and required-head arrays, so each is built once per solve.  A call
 whose inputs equal the last solve's, every factor a plain ``float`` or
 ``int``, would pass the same checks and give the same capacities, so it
-skips the checks, the scaling and the capacity build and only copies the
-maps it hands out; the kernel is deterministic, so the result is the one
-a fresh solve would give.  Any other call runs the checks and the kernel,
-even if its capacities come out equal to the last solve's.
+skips the factor checks, the scaling and the capacity build and only
+copies the maps it hands out; the kernel is deterministic, so the result
+is the one a fresh solve would give.  Any other call runs the checks and
+the kernel, even if its capacities come out equal to the last solve's.
 Scenario events are piecewise constant, so most timesteps of a scenario
 repeat the state of the step before them and hit this one-entry memo; a
 memo of more entries would keep one per failure set during a buffering
@@ -65,7 +65,7 @@ from typing import Iterable, Mapping
 # takes longer than a structural metric runs, and those metrics build none
 
 from .errors import ValidationError
-from .inputs import is_finite_number, read_csv, short_digest, write_csv
+from .inputs import check_ids, is_finite_number, read_csv, short_digest, write_csv
 from .network import Network, pipe_resistance
 
 SATISFACTORY = "S"
@@ -93,10 +93,7 @@ class HydraulicSeries:
     def __post_init__(self):
         import numpy as np
 
-        # a string would pass as its characters
-        if isinstance(self.node_ids, str):
-            raise ValidationError("node ids must be a sequence of ids, not a string")
-        object.__setattr__(self, "node_ids", tuple(self.node_ids))
+        object.__setattr__(self, "node_ids", check_ids(self.node_ids, "node ids"))
         for name in ("delivered", "demand", "head", "required_head"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 2:
@@ -301,7 +298,8 @@ class _Model:
     sources' ids and outflows in their order, and ``junction_ids``,
     ``demands`` and ``required_heads`` the junctions' ids, design demands
     and required heads in theirs, so a solve reads its unscaled capacities
-    and its maps' keys as they are.
+    and its maps' keys as they are, the numbers as floats, so every map
+    holds floats whatever the types of the elements and factors.
     """
 
     index: dict[str, int]
@@ -366,9 +364,9 @@ class _Model:
                             if not isfinite(2.0 * capacities[ai]))
         return cls(index, s_idx, t_idx, heads, adjacency, capacities, pipe_arcs,
                    first_demand_arc, tuple(s.id for s in sources),
-                   tuple(s.outflow for s in sources), tuple(j.id for j in junctions),
-                   tuple(j.design_demand for j in junctions), overflowing,
-                   tuple(j.required_head for j in junctions), tuple(pipe_arcs), ends,
+                   tuple(float(s.outflow) for s in sources), tuple(j.id for j in junctions),
+                   tuple(float(j.design_demand) for j in junctions), overflowing,
+                   tuple(float(j.required_head) for j in junctions), tuple(pipe_arcs), ends,
                    pipe_adjacency, [pipe_resistance(p) for p in pipes])
 
 
@@ -483,21 +481,15 @@ def allocate_flows(
     the scaled demands, their sum and the scaled source outflows must stay
     finite, as must twice each pipe capacity (the most a pipe's residual
     capacity can reach).  The surrogate has no pressure model, so pumps play
-    no part in the routing.
+    no part in the routing.  ``failed_pipes`` is a collection of pipe ids,
+    which every call checks first (:meth:`Network.validate_failed_sets`).
 
-    A call whose failed pipes and factor maps equal those of the network's
-    previous solve, every factor a plain ``float`` or ``int``, reuses that
-    solve: it skips the checks, the scaling and the capacity build, which
-    an equal call passed before, and only copies the maps.  Any other call,
-    one with ``True`` for a factor of 1.0 too, runs the checks and the kernel.
-    The maps are built once per solve, each in one pass over a slice of the
-    residuals or of the per-arc pushes, keyed by the model's ids, with every
-    intact pipe in the pipe map, and are identical to those of a new solve;
-    each call gets copies, so the caller owns every map it is given.  The
-    one-row arrays of :func:`surrogate_allocation` are likewise built once
-    per solve.
+    A call whose inputs equal the previous solve's, every factor a plain
+    ``float`` or ``int`` (``True`` is none), reuses that solve, as the module
+    docstring describes.  The pipe map holds every intact pipe, and each call
+    gets copies of the maps, so the caller owns every map it is given.
     """
-    failed_pipes = frozenset(failed_pipes)
+    failed_pipes = net.validate_failed_sets(failed_pipes)
     factors = (demand_factors or {}, supply_factors or {})
     model = net._model
     # the solve's own copies of the factor maps: a map changed in place since
@@ -514,9 +506,8 @@ def allocate_flows(
 
 def _solve(net: Network, failed_pipes: frozenset[str], demand_factors: Mapping | None,
            supply_factors: Mapping | None) -> _Model:
-    """Check the inputs of :func:`allocate_flows`, run the kernel on their
-    capacities and make the result the model's last solve."""
-    failed_pipes = net.validate_failed_sets(failed_pipes)
+    """Check the factors of :func:`allocate_flows`, run the kernel on the
+    capacities of the call's inputs and make the result the model's last solve."""
     demand_factors = dict(demand_factors or {})
     supply_factors = dict(supply_factors or {})
     for key in demand_factors:  # the first unknown id in map order is named

@@ -11,7 +11,9 @@ the modules share are each defined here once: the CSV output dialect, for
 files (:func:`write_csv`) and printed text (:func:`csv_text`) alike; a
 digest, the first 12 hex digits of a sha256 (:func:`short_digest`); an
 integer argument (:func:`is_integer`), and its check and errors
-(:func:`check_integer`); and a finite real one (:func:`is_finite_number`).
+(:func:`check_integer`); a finite real one (:func:`is_finite_number`); and
+an id, a string, which is one id and not its characters (:func:`is_id`),
+and a collection of ids (:func:`ids_of`), with its check (:func:`check_ids`).
 """
 
 from __future__ import annotations
@@ -147,6 +149,32 @@ def is_finite_number(value) -> bool:
         return isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def is_id(value) -> bool:
+    """True for an id of an element or node: a string."""
+    return isinstance(value, str)
+
+
+def ids_of(value, kinds: type | tuple[type, ...] = object) -> tuple[str, ...] | None:
+    """``value`` as a tuple if it is a collection of ids, an iterable of
+    ``kinds`` that is not a string and holds only ids (:func:`is_id`); else None."""
+    if isinstance(value, str) or not isinstance(value, kinds):
+        return None
+    try:
+        ids = tuple(value)
+        "".join(ids)  # the fastest test that every member is a string
+    except TypeError:  # not iterable, or a member that is not a string
+        return None
+    return ids
+
+
+def check_ids(value, what: str, kinds: type | tuple[type, ...] = object) -> tuple[str, ...]:
+    """:func:`ids_of` ``value``, raising unless it is a collection of ids;
+    ``what`` names it in the error."""
+    if (ids := ids_of(value, kinds)) is None:
+        raise ValidationError(f"{what} must be a list of id strings, got {value!r}")
+    return ids
 
 
 def json_rows(data: Mapping, key: str) -> list[Mapping]:

@@ -29,7 +29,8 @@ from sys import float_info
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .inputs import is_finite_number, json_rows, read_json, short_digest, write_text
+from .inputs import (check_ids, ids_of, is_finite_number, is_id, json_rows, read_json,
+                     short_digest, write_text)
 
 M3S_PER_LPS = 1e-3
 
@@ -46,7 +47,7 @@ class Junction:
     required_head: float
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Source:
     outflow: float
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class Pump:
     power: float
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -87,17 +88,13 @@ class Pipe:
     capacity: float
 
     def __post_init__(self):
-        # a two-character string is no pair of node ids, and a number no sequence
-        try:
-            endpoints = () if isinstance(self.endpoints, str) else tuple(self.endpoints)
-        except TypeError:
-            endpoints = ()
-        if len(endpoints) != 2:
+        endpoints = ids_of(self.endpoints)
+        if endpoints is None or len(endpoints) != 2:
             raise ValidationError(f"pipe {self.id!r}: endpoints must name two nodes")
         object.__setattr__(self, "endpoints", endpoints)
         if self.endpoints[0] == self.endpoints[1]:
             raise ValidationError(f"pipe {self.id!r}: self-loops are not allowed")
-        _check_numbers(self)
+        _check_fields(self)
 
 
 def pipe_resistance(pipe: Pipe) -> float:
@@ -126,9 +123,10 @@ _CHECKS = {kind: tuple((name, rule, _LEAST[rule]) for name, rule in numbers)
            for kind, numbers, _ in _SECTIONS.values()}
 
 
-def _check_numbers(element) -> None:
+def _check_fields(element) -> None:
     """Check an element's numeric fields against their rules in ``_SECTIONS``,
-    naming the first that is not a finite number, else the first out of range."""
+    naming the first that is not a finite number, else the first out of range;
+    then its id, so that a file row and a direct build name the same field."""
     checks = _CHECKS[type(element)]
     for name, rule, least in checks:
         value = getattr(element, name)
@@ -142,12 +140,15 @@ def _check_numbers(element) -> None:
             if not is_finite_number(getattr(element, other)):
                 raise ValidationError(f"{where}: field {other!r} must be a finite number")
         raise ValidationError(f"{where}: {name} must be {rule}")
+    if not is_id(element.id):
+        raise ValidationError(f"{type(element).__name__.lower()} {element.id!r}: "
+                              "id must be a string")
 
 
 def _lookup(by_id: dict, element_id: str, kind: str):
     try:
         return by_id[element_id]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable id
         raise ValidationError(f"unknown {kind} {element_id!r}") from None
 
 
@@ -254,14 +255,14 @@ class Network:
         return tuple(p.id for p in self.pumps)
 
     def is_node(self, node_id: str) -> bool:
-        return node_id in self._adjacency
+        return is_id(node_id) and node_id in self._adjacency
 
     def total_design_demand(self) -> float:
         return self._total_design_demand
 
     def incident_pipes(self, node_id: str) -> tuple[str, ...]:
         """Ids of pipes incident to a node, ascending; parallels included."""
-        if node_id not in self._adjacency:
+        if not self.is_node(node_id):
             raise ValidationError(f"unknown node {node_id!r}")
         return tuple(pid for pid, _ in self._adjacency[node_id])
 
@@ -271,7 +272,8 @@ class Network:
         return len(self.incident_pipes(node_id))
 
     def validate_failed_sets(self, failed_pipes: Iterable[str] = ()) -> frozenset[str]:
-        failed_pipes = frozenset(failed_pipes)
+        """The failure set as a frozenset, once it is a collection of known pipe ids."""
+        failed_pipes = frozenset(check_ids(failed_pipes, "failed pipes"))
         # difference() with a dict looks each failed id up instead of copying the keys
         unknown = failed_pipes.difference(self._by_id["pipes"])
         if unknown:
@@ -341,7 +343,8 @@ def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
     """The elements of one file section.  A pipe's endpoints are checked
     before its id; every other field is checked in field order.  The checks
     run inline, in one pass over the row, and the row's name is built only
-    for an error."""
+    for an error.  A numeric id or endpoint becomes its string; the element
+    refuses any other value that is not a string."""
     kind, numbers, flows = _SECTIONS[section]
     fields = tuple((name, scale if name in flows else 1.0) for name, _ in numbers)
     missing = object()
@@ -354,11 +357,11 @@ def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
                 raise _row_error(kind, row, "missing field 'endpoints'")
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise _row_error(kind, row, "endpoints must be a pair of node ids")
-            endpoints = ((str(pair[0]), str(pair[1])),)
+            endpoints = ((_id_text(pair[0]), _id_text(pair[1])),)
         element_id = row.get("id", missing)
         if element_id is missing:
             raise _row_error(kind, row, "missing field 'id'")
-        values = [str(element_id), *endpoints]
+        values = [_id_text(element_id), *endpoints]
         for name, factor in fields:
             value = row.get(name, missing)
             # a float from JSON is the common case; an int becomes a float
@@ -371,6 +374,11 @@ def _elements(section: str, rows: list[Mapping], scale: float) -> tuple:
             values.append(value * factor)
         elements.append(kind(*values))
     return tuple(elements)
+
+
+def _id_text(value):
+    """A JSON number as its string (``5`` is ``"5"``); any other value as it is."""
+    return str(value) if type(value) in (int, float) else value
 
 
 def _row_error(kind: type, row: Mapping, problem: str) -> ValidationError:

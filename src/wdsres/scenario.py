@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 
 from .errors import ValidationError
 from .hydraulics import HydraulicSeries, _check_threshold, classify_states, surrogate_allocation
-from .inputs import check_integer, is_finite_number, json_rows, read_json
+from .inputs import check_ids, check_integer, is_finite_number, json_rows, read_json
 from .network import Network, _require
 from .performance import hashimoto_recovery, zhuang_availability
 
@@ -72,11 +72,7 @@ class Event:
             raise ValidationError("event onset must be >= 0")
         if self.repair <= self.onset:
             raise ValidationError("event repair must come after onset")
-        # a bare string is iterable too, but "P1" is one id, not "P" and "1"
-        if not (isinstance(self.ids, (list, tuple))
-                and all(isinstance(i, str) for i in self.ids)):
-            raise ValidationError(f"event ids must be a list of id strings, got {self.ids!r}")
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", check_ids(self.ids, "event ids", (list, tuple)))
         # a scaling event would apply its factor once per listing
         if len(set(self.ids)) < len(self.ids):
             repeated = sorted(i for i, n in Counter(self.ids).items() if n > 1)
@@ -128,6 +124,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        for i, event in enumerate(self.events):
+            if not isinstance(event, Event):
+                raise ValidationError(f"events[{i}] must be an Event, got {event!r}")
         check_integer(self.seed, "seed")
         if self.horizon is not None:
             check_integer(self.horizon, "horizon", 1)
@@ -325,10 +324,8 @@ def monte_carlo(
     run serially, in order.
     """
     check_integer(n, "replicate count", 1)
-    if metric not in MC_METRICS:
-        raise ValidationError(
-            f"unknown metric {metric!r}; choose from {sorted(MC_METRICS)}"
-        )
+    if not (isinstance(metric, str) and metric in MC_METRICS):
+        raise ValidationError(f"unknown metric {metric!r}; choose from {sorted(MC_METRICS)}")
     _check_threshold(threshold)
     metric_fn = MC_METRICS[metric]
 

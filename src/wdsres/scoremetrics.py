@@ -150,14 +150,10 @@ def checklist_from_dict(data: Mapping) -> WprChecklist:
     return WprChecklist(tuple(criteria))
 
 
-def _checklist_file(path: str | Path | None = None) -> str | Path:
-    """The file :func:`load_checklist` reads: ``path``, or the bundled checklist."""
-    return bundled("wpr_checklist.json") if path is None else path
-
-
 def load_checklist(path: str | Path | None = None) -> WprChecklist:
     """Load a checklist JSON; defaults to the bundled 36-criterion file."""
-    return checklist_from_dict(read_json(_checklist_file(path), "checklist"))
+    path = bundled("wpr_checklist.json") if path is None else path
+    return checklist_from_dict(read_json(path, "checklist"))
 
 
 def load_answers(path: str | Path) -> dict[str, bool]:

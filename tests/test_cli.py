@@ -911,9 +911,8 @@ class TestUnwritableOutput:
         assert result.output.startswith("error: an output names an input file: ")
         assert {name: path.read_bytes() for name, path in files.items()} == before
 
-    # each output names the bundled file that the command reads by default;
-    # bundled() points at copies, so a command that wrote one leaves the
-    # package's own data intact
+    # each output names the bundled file that the command reads by default,
+    # which lies in the package's data directory, where no output may go
     @pytest.mark.parametrize("args", [
         ["catalog", "counts", "--out", "{catalog}"],
         ["catalog", "correlate", "--out", "{catalog}"],
@@ -922,25 +921,22 @@ class TestUnwritableOutput:
         ["metric", "wpr", "--answers", "{answers}", "--out", "{checklist}"],
     ], ids=lambda args: " ".join(args[:2]))
     def test_output_naming_a_bundled_default_exits_one_and_leaves_it(self, runner, tmp_path,
-                                                                     monkeypatch, args):
-        from wdsres import catalog, scoremetrics
+                                                                     args):
         from wdsres.inputs import bundled
 
-        data = tmp_path / "data"
-        data.mkdir()
-        for name in ("catalog.csv", "wpr_checklist.json"):
-            (data / name).write_bytes(bundled(name).read_bytes())
-        for module in (catalog, scoremetrics):
-            monkeypatch.setattr(module, "bundled", lambda name: data / name)
         answers = tmp_path / "answers.json"
         answers.write_text("{}")
-        before = {path.name: path.read_bytes() for path in data.iterdir()}
-        result = runner.invoke(main, [a.format(catalog=data / "catalog.csv", answers=answers,
-                                               checklist=data / "wpr_checklist.json")
-                                      for a in args])
-        assert result.exit_code == 1
-        assert result.output.startswith("error: an output names an input file: ")
-        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+        defaults = {"catalog": bundled("catalog.csv"),
+                    "checklist": bundled("wpr_checklist.json")}
+        before = {name: path.read_bytes() for name, path in defaults.items()}
+        try:
+            result = runner.invoke(main, [a.format(answers=answers, **defaults) for a in args])
+            assert result.exit_code == 1
+            assert result.output.startswith("error: an output names a bundled data file: ")
+            assert {name: path.read_bytes() for name, path in defaults.items()} == before
+        finally:
+            for name, path in defaults.items():
+                path.write_bytes(before[name])
 
     def test_output_in_the_package_data_exits_one_and_leaves_it(self, runner):
         from wdsres.inputs import bundled

@@ -4,7 +4,8 @@ Each case takes a valid fixture file, mutates its bytes and runs the file
 through the command that reads it.  Whatever the bytes, the command exits
 0, 1 or 2 through ``sys.exit`` (``CliRunner`` keeps a traceback out of the
 output, so the exception itself is checked), and a JSON report on stdout
-is strict JSON: no ``NaN`` or ``Infinity``.
+is strict JSON: no ``NaN`` or ``Infinity``.  A second set of cases puts
+any JSON value where the network and scenario files hold an id.
 """
 
 import json
@@ -126,5 +127,71 @@ def test_mutated_input_exits_cleanly(files, name):
             _strict_json(result.stdout)
         else:
             assert "nan" not in result.stdout
+
+    run()
+
+
+# any JSON value where a file holds an id: null, a bool, a number, a string,
+# a list or an object
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(width=32)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=3)
+
+
+def _network_with(draw, value) -> tuple[dict, bool]:
+    """The network document with one id, one endpoint or one node's id and
+    every endpoint naming it replaced by ``value``, and whether it was the node."""
+    doc = NETWORK.to_dict()
+    where = draw(st.sampled_from(("id", "endpoint", "node")))
+    if where == "id":
+        section = draw(st.sampled_from(("junctions", "sources", "pipes")))
+        draw(st.sampled_from(doc[section]))["id"] = value
+    elif where == "endpoint":
+        draw(st.sampled_from(doc["pipes"]))["endpoints"][draw(st.integers(0, 1))] = value
+    else:
+        node = draw(st.sampled_from(doc["junctions"] + doc["sources"]))
+        for pipe in doc["pipes"]:
+            pipe["endpoints"] = [value if end == node["id"] else end
+                                 for end in pipe["endpoints"]]
+        node["id"] = value
+    return doc, where == "node"
+
+
+def _scenario_with(draw, value) -> tuple[dict, bool]:
+    """The scenario document with one member of one event's ids replaced by ``value``."""
+    doc = json.loads(json.dumps(SCENARIO))
+    ids = draw(st.sampled_from(doc["events"]))["ids"]
+    ids[draw(st.integers(0, len(ids) - 1))] = value
+    return doc, False
+
+
+@pytest.mark.parametrize("name", ["network.json", "scenario.json"])
+def test_any_json_value_as_an_id_exits_cleanly(files, name):
+    argv = [str(files["mutant"]) if a == "{}" else str(files.get(a, a)) for a in CASES[name]]
+    runner = CliRunner()
+    build = _network_with if name == "network.json" else _scenario_with
+
+    @given(data=st.data(), value=JSON_VALUES)
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    def run(data, value):
+        doc, renamed = build(data.draw, value)
+        files["mutant"].write_text(json.dumps(doc))
+        result = runner.invoke(main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            repr(result.exception)
+        )
+        assert result.exit_code in (0, 1), result.output
+        if result.exit_code == 1:
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1, (
+                result.output)
+        # only a string is an id, and in a network file a number, which becomes its string
+        if not (type(value) is str or name == "network.json" and type(value) in (int, float)):
+            assert result.exit_code == 1, result.output
+        elif renamed and type(value) in (int, float):
+            # a numeric node id loads as its string, as do the endpoints naming it
+            assert result.exit_code == 0, result.output
 
     run()

@@ -171,7 +171,7 @@ class TestHydraulicSeries:
         assert len(zhuang_series.node_ids) == 2  # so "ab" would pass as ("a", "b")
         with pytest.raises(ValidationError) as info:
             HydraulicSeries("ab", **arrays)
-        assert str(info.value) == "node ids must be a sequence of ids, not a string"
+        assert str(info.value) == "node ids must be a list of id strings, got 'ab'"
 
     def test_node_index(self, zhuang_series):
         assert zhuang_series.node_index("n2") == 1
@@ -882,6 +882,15 @@ class TestSolveRecord:
         alloc = allocate_flows(net, **factors)
         for values in (alloc.delivered, alloc.demands, alloc.pipe_flows, alloc.source_outflows):
             assert [type(v) for v in values.values()] == [float] * len(values)
+
+    def test_int_factors_on_int_fields_give_float_maps(self):
+        # an int factor of an int demand, then an equal float one, which hits the memo
+        net = make_network([Junction("J1", 0, 1, 30)], [Source("S", 100, 4)],
+                           [make_pipe("p1", "S", "J1", capacity=3)])
+        for factor in (2, 2.0, 2):
+            alloc = allocate_flows(net, demand_factors={"J1": factor})
+            assert [type(v) for v in alloc.demands.values()] == [float]
+            assert alloc.demands == alloc.delivered == {"J1": 2.0}
 
     def test_equal_capacities_from_other_inputs_run_the_kernel(self, kernel_runs):
         # failing p1, which carries nothing, leaves every capacity as it was

@@ -1,5 +1,6 @@
 """The input boundary: every loader turns an unreadable file into exit 1."""
 
+import dataclasses
 from enum import IntEnum
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from click.testing import CliRunner
 from wdsres.catalog import CLUSTER_FEATURES, load_catalog, ward_clustering
 from wdsres.cli import main
 from wdsres.errors import ValidationError
-from wdsres.hydraulics import load_series
+from wdsres.graphmetrics import (WeightedPath, demand_weighted_index, k_shortest_paths,
+                                 node_resilience_index)
+from wdsres.hydraulics import (HydraulicSeries, allocate_flows, load_series,
+                               surrogate_allocation)
 from wdsres.inputs import check_integer, is_integer, read_csv
-from wdsres.network import is_finite_number, load_network
+from wdsres.network import Junction, Source, is_finite_number, load_network, network_from_dict
 from wdsres.scenario import Event, ScenarioSpec, load_scenario, monte_carlo
 from wdsres.wardclust import cut_clusters, ward_linkage
 from wdsres.scoremetrics import load_answers, load_checklist, load_indicators
@@ -212,4 +216,89 @@ def _cut(k):
 def test_counts_must_be_integers_before_their_range(ring_network, run, message):
     with pytest.raises(ValidationError) as info:
         run(ring_network)
+    assert str(info.value) == message
+
+
+# junctions "a" and "b" fed by source "S" through pipes "a" (S-a) and "b"
+# (a-b), so that "ab" names two nodes, and two pipes, of the network; and a
+# pump "P", whose id no other element refers to
+AB_DOC = {
+    "junctions": [{"id": i, "elevation": 0.0, "design_demand": 0.01, "required_head": 30.0}
+                  for i in ("a", "b")],
+    "sources": [{"id": "S", "total_head": 100.0, "outflow": 0.05}],
+    "pipes": [{"id": i, "endpoints": ends, "length": 100.0, "diameter": 0.1,
+               "friction_factor": 0.02, "repair_rate": 0.0, "capacity": 1.0}
+              for i, ends in (("a", ["S", "a"]), ("b", ["a", "b"]))],
+    "pumps": [{"id": "P", "power": 1.0}],
+}
+
+
+def _with(section, field, value):
+    """The network document of AB_DOC with one field of its first row changed."""
+    rows = [dict(AB_DOC[section][0], **{field: value}), *AB_DOC[section][1:]]
+    return network_from_dict(AB_DOC | {section: rows})
+
+
+# every entry that takes ids -> a call that puts the value where they go,
+# and the message of its error
+ID_ENTRIES = {
+    "event ids": (lambda net, v: Event("pipe_failure", 0, 1, ids=v),
+                  "event ids must be a list of id strings, got "),
+    "series node ids": (lambda net, v: HydraulicSeries(v, *np.ones((4, 1, 2))),
+                        "node ids must be a list of id strings, got "),
+    "pipe endpoints": (lambda net, v: dataclasses.replace(net.pipe("a"), endpoints=v),
+                       "pipe 'a': endpoints must name two nodes"),
+    "pipe endpoints from a file": (lambda net, v: _with("pipes", "endpoints", v),
+                                   "pipe 'a': endpoints must be a pair of node ids"),
+    "allocate_flows": (lambda net, v: allocate_flows(net, v),
+                       "failed pipes must be a list of id strings, got "),
+    "surrogate_allocation": (lambda net, v: surrogate_allocation(net, v),
+                             "failed pipes must be a list of id strings, got "),
+    "reachable_from_sources": (lambda net, v: net.reachable_from_sources(v),
+                               "failed pipes must be a list of id strings, got "),
+    "path pipes": (lambda net, v: WeightedPath(v, 1.0),
+                   "path pipes must be a list of id strings, got "),
+    "element id": (lambda net, v: Junction(v, 0.0, 0.01, 30.0), "junction "),
+    "element id from a file": (lambda net, v: _with("pumps", "id", v), "pump "),
+    "element id in a network": (lambda net, v: dataclasses.replace(
+        net, junctions=(*net.junctions, Junction(v, 0.0, 0.01, 30.0))), "junction "),
+}
+
+# a string of two valid ids, a set that mixes a number with a string, and None;
+# "ab" is one valid id of an element, so it is left out there
+ID_VALUES = {"string": "ab", "mixed-set": {5, "x"}, "none": None}
+ID_CASES = [(entry, name) for entry in ID_ENTRIES for name in ID_VALUES
+            if not (name == "string" and entry.startswith("element id"))]
+
+
+@pytest.mark.parametrize("entry, value", [(e, ID_VALUES[n]) for e, n in ID_CASES],
+                         ids=[f"{e}-{n}" for e, n in ID_CASES])
+def test_every_entry_that_takes_ids_refuses_what_is_not_its_ids(entry, value):
+    call, message = ID_ENTRIES[entry]
+    net = network_from_dict(AB_DOC)
+    with pytest.raises(ValidationError) as info:
+        call(net, value)
+    if entry.startswith("element id"):
+        message += f"{value!r}: id must be a string"
+    assert str(info.value).startswith(message)
+
+
+# an unhashable id or name: each is unknown, as any other id that is not there
+@pytest.mark.parametrize("call, message", [
+    (lambda net: net.junction(["a"]), "unknown junction ['a']"),
+    (lambda net: net.pipe(["a"]), "unknown pipe ['a']"),
+    (lambda net: net.incident_pipes(["a"]), "unknown node ['a']"),
+    (lambda net: node_resilience_index(net, ["a"]), "unknown node ['a']"),
+    (lambda net: demand_weighted_index(net, ["a"]), "unknown junction ['a']"),
+    (lambda net: k_shortest_paths(net, ["a"], "S"), "unknown node ['a']"),
+    (lambda net: k_shortest_paths(net, "a", {"S": 1}), "unknown node {'S': 1}"),
+    (lambda net: monte_carlo(net, ScenarioSpec(horizon=1), 1, ["zhuang"]),
+     "unknown metric ['zhuang']; choose from ['hashimoto', 'zhuang']"),
+], ids=["junction", "pipe", "incident_pipes", "node_resilience_index", "demand_weighted_index",
+        "k_shortest_paths start", "k_shortest_paths goal", "monte_carlo metric"])
+def test_an_unhashable_id_or_name_is_unknown(call, message):
+    net = network_from_dict(AB_DOC)
+    assert net.is_node(["a"]) is False
+    with pytest.raises(ValidationError) as info:
+        call(net)
     assert str(info.value) == message

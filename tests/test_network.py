@@ -245,11 +245,11 @@ class TestIngestMessages:
         doc["junctions"][0]["id"] = 5
         doc["pipes"][0]["id"] = 7
         doc["pipes"][0]["endpoints"] = ["R1", 5]
-        doc["pumps"][0]["id"] = 9
+        doc["pumps"][0]["id"] = 9.5
         net = network_from_dict(doc)
         assert net.junction_ids == ("5",)
         assert net.pipe("7").endpoints == ("R1", "5")
-        assert net.pump("9").power == 100.0
+        assert net.pump("9.5").power == 100.0
 
 
 # one valid element of each section, which a test rebuilds with one field changed

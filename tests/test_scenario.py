@@ -74,6 +74,17 @@ class TestEventValidation:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             ScenarioSpec((), seed=seed)
 
+    @pytest.mark.parametrize("events, message", [
+        ("ab", "events[0] must be an Event, got 'a'"),
+        ((Event("pipe_failure", 0, 1, ids=("p1",)), {"kind": "pipe_failure"}),
+         "events[1] must be an Event, got {'kind': 'pipe_failure'}"),
+        ([None], "events[0] must be an Event, got None"),
+    ], ids=["string", "dict", "none"])
+    def test_every_event_must_be_an_event(self, events, message):
+        with pytest.raises(ValidationError) as info:
+            ScenarioSpec(events)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("horizon", ["x", 2.5, True])
     def test_horizon_must_be_an_integer(self, horizon):
         with pytest.raises(ValidationError, match="horizon must be an integer"):
